@@ -33,6 +33,12 @@ import (
 // ErrCircuitOpen fails a call fast while the breaker cooldown runs.
 var ErrCircuitOpen = errors.New("client: circuit breaker open")
 
+// ErrResponseTooLarge fails a call whose response body exceeds
+// server.MaxResponseBytes. It is definitive, like an APIError: the daemon
+// answered, so the call is not retried and does not count against the
+// breaker, and a truncated body is never decoded.
+var ErrResponseTooLarge = fmt.Errorf("client: response body exceeds the %d-byte cap", server.MaxResponseBytes)
+
 // APIError is a non-retryable server verdict (4xx other than 429).
 type APIError struct {
 	Status int
@@ -243,9 +249,10 @@ func retryable(status int) bool {
 }
 
 // call performs one logical API call with retries; out, when non-nil, is
-// filled from the final 2xx body. Mutating calls pass idempotent=true to
-// attach a per-call Idempotency-Key reused across every attempt. ctx
-// cancellation aborts the in-flight attempt and the retry loop.
+// filled from the final 2xx body: decoded as JSON, or stored raw when out
+// is a *[]byte. Mutating calls pass idempotent=true to attach a per-call
+// Idempotency-Key reused across every attempt. ctx cancellation aborts the
+// in-flight attempt and the retry loop.
 func (c *Client) call(ctx context.Context, method, path string, in, out any, idempotent bool) error {
 	if err := c.breakerAdmit(); err != nil {
 		return err
@@ -268,7 +275,7 @@ func (c *Client) call(ctx context.Context, method, path string, in, out any, ide
 	// cancelled call says nothing about the daemon at all.
 	var apiErr *APIError
 	switch {
-	case errors.As(err, &apiErr):
+	case errors.As(err, &apiErr) || errors.Is(err, ErrResponseTooLarge):
 		c.recordOutcome(nil)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		c.recordNeutral()
@@ -309,7 +316,7 @@ func (c *Client) attemptLoop(ctx context.Context, method, path, key string, body
 			c.backoff(attempt, 0)
 			continue
 		}
-		data, rerr := io.ReadAll(io.LimitReader(resp.Body, 1<<22))
+		data, rerr := io.ReadAll(io.LimitReader(resp.Body, server.MaxResponseBytes+1))
 		resp.Body.Close()
 		if rerr != nil {
 			if ctx.Err() != nil {
@@ -319,12 +326,20 @@ func (c *Client) attemptLoop(ctx context.Context, method, path, key string, body
 			c.backoff(attempt, 0)
 			continue
 		}
+		if len(data) > server.MaxResponseBytes {
+			return fmt.Errorf("client: %s %s: %w", method, path, ErrResponseTooLarge)
+		}
 		switch {
 		case resp.StatusCode >= 200 && resp.StatusCode < 300:
-			if out == nil {
+			switch out := out.(type) {
+			case nil:
 				return nil
+			case *[]byte:
+				*out = data
+				return nil
+			default:
+				return json.Unmarshal(data, out)
 			}
-			return json.Unmarshal(data, out)
 		case retryable(resp.StatusCode):
 			if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
 				c.mu.Lock()
@@ -439,6 +454,14 @@ func (c *Client) Eval(session string, req server.EvalRequest) (server.EvalRespon
 // hedge loser stops burning the shard's compute between formulas.
 func (c *Client) EvalCtx(ctx context.Context, session string, req server.EvalRequest) (server.EvalResponse, error) {
 	var out server.EvalResponse
+	err := c.call(ctx, "POST", "/v1/sessions/"+session+"/eval", req, &out, true)
+	return out, err
+}
+
+// EvalRawCtx is EvalCtx returning the response body undecoded, in the
+// eval wire format internal/server owns, for a relay to forward verbatim.
+func (c *Client) EvalRawCtx(ctx context.Context, session string, req server.EvalRequest) ([]byte, error) {
+	var out []byte
 	err := c.call(ctx, "POST", "/v1/sessions/"+session+"/eval", req, &out, true)
 	return out, err
 }

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/server"
 )
 
 // TestBackoffRetryAfterFloor unit-tests the backoff schedule directly: the
@@ -208,5 +210,31 @@ func TestDeterministicKeySequenceReplay(t *testing.T) {
 		if same {
 			t.Fatal("different seeds minted identical key sequences")
 		}
+	}
+}
+
+// TestOversizedResponseIsDefinitive: a body past server.MaxResponseBytes
+// is neither truncated into a decode error nor retried, and it does not
+// count against the breaker — the daemon answered.
+func TestOversizedResponseIsDefinitive(t *testing.T) {
+	var hits atomic.Int64
+	big := make([]byte, server.MaxResponseBytes+1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.Write(big)
+	}))
+	defer ts.Close()
+	c := New(Config{BaseURL: ts.URL, BreakerThreshold: 1})
+	stubClock(c)
+
+	_, err := c.Eval("s1", server.EvalRequest{Formulas: []string{"p"}})
+	if !errors.Is(err, ErrResponseTooLarge) {
+		t.Fatalf("err = %v, want ErrResponseTooLarge", err)
+	}
+	if n := hits.Load(); n != 1 {
+		t.Fatalf("%d attempts, want 1", n)
+	}
+	if st := c.Stats(); st.Breaker != "closed" || st.ConsecutiveFails != 0 || st.Retries != 0 {
+		t.Fatalf("stats after an oversized answer: %+v", st)
 	}
 }

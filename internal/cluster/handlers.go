@@ -211,16 +211,31 @@ func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	resp, err := readWithFailover(rt, r.Context(), cs,
-		func(ctx context.Context, c *client.Client, sid string) (server.EvalResponse, error) {
-			return c.EvalCtx(ctx, sid, req)
+	// The verdicts are relayed, not decoded: internal/server owns the eval
+	// wire format, and only the session id changes on the way through.
+	type answer struct {
+		body []byte
+		sid  string // the shard session that answered: primary or hedge
+	}
+	ans, err := readWithFailover(rt, r.Context(), cs,
+		func(ctx context.Context, c *client.Client, sid string) (answer, error) {
+			body, err := c.EvalRawCtx(ctx, sid, req)
+			return answer{body, sid}, err
 		})
 	if err != nil {
 		writeUpstreamErr(w, err, "eval")
 		return
 	}
-	resp.Session = cs.id
-	writeJSON(w, http.StatusOK, resp)
+	body, err := server.ResessionEval(ans.body, ans.sid, cs.id)
+	if err != nil {
+		// A shard that answered 200 with a foreign body is broken in a way
+		// a failover would not fix; report it rather than guess.
+		writeErr(w, http.StatusBadGateway, fmt.Sprintf("eval: %v", err))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 func (rt *Router) handleAnnounce(w http.ResponseWriter, r *http.Request) {

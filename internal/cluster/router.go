@@ -454,7 +454,8 @@ func readWithFailover[T any](rt *Router, ctx context.Context, cs *csession,
 		}
 		lastErr = err
 		var apiErr *client.APIError
-		if errors.As(err, &apiErr) && apiErr.Status != http.StatusNotFound {
+		if errors.As(err, &apiErr) && apiErr.Status != http.StatusNotFound ||
+			errors.Is(err, client.ErrResponseTooLarge) {
 			return out, err // a definitive shard verdict passes through
 		}
 		cs.mu.Lock()

@@ -124,14 +124,16 @@ type EvalRequest struct {
 // Verdict is one formula's result. Marked is nil when the session has no
 // surviving marked world to judge at.
 type Verdict struct {
-	Formula string `json:"formula"`
-	Count   int    `json:"count"`
-	Marked  *bool  `json:"marked"`
-	Worlds  []int  `json:"worlds,omitempty"`
+	Formula string    `json:"formula"`
+	Count   int       `json:"count"`
+	Marked  *bool     `json:"marked"`
+	Worlds  WorldList `json:"worlds,omitempty"`
 }
 
 // EvalResponse carries the batch's verdicts; Link identifies the chain
-// link they were computed at.
+// link they were computed at. knowd writes it with AppendEvalResponse
+// (wire.go), and its first field must stay Session: ResessionEval relies
+// on the body starting with it.
 type EvalResponse struct {
 	Session  string    `json:"session"`
 	Link     int       `json:"link"`
@@ -545,9 +547,12 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ss.mu.Lock()
-	defer ss.mu.Unlock()
 	ss.touch(s.now())
 	sets, err := ss.evalBatch(r.Context(), fs, s.evalWorkers(req.Workers))
+	// The sets are this request's own: the verdicts are encoded after the
+	// session is released.
+	link, marked := len(ss.announced), ss.ld.chain.Marked()
+	ss.mu.Unlock()
 	if err != nil {
 		if r.Context().Err() != nil {
 			return // client gone; nobody is listening
@@ -557,13 +562,13 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := EvalResponse{
 		Session:  ss.id,
-		Link:     len(ss.announced),
+		Link:     link,
 		Verdicts: make([]Verdict, len(fs)),
 	}
 	for i, set := range sets {
 		v := Verdict{Formula: req.Formulas[i], Count: set.Count()}
-		if ss.ld.chain.Marked() >= 0 {
-			holds := set.Contains(ss.ld.chain.Marked())
+		if marked >= 0 {
+			holds := set.Contains(marked)
 			v.Marked = &holds
 		}
 		if req.Worlds {
@@ -571,8 +576,17 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Verdicts[i] = v
 	}
+	body := AppendEvalResponse(nil, resp)
+	if len(body) > MaxResponseBytes-resessionHeadroom {
+		writeErr(w, http.StatusUnprocessableEntity, fmt.Sprintf(
+			"eval response of %d bytes exceeds the %d-byte cap: ask for fewer formulas or no world lists",
+			len(body), MaxResponseBytes-resessionHeadroom))
+		return
+	}
 	s.evals.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 // evalWorkers maps a request's worker ask onto the server's cap.
