@@ -249,8 +249,9 @@ func retryable(status int) bool {
 }
 
 // call performs one logical API call with retries; out, when non-nil, is
-// filled from the final 2xx body: decoded as JSON, or stored raw when out
-// is a *[]byte. Mutating calls pass idempotent=true to attach a per-call
+// filled from the final 2xx body: decoded as JSON (an *EvalResponse
+// through server.DecodeEvalResponse), or stored raw when out is a
+// *[]byte. Mutating calls pass idempotent=true to attach a per-call
 // Idempotency-Key reused across every attempt. ctx cancellation aborts the
 // in-flight attempt and the retry loop.
 func (c *Client) call(ctx context.Context, method, path string, in, out any, idempotent bool) error {
@@ -316,7 +317,7 @@ func (c *Client) attemptLoop(ctx context.Context, method, path, key string, body
 			c.backoff(attempt, 0)
 			continue
 		}
-		data, rerr := io.ReadAll(io.LimitReader(resp.Body, server.MaxResponseBytes+1))
+		data, rerr := readBody(resp)
 		resp.Body.Close()
 		if rerr != nil {
 			if ctx.Err() != nil {
@@ -337,6 +338,8 @@ func (c *Client) attemptLoop(ctx context.Context, method, path, key string, body
 			case *[]byte:
 				*out = data
 				return nil
+			case *server.EvalResponse:
+				return server.DecodeEvalResponse(data, out)
 			default:
 				return json.Unmarshal(data, out)
 			}
@@ -361,6 +364,32 @@ func (c *Client) attemptLoop(ctx context.Context, method, path, key string, body
 		}
 	}
 	return fmt.Errorf("client: %s %s failed after %d attempts: %w", method, path, c.cfg.MaxAttempts, lastErr)
+}
+
+// readBody reads at most server.MaxResponseBytes+1 bytes of resp's body,
+// as io.ReadAll would. A Content-Length within the cap sizes the buffer up
+// front, one byte over so that reading to EOF never grows it; net/http
+// reports a body shorter than its Content-Length as io.ErrUnexpectedEOF.
+func readBody(resp *http.Response) ([]byte, error) {
+	size := int64(512)
+	if n := resp.ContentLength; n >= 0 && n <= server.MaxResponseBytes {
+		size = n + 1
+	}
+	r := io.LimitReader(resp.Body, server.MaxResponseBytes+1)
+	b := make([]byte, 0, size)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // backoff sleeps a full-jitter exponential delay: uniform in [0, ceiling)

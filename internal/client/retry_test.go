@@ -1,9 +1,11 @@
 package client
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -236,5 +238,76 @@ func TestOversizedResponseIsDefinitive(t *testing.T) {
 	}
 	if st := c.Stats(); st.Breaker != "closed" || st.ConsecutiveFails != 0 || st.Retries != 0 {
 		t.Fatalf("stats after an oversized answer: %+v", st)
+	}
+}
+
+// TestFramedOversizedResponseIsDefinitive: a body whose Content-Length is
+// past server.MaxResponseBytes is read as unframed (never presized to the
+// declared length) and is ErrResponseTooLarge, with no retry and no
+// breaker count. A body at the cap is read into a buffer sized once from
+// its Content-Length.
+func TestFramedOversizedResponseIsDefinitive(t *testing.T) {
+	var hits, size atomic.Int64
+	size.Store(server.MaxResponseBytes + 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.Header().Set("Content-Length", strconv.FormatInt(size.Load(), 10))
+		w.Write(make([]byte, size.Load()))
+	}))
+	defer ts.Close()
+	c := New(Config{BaseURL: ts.URL, BreakerThreshold: 1})
+	stubClock(c)
+
+	_, err := c.Eval("s1", server.EvalRequest{Formulas: []string{"p"}})
+	if !errors.Is(err, ErrResponseTooLarge) {
+		t.Fatalf("err = %v, want ErrResponseTooLarge", err)
+	}
+	if n := hits.Load(); n != 1 {
+		t.Fatalf("%d attempts, want 1", n)
+	}
+	if st := c.Stats(); st.Breaker != "closed" || st.ConsecutiveFails != 0 || st.Retries != 0 {
+		t.Fatalf("stats after an oversized answer: %+v", st)
+	}
+
+	size.Store(server.MaxResponseBytes)
+	raw, err := c.EvalRawCtx(context.Background(), "s1", server.EvalRequest{Formulas: []string{"p"}})
+	if err != nil || len(raw) != server.MaxResponseBytes {
+		t.Fatalf("body at the cap: %d bytes, err %v", len(raw), err)
+	}
+	if cap(raw) != server.MaxResponseBytes+1 {
+		t.Fatalf("body at the cap read into a %d-byte buffer, want one presized to the cap+1", cap(raw))
+	}
+}
+
+// TestShortContentLengthIsRetried: a body shorter than its Content-Length
+// is a transport error and is retried, even when the bytes that did
+// arrive form a complete response; it is never decoded.
+func TestShortContentLengthIsRetried(t *testing.T) {
+	var hits atomic.Int64
+	body := server.AppendEvalResponse(nil, server.EvalResponse{Session: "s1", Link: 0, Verdicts: []server.Verdict{{Formula: "p", Count: 1}}})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n := len(body)
+		if hits.Add(1) == 1 {
+			n += 5 // promise more than is sent: the connection closes short
+		}
+		w.Header().Set("Content-Length", strconv.Itoa(n))
+		w.Write(body)
+	}))
+	defer ts.Close()
+	c := New(Config{BaseURL: ts.URL})
+	stubClock(c)
+
+	resp, err := c.Eval("s1", server.EvalRequest{Formulas: []string{"p"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := hits.Load(); n != 2 {
+		t.Fatalf("%d attempts, want 2: the short body was taken as an answer", n)
+	}
+	if resp.Session != "s1" || len(resp.Verdicts) != 1 || resp.Verdicts[0].Count != 1 {
+		t.Fatalf("decoded %+v", resp)
+	}
+	if st := c.Stats(); st.Retries != 1 || st.ConsecutiveFails != 0 {
+		t.Fatalf("stats after a retried short body: %+v", st)
 	}
 }

@@ -144,6 +144,7 @@ func TestParseErrors(t *testing.T) {
 		"a)",
 		"K m",          // K without index parses K as... should fail or be a var? K is uppercase => Var, then m is trailing
 		"E^0 m",        // k must be >= 1
+		"E^4097 m",     // k must be <= MaxEPower
 		"Ee m",         // missing [eps]
 		"Ee[2 m",       // unclosed bracket
 		"E{0, m",       // bad group

@@ -36,6 +36,10 @@ func MustParse(input string) Formula {
 	return f
 }
 
+// MaxEPower bounds k in E^k. Parse expands E^k into k nested E nodes, so
+// without a bound one short formula could allocate without limit.
+const MaxEPower = 1 << 12
+
 type parser struct {
 	src string
 	pos int
@@ -335,8 +339,8 @@ func (p *parser) parseIdent(id string) (Formula, error) {
 			if err != nil {
 				return nil, err
 			}
-			if k < 1 {
-				return nil, p.errf("E^k requires k >= 1")
+			if k < 1 || k > MaxEPower {
+				return nil, p.errf("E^k requires 1 <= k <= %d", MaxEPower)
 			}
 		}
 		g, err := p.group()

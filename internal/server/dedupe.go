@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -140,15 +141,21 @@ func (d *Deduper) Wrap(h http.HandlerFunc) http.HandlerFunc {
 			return
 		}
 		e, first := d.win.begin(key)
-		if !first {
+		for !first {
 			select {
 			case <-e.done:
 			case <-r.Context().Done():
 				return // duplicate's client gone before the original finished
 			}
-			d.hits.Add(1)
-			writeStored(w, e)
-			return
+			if e.status != 499 {
+				d.hits.Add(1)
+				writeStored(w, e)
+				return
+			}
+			// The original's client left and it produced nothing to
+			// replay; its entry is gone, so claim the key and run the
+			// handler here (or wait on whoever claimed it first).
+			e, first = d.win.begin(key)
 		}
 		rec := &recorder{header: make(http.Header)}
 		func() {
@@ -204,13 +211,17 @@ func (r *recorder) Write(b []byte) (int, error) {
 	return r.buf.Write(b)
 }
 
+// writeStored writes an executed response with a Content-Length, so no
+// compute response is chunked on the wire. A 499 entry produced nothing,
+// and the client it was for is gone.
 func writeStored(w http.ResponseWriter, e *dedupeEntry) {
 	if e.status == 499 {
-		return // nothing was produced; the duplicate gets nothing to replay
+		return
 	}
 	for k, vs := range e.header {
 		w.Header()[k] = vs
 	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(e.body)))
 	w.WriteHeader(e.status)
 	w.Write(e.body)
 }

@@ -7,14 +7,15 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"unicode/utf8"
 )
 
 // The eval wire format. A verdict batch is the bulk of every byte knowd
 // serves: a world list per formula when the client asks for denotations.
 // This file owns that format end to end — knowd encodes it with
 // AppendEvalResponse, a relay re-labels it with ResessionEval without
-// decoding it, and a client decodes its world lists through WorldList —
-// so no layer reflects over world lists. The bytes are exactly what
+// decoding it, and a client decodes it with DecodeEvalResponse — so no
+// layer reflects over world lists. The bytes are exactly what
 // encoding/json writes for an EvalResponse.
 
 // MaxResponseBytes caps the body of every knowd response a client reads.
@@ -138,6 +139,183 @@ func ResessionEval(body []byte, shardSID, routerID string) ([]byte, error) {
 	}
 	out := appendSessionPrefix(make([]byte, 0, len(body)-len(old)+len(routerID)+16), routerID)
 	return append(out, body[len(old):]...), nil
+}
+
+// DecodeEvalResponse decodes an eval response body into *r, which it
+// overwrites. It reads the exact layout AppendEvalResponse writes in one
+// forward pass: keys in field order, "marked" as true, false or null,
+// "worlds" only when non-empty, and a trailing "}\n". A string holding a
+// backslash (or bytes that are not UTF-8) is unquoted by encoding/json on
+// its own. Any other deviation — reordered, duplicate or case-variant
+// keys, whitespace, non-canonical numbers, trailing bytes — hands the
+// whole body to json.Unmarshal, so the result always equals
+// json.Unmarshal's into a zero EvalResponse, error for error.
+func DecodeEvalResponse(data []byte, r *EvalResponse) error {
+	d := evalDecoder{data: data}
+	if out, ok := d.response(); ok {
+		*r = out
+		return nil
+	}
+	*r = EvalResponse{}
+	return json.Unmarshal(data, r)
+}
+
+// evalDecoder is DecodeEvalResponse's cursor over a canonical body. Every
+// method reports false at the first byte that leaves the canonical
+// layout; the caller then falls back to json.Unmarshal.
+type evalDecoder struct {
+	data []byte
+	i    int
+}
+
+func (d *evalDecoder) response() (EvalResponse, bool) {
+	var r EvalResponse
+	var ok bool
+	if !d.lit(`{"session":`) {
+		return r, false
+	}
+	if r.Session, ok = d.str(); !ok || !d.lit(`,"link":`) {
+		return r, false
+	}
+	if r.Link, ok = d.int(); !ok || !d.lit(`,"verdicts":`) {
+		return r, false
+	}
+	if !d.lit("null") {
+		if !d.lit("[") {
+			return r, false
+		}
+		r.Verdicts = make([]Verdict, 0, 16) // a typical batch without regrowth
+		for !d.lit("]") {
+			if len(r.Verdicts) > 0 && !d.lit(",") {
+				return r, false
+			}
+			v, ok := d.verdict()
+			if !ok {
+				return r, false
+			}
+			r.Verdicts = append(r.Verdicts, v)
+		}
+	}
+	return r, d.lit("}\n") && d.i == len(d.data)
+}
+
+func (d *evalDecoder) verdict() (Verdict, bool) {
+	var v Verdict
+	var ok bool
+	if !d.lit(`{"formula":`) {
+		return v, false
+	}
+	if v.Formula, ok = d.str(); !ok || !d.lit(`,"count":`) {
+		return v, false
+	}
+	if v.Count, ok = d.int(); !ok || !d.lit(`,"marked":`) {
+		return v, false
+	}
+	switch {
+	case d.lit("null"):
+	case d.lit("true"):
+		v.Marked = new(bool)
+		*v.Marked = true
+	case d.lit("false"):
+		v.Marked = new(bool)
+	default:
+		return v, false
+	}
+	if d.lit(`,"worlds":[`) {
+		if v.Worlds, ok = d.worlds(); !ok {
+			return v, false
+		}
+	}
+	return v, d.lit("}")
+}
+
+// lit consumes s if the body continues with it.
+func (d *evalDecoder) lit(s string) bool {
+	if len(d.data)-d.i < len(s) || string(d.data[d.i:d.i+len(s)]) != s {
+		return false
+	}
+	d.i += len(s)
+	return true
+}
+
+// str reads a JSON string. Printable ASCII and valid UTF-8 without a
+// backslash is taken as is; anything else goes through encoding/json, one
+// string at a time, so the unescaping and the U+FFFD substitution for
+// bad UTF-8 are encoding/json's own.
+func (d *evalDecoder) str() (string, bool) {
+	data, start := d.data, d.i
+	if start == len(data) || data[start] != '"' {
+		return "", false
+	}
+	i, plain, ascii := start+1, true, true
+	for ; i < len(data) && data[i] != '"'; i++ {
+		switch c := data[i]; {
+		case c == '\\':
+			plain = false
+			i++ // the escaped byte cannot close the string
+		case c < 0x20:
+			return "", false
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	if i >= len(data) {
+		return "", false
+	}
+	d.i = i + 1
+	raw := data[start+1 : i]
+	if plain && (ascii || utf8.Valid(raw)) {
+		return string(raw), true
+	}
+	var s string
+	if json.Unmarshal(data[start:d.i], &s) != nil {
+		return "", false
+	}
+	return s, true
+}
+
+func (d *evalDecoder) int() (int, bool) {
+	n, next, ok := parseInt(d.data, d.i)
+	d.i = next
+	return n, ok
+}
+
+// worlds reads the elements of a non-empty world list and its closing
+// bracket into a list sized from the commas before the first ']'.
+func (d *evalDecoder) worlds() (WorldList, bool) {
+	data, i := d.data, d.i
+	end := bytes.IndexByte(data[i:], ']')
+	if end < 0 {
+		return nil, false
+	}
+	out := make(WorldList, 0, bytes.Count(data[i:i+end], []byte{','})+1)
+	for {
+		// Up to 18 digits without a sign or a leading zero cannot
+		// overflow; anything else is parseInt's to judge.
+		j, n := i, 0
+		for ; j < len(data) && data[j]-'0' < 10; j++ {
+			n = n*10 + int(data[j]-'0')
+		}
+		if k := j - i; k == 0 || k > 18 || (k > 1 && data[i] == '0') {
+			var ok bool
+			if n, j, ok = parseInt(data, i); !ok {
+				return nil, false
+			}
+		}
+		out = append(out, n)
+		if j == len(data) {
+			return nil, false
+		}
+		switch data[j] {
+		case ',':
+			i = j + 1
+		case ']':
+			d.i = j + 1
+			return out, true
+		default:
+			return nil, false
+		}
+	}
 }
 
 // WorldList is a verdict's denotation: the indices of the worlds where the

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // fuzzEvalResponse builds an EvalResponse from fuzz inputs: formulas is
@@ -48,10 +51,48 @@ func fuzzEvalResponse(session string, link int64, formulas string, shape, worlds
 	return r
 }
 
+// omitEmptyWorlds is r as its encoding carries it: omitempty drops an
+// empty world list, which therefore decodes as nil.
+func omitEmptyWorlds(r EvalResponse) EvalResponse {
+	if r.Verdicts != nil {
+		r.Verdicts = slices.Clone(r.Verdicts)
+	}
+	for i := range r.Verdicts {
+		if len(r.Verdicts[i].Worlds) == 0 {
+			r.Verdicts[i].Worlds = nil
+		}
+	}
+	return r
+}
+
+func validUTF8(r EvalResponse) bool {
+	for _, v := range r.Verdicts {
+		if !utf8.ValidString(v.Formula) {
+			return false
+		}
+	}
+	return utf8.ValidString(r.Session)
+}
+
+// checkDecodeLikeJSON asserts that DecodeEvalResponse decodes data to the
+// value json.Unmarshal gives, or fails with the same error.
+func checkDecodeLikeJSON(t *testing.T, data []byte) {
+	t.Helper()
+	var got, want EvalResponse
+	gotErr := DecodeEvalResponse(data, &got)
+	wantErr := json.Unmarshal(data, &want)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("DecodeEvalResponse(%q): err %v, json.Unmarshal err %v", data, gotErr, wantErr)
+	}
+	if wantErr == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("DecodeEvalResponse(%q):\n got %#v\nwant %#v", data, got, want)
+	}
+}
+
 // FuzzEvalWire pins the eval wire format to encoding/json's: the appender
 // writes json.NewEncoder's bytes, WorldList decodes exactly as a []int
-// does, error for error, and ResessionEval changes the session and nothing
-// else.
+// does and DecodeEvalResponse exactly as json.Unmarshal does, error for
+// error, and ResessionEval changes the session and nothing else.
 func FuzzEvalWire(f *testing.F) {
 	f.Add("s1", int64(0), "K0 muddy1", []byte{0x05, 0x0a}, []byte{0, 2, 4}, []byte(`[0,1,2]`), "r1")
 	f.Add("s3k-12", int64(7), "C (p & q)\x1ep < q\x1eE^2 p > D\tq", []byte{0x00, 0x06, 0x2b}, []byte{1, 3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, []byte(" [ -0 , null,\t9223372036854775807 ]\n"), "r99")
@@ -94,7 +135,23 @@ func FuzzEvalWire(f *testing.F) {
 			}
 		}
 
-		// 3. ResessionEval swaps the session value and keeps every other
+		// 3. DecodeEvalResponse inverts the appender, up to what the
+		// encoding loses (an empty world list is omitted, bad UTF-8 becomes
+		// U+FFFD), and decodes any bytes exactly as json.Unmarshal does.
+		if _, ok := (&evalDecoder{data: body}).response(); !ok {
+			t.Fatalf("DecodeEvalResponse fell back to json.Unmarshal on the canonical %q", body)
+		}
+		var back EvalResponse
+		if err := DecodeEvalResponse(body, &back); err != nil {
+			t.Fatalf("DecodeEvalResponse(%q): %v", body, err)
+		}
+		if want := omitEmptyWorlds(resp); validUTF8(want) && !reflect.DeepEqual(back, want) {
+			t.Fatalf("DecodeEvalResponse(%q):\n got %#v\nwant %#v", body, back, want)
+		}
+		checkDecodeLikeJSON(t, body)
+		checkDecodeLikeJSON(t, raw)
+
+		// 4. ResessionEval swaps the session value and keeps every other
 		// byte; a body for another session, or arbitrary bytes, is refused
 		// unless it really starts with the session prefix.
 		out, err := ResessionEval(body, session, routerID)
@@ -121,4 +178,35 @@ func FuzzEvalWire(f *testing.F) {
 			t.Fatalf("ResessionEval refused %q: %v", raw, err)
 		}
 	})
+}
+
+// BenchmarkDecodeEvalResponse decodes a muddy:12-sized tower batch with
+// world lists (about 80 KB): the one-pass decoder against json.Unmarshal.
+func BenchmarkDecodeEvalResponse(b *testing.B) {
+	r := EvalResponse{Session: "s3k-1", Link: 4}
+	for i := range 16 {
+		holds := i%2 == 0
+		v := Verdict{Formula: fmt.Sprintf("E^%d (muddy0 -> K%d muddy%d)", i%3+1, i%12, i%12), Marked: &holds}
+		for w := i % 2; w < 4096; w += 2 {
+			v.Worlds = append(v.Worlds, w)
+		}
+		v.Count = len(v.Worlds)
+		r.Verdicts = append(r.Verdicts, v)
+	}
+	body := AppendEvalResponse(nil, r)
+	for name, decode := range map[string]func([]byte, *EvalResponse) error{
+		"canonical": DecodeEvalResponse,
+		"json":      func(data []byte, r *EvalResponse) error { return json.Unmarshal(data, r) },
+	} {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for range b.N {
+				var out EvalResponse
+				if err := decode(body, &out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
