@@ -3,6 +3,8 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -309,5 +311,51 @@ func TestShortContentLengthIsRetried(t *testing.T) {
 	}
 	if st := c.Stats(); st.Retries != 1 || st.ConsecutiveFails != 0 {
 		t.Fatalf("stats after a retried short body: %+v", st)
+	}
+}
+
+// BenchmarkReadBody reads a Content-Length-framed eval body over loopback
+// HTTP, at the size of a muddy:12 tower batch with world lists (16
+// verdicts of 1024 worlds, about 78 KB) and of one without: readBody's
+// buffer sized from the header against io.ReadAll's growing one.
+func BenchmarkReadBody(b *testing.B) {
+	for _, worlds := range []int{0, 1024} {
+		r := server.EvalResponse{Session: "s1", Link: 4}
+		for i := range 16 {
+			v := server.Verdict{Formula: fmt.Sprintf("E^%d p%d", i%3+1, i)}
+			for w := range worlds {
+				v.Worlds = append(v.Worlds, 4*w+i%4)
+			}
+			v.Count = len(v.Worlds)
+			r.Verdicts = append(r.Verdicts, v)
+		}
+		body := server.AppendEvalResponse(nil, r)
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			w.Write(body)
+		}))
+		for name, read := range map[string]func(*http.Response) ([]byte, error){
+			"presized": readBody,
+			"readall": func(resp *http.Response) ([]byte, error) {
+				return io.ReadAll(io.LimitReader(resp.Body, server.MaxResponseBytes+1))
+			},
+		} {
+			b.Run(fmt.Sprintf("bytes=%d/%s", len(body), name), func(b *testing.B) {
+				b.SetBytes(int64(len(body)))
+				b.ReportAllocs()
+				for range b.N {
+					resp, err := ts.Client().Get(ts.URL)
+					if err != nil {
+						b.Fatal(err)
+					}
+					data, err := read(resp)
+					resp.Body.Close()
+					if err != nil || len(data) != len(body) {
+						b.Fatalf("read %d of %d bytes: %v", len(data), len(body), err)
+					}
+				}
+			})
+		}
+		ts.Close()
 	}
 }

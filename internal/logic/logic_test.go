@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -144,7 +145,6 @@ func TestParseErrors(t *testing.T) {
 		"a)",
 		"K m",          // K without index parses K as... should fail or be a var? K is uppercase => Var, then m is trailing
 		"E^0 m",        // k must be >= 1
-		"E^4097 m",     // k must be <= MaxEPower
 		"Ee m",         // missing [eps]
 		"Ee[2 m",       // unclosed bracket
 		"E{0, m",       // bad group
@@ -152,10 +152,28 @@ func TestParseErrors(t *testing.T) {
 		"nu X . ~X",    // negative occurrence
 		"mu X . K0 ~X", // negative occurrence under K
 	}
+	bad = append(bad,
+		fmt.Sprintf("E^%d m", MaxEPower+1),                       // k must be <= MaxEPower
+		fmt.Sprintf("E^9 E^%d m", MaxEPower-8),                   // so must the sum of the powers,
+		strings.Repeat(fmt.Sprintf("E^%d ", MaxEPower), 150)+"m", // over the whole formula
+	)
 	for _, in := range bad {
 		if f, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) = %s, want error", in, f)
 		}
+	}
+}
+
+// TestParseEPowerBudget: E^k powers may sum to MaxEPower over a formula
+// (TestParseErrors has the sums past it); a plain E does not count.
+func TestParseEPowerBudget(t *testing.T) {
+	half := MaxEPower / 2
+	f, err := Parse(fmt.Sprintf("E^%d E^%d m & E q", half, half))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := Conj(EK(nil, MaxEPower, P("m")), E(nil, P("q"))); !Equal(f, want) {
+		t.Errorf("Parse gave %d nodes, want %d", Size(f), Size(want))
 	}
 }
 

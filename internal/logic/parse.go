@@ -36,13 +36,16 @@ func MustParse(input string) Formula {
 	return f
 }
 
-// MaxEPower bounds k in E^k. Parse expands E^k into k nested E nodes, so
-// without a bound one short formula could allocate without limit.
-const MaxEPower = 1 << 12
+// MaxEPower bounds the sum of k over every E^k in one formula. Parse
+// expands E^k into k nested E nodes, so a short input could otherwise
+// allocate without limit. At this bound a batch of a thousand formulas
+// expands to no more E nodes than a megabyte of plain "E " spells out.
+const MaxEPower = 1 << 9
 
 type parser struct {
-	src string
-	pos int
+	src    string
+	pos    int
+	powers int // sum of k over the E^k parsed so far
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -339,8 +342,11 @@ func (p *parser) parseIdent(id string) (Formula, error) {
 			if err != nil {
 				return nil, err
 			}
-			if k < 1 || k > MaxEPower {
-				return nil, p.errf("E^k requires 1 <= k <= %d", MaxEPower)
+			if k < 1 {
+				return nil, p.errf("E^k requires k >= 1")
+			}
+			if p.powers += k; k > MaxEPower || p.powers > MaxEPower {
+				return nil, p.errf("E^k powers sum past %d", MaxEPower)
 			}
 		}
 		g, err := p.group()

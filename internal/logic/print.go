@@ -19,7 +19,8 @@ import (
 //	K1 phi           K_1 phi (agent index follows K)
 //	S{0,2} phi       S_G phi; omit {..} for "all agents": S phi
 //	E{0,2} phi       E_G phi
-//	E^3{0,2} phi     E^k_G phi (expanded to nested E)
+//	E^3{0,2} phi     E^k_G phi (expanded to nested E; the k in one formula
+//	                 sum to at most MaxEPower)
 //	D{0,2} phi       D_G phi
 //	C{0,2} phi       C_G phi
 //	Ee[2]{0,1} phi   E^eps_G phi with eps = 2 ticks

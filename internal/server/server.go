@@ -124,10 +124,10 @@ type EvalRequest struct {
 // Verdict is one formula's result. Marked is nil when the session has no
 // surviving marked world to judge at.
 type Verdict struct {
-	Formula string    `json:"formula"`
-	Count   int       `json:"count"`
-	Marked  *bool     `json:"marked"`
-	Worlds  WorldList `json:"worlds,omitempty"`
+	Formula string `json:"formula"`
+	Count   int    `json:"count"`
+	Marked  *bool  `json:"marked"`
+	Worlds  []int  `json:"worlds,omitempty"`
 }
 
 // EvalResponse carries the batch's verdicts; Link identifies the chain

@@ -280,23 +280,27 @@ func (d *evalDecoder) int() (int, bool) {
 	return n, ok
 }
 
+// fastDigits is the longest run of decimal digits that always fits in an
+// int: 18 for a 64-bit int, 9 for a 32-bit one.
+const fastDigits = 9 * strconv.IntSize / 32
+
 // worlds reads the elements of a non-empty world list and its closing
 // bracket into a list sized from the commas before the first ']'.
-func (d *evalDecoder) worlds() (WorldList, bool) {
+func (d *evalDecoder) worlds() ([]int, bool) {
 	data, i := d.data, d.i
 	end := bytes.IndexByte(data[i:], ']')
 	if end < 0 {
 		return nil, false
 	}
-	out := make(WorldList, 0, bytes.Count(data[i:i+end], []byte{','})+1)
+	out := make([]int, 0, bytes.Count(data[i:i+end], []byte{','})+1)
 	for {
-		// Up to 18 digits without a sign or a leading zero cannot
+		// Up to fastDigits digits without a sign or a leading zero cannot
 		// overflow; anything else is parseInt's to judge.
 		j, n := i, 0
 		for ; j < len(data) && data[j]-'0' < 10; j++ {
 			n = n*10 + int(data[j]-'0')
 		}
-		if k := j - i; k == 0 || k > 18 || (k > 1 && data[i] == '0') {
+		if k := j - i; k == 0 || k > fastDigits || (k > 1 && data[i] == '0') {
 			var ok bool
 			if n, j, ok = parseInt(data, i); !ok {
 				return nil, false
@@ -316,70 +320,6 @@ func (d *evalDecoder) worlds() (WorldList, bool) {
 			return nil, false
 		}
 	}
-}
-
-// WorldList is a verdict's denotation: the indices of the worlds where the
-// formula holds, ascending. It decodes in one pass over the JSON array and
-// accepts exactly what encoding/json accepts for a []int: whitespace,
-// null (a nil list) and null elements (zero); floats, exponents, other
-// types and out-of-range integers are errors.
-type WorldList []int
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (wl *WorldList) UnmarshalJSON(data []byte) error {
-	i := skipSpace(data, 0)
-	if bytes.HasPrefix(data[i:], []byte("null")) && skipSpace(data, i+4) == len(data) {
-		*wl = nil
-		return nil
-	}
-	if i == len(data) || data[i] != '[' {
-		return worldListErr(data, i)
-	}
-	out := make([]int, 0, bytes.Count(data, []byte{','})+1)
-	if i = skipSpace(data, i+1); i < len(data) && data[i] == ']' {
-		i++
-	} else {
-		for {
-			if bytes.HasPrefix(data[i:], []byte("null")) {
-				out = append(out, 0)
-				i += 4
-			} else {
-				n, next, ok := parseInt(data, i)
-				if !ok {
-					return worldListErr(data, i)
-				}
-				out = append(out, n)
-				i = next
-			}
-			if i = skipSpace(data, i); i == len(data) {
-				return worldListErr(data, i)
-			}
-			if data[i] == ']' {
-				i++
-				break
-			}
-			if data[i] != ',' {
-				return worldListErr(data, i)
-			}
-			i = skipSpace(data, i+1)
-		}
-	}
-	if skipSpace(data, i) != len(data) {
-		return worldListErr(data, i)
-	}
-	*wl = out
-	return nil
-}
-
-func worldListErr(data []byte, i int) error {
-	return fmt.Errorf("server: world list: not a JSON array of ints at offset %d of %d", i, len(data))
-}
-
-func skipSpace(data []byte, i int) int {
-	for i < len(data) && (data[i] == ' ' || data[i] == '\t' || data[i] == '\n' || data[i] == '\r') {
-		i++
-	}
-	return i
 }
 
 // parseInt reads a JSON integer at data[i:], returning its value and the
