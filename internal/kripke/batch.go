@@ -34,6 +34,8 @@ import (
 //   - Closed-subformula denotations are shared through a lock-striped
 //     structural-key memo (sharedMemo): the first worker to finish a
 //     closed subformula publishes its denotation, later workers reuse it.
+//     The memo lives as long as the batch, or as long as the Quotiented
+//     view the batch runs on.
 //     Published sets are immutable from publication on — the evaluator
 //     treats shared memo hits exactly like its local memo hits (owned =
 //     false, copy before mutating).
@@ -74,26 +76,35 @@ func WorkersFromFlag(flag int) int {
 
 // memoShards is the stripe count of the shared structural-key memo. Keys
 // are spread by FNV-1a, so a handful of stripes keeps workers on disjoint
-// locks; the memo is per-batch and the stripes are tiny.
+// locks.
 const memoShards = 16
 
+// viewMemoBytes bounds the closed-subformula memo of one Quotiented view:
+// the words of the published sets plus their key bytes, split evenly over
+// the stripes. A stripe that would overflow its share is cleared before the
+// insert. The bound is of the order of a muddy:12 model's own partition
+// tables, and it is per view, so a daemon holding many warm sessions pays
+// it once per session.
+const viewMemoBytes = 1 << 20
+
 type memoShard struct {
-	mu sync.RWMutex
-	m  map[string]*bitset.Set
+	mu    sync.RWMutex
+	m     map[string]*bitset.Set
+	bytes int // set words plus key bytes held, counted when the memo is bounded
 }
 
-// sharedMemo is the lock-striped closed-subformula memo one EvalBatch's
-// workers share. Values are immutable once published.
+// sharedMemo is the lock-striped closed-subformula memo shared by the
+// evaluators of one EvalBatch (unbounded, dropped with the batch) or of one
+// Quotiented view (bounded by viewMemoBytes, living as long as the view).
+// Values are immutable once published. The zero value is an empty,
+// unbounded memo.
 type sharedMemo struct {
 	shards [memoShards]memoShard
-}
+	// shardBudget bounds each stripe's bytes; 0 leaves the memo unbounded.
+	shardBudget int
 
-func newSharedMemo() *sharedMemo {
-	sm := &sharedMemo{}
-	for i := range sm.shards {
-		sm.shards[i].m = make(map[string]*bitset.Set)
-	}
-	return sm
+	// Lookup counts, folded in by putEvaluator once per evaluation.
+	hits, misses atomic.Int64
 }
 
 // shardOf spreads structural keys across the stripes (FNV-1a).
@@ -113,19 +124,33 @@ func (sm *sharedMemo) get(key []byte) *bitset.Set {
 	return s
 }
 
-// put publishes s under key. The first publisher wins; put returns the
-// winning set and whether s was it. A losing caller still owns its s and
-// should recycle it.
-func (sm *sharedMemo) put(key []byte, s *bitset.Set) (*bitset.Set, bool) {
+// put publishes s under key and returns the set the memo holds for it: s
+// when s was published, the earlier publisher's set when another evaluator
+// won, or nil when s alone would exceed a bounded stripe and was not
+// published. Unless s itself is returned, the caller still owns s.
+func (sm *sharedMemo) put(key []byte, s *bitset.Set) *bitset.Set {
 	sh := &sm.shards[shardOf(key)]
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if w, ok := sh.m[string(key)]; ok {
-		sh.mu.Unlock()
-		return w, false
+		return w
+	}
+	if sm.shardBudget > 0 {
+		cost := 8*len(s.Words()) + len(key)
+		if cost > sm.shardBudget {
+			return nil
+		}
+		if sh.bytes+cost > sm.shardBudget {
+			clear(sh.m)
+			sh.bytes = 0
+		}
+		sh.bytes += cost
+	}
+	if sh.m == nil {
+		sh.m = make(map[string]*bitset.Set)
 	}
 	sh.m[string(key)] = s
-	sh.mu.Unlock()
-	return s, true
+	return s
 }
 
 // EvalBatch evaluates every formula of the batch and returns their
@@ -154,6 +179,14 @@ func (m *Model) EvalBatch(fs []logic.Formula, opts ...BatchOption) ([]*bitset.Se
 // to EvalBatch — the checks are reads, never branches in the evaluation
 // itself.
 func (m *Model) EvalBatchCtx(ctx context.Context, fs []logic.Formula, opts ...BatchOption) ([]*bitset.Set, error) {
+	return m.evalBatch(ctx, fs, nil, opts)
+}
+
+// evalBatch runs a batch with the closed-subformula memo sm shared by all
+// of its evaluators: a view's long-lived memo, or nil for a memo that
+// lives as long as the batch (none on the serial path, whose one evaluator
+// already memoizes across the batch).
+func (m *Model) evalBatch(ctx context.Context, fs []logic.Formula, sm *sharedMemo, opts []BatchOption) ([]*bitset.Set, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -177,6 +210,7 @@ func (m *Model) EvalBatchCtx(ctx context.Context, fs []logic.Formula, opts ...Ba
 		// are identical to per-formula Eval; -parallel=0 / GOMAXPROCS=1
 		// callers measure the serial engine, batch-memoized.
 		ev := m.getEvaluator()
+		ev.shared = sm
 		defer m.putEvaluator(ev)
 		for i, f := range fs {
 			if err := ctx.Err(); err != nil {
@@ -203,13 +237,17 @@ func (m *Model) EvalBatchCtx(ctx context.Context, fs []logic.Formula, opts ...Ba
 		return nil, err
 	}
 
-	sm := newSharedMemo()
+	if sm == nil {
+		sm = &sharedMemo{}
+	}
 	errs := make([]error, len(fs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		// sm is passed, not captured: a captured, reassigned parameter
+		// would move to the heap on every call, the serial path's too.
+		go func(sm *sharedMemo) {
 			defer wg.Done()
 			ev := m.getEvaluator()
 			ev.shared = sm
@@ -232,7 +270,7 @@ func (m *Model) EvalBatchCtx(ctx context.Context, fs []logic.Formula, opts ...Ba
 					out[i] = s.Clone()
 				}
 			}
-		}()
+		}(sm)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {

@@ -33,6 +33,11 @@ const chainMinWorlds = 1
 // The chain works on the model's epistemic view: run-based temporal
 // operators do not survive restriction, so announcements and queries using
 // them fail with ErrTemporal. A Chain is not safe for concurrent use.
+//
+// Each link is a Quotiented view with its own denotation memo, so the
+// contract of QuotientForEval applies: the model handed to NewChain must be
+// fully constructed, Temporal hook included, and never mutated afterwards.
+// Links are fresh submodels and never share memo entries.
 type Chain struct {
 	view   *Quotiented
 	marked int // tracked world in the current model, -1 when unset or eliminated

@@ -54,12 +54,17 @@ type evaluator struct {
 	memo    map[string]*bitset.Set
 	retired []*bitset.Set // memo values owned by the evaluator, recycled on reset
 
-	// shared, when non-nil, is the batch-wide closed-subformula memo of an
-	// EvalBatch fan-out (batch.go). Shared hits behave like local memo hits
-	// (owned = false); computed closed denotations are published instead of
-	// retired, transferring their ownership to the memo so no worker ever
-	// recycles a set another worker may be reading.
+	// shared, when non-nil, is the closed-subformula memo of an EvalBatch
+	// fan-out or of a Quotiented view (batch.go). Shared hits behave like
+	// local memo hits (owned = false); computed closed denotations are
+	// published instead of retired, transferring their ownership to the
+	// memo so no evaluator ever recycles a set another may be reading.
 	shared *sharedMemo
+
+	// Closed-subformula lookups of this evaluation: hits in the local or
+	// shared memo, and misses that ran the subformula's kernel. Folded into
+	// the shared memo's counters by putEvaluator.
+	memoHits, memoMisses int64
 
 	// Worklist-fixpoint scratch (worklist.go): the resolved partition list
 	// of the current body and the per-partition class stamps, which persist
@@ -86,6 +91,11 @@ func (m *Model) getEvaluator() *evaluator {
 }
 
 func (m *Model) putEvaluator(ev *evaluator) {
+	if ev.shared != nil {
+		ev.shared.hits.Add(ev.memoHits)
+		ev.shared.misses.Add(ev.memoMisses)
+	}
+	ev.memoHits, ev.memoMisses = 0, 0
 	ev.free = append(ev.free, ev.retired...)
 	ev.retired = ev.retired[:0]
 	clear(ev.memo)
@@ -186,15 +196,32 @@ func (m *Model) Eval(f logic.Formula) (*bitset.Set, error) {
 // EvalEnv evaluates f under an environment binding free fixed-point
 // variables to world sets. The returned set is owned by the caller.
 func (m *Model) EvalEnv(f logic.Formula, env Env) (*bitset.Set, error) {
-	ev := m.getEvaluator()
-	defer m.putEvaluator(ev)
 	var chain *binding
 	for name, set := range env {
 		chain = &binding{name: name, set: set, prev: chain}
 	}
-	s, owned, err := ev.eval(f, chain)
+	s, owned, err := m.evalWith(f, chain, nil)
 	if err != nil {
 		return nil, err
+	}
+	if owned {
+		return s, nil // a scratch set handed out of the pool
+	}
+	return s.Clone(), nil
+}
+
+// evalWith evaluates f on a pooled evaluator that shares the memo sm (nil
+// for an evaluation-local memo only). An owned result has left the pool
+// and belongs to the caller; any other result is immutable shared state —
+// a published memo entry, a fact column, a canonical constant or an env
+// binding — that the caller may read but must not modify.
+func (m *Model) evalWith(f logic.Formula, env *binding, sm *sharedMemo) (*bitset.Set, bool, error) {
+	ev := m.getEvaluator()
+	ev.shared = sm
+	defer m.putEvaluator(ev)
+	s, owned, err := ev.eval(f, env)
+	if err != nil {
+		return nil, false, err
 	}
 	if !owned {
 		// A memoized top-level result is owned by the evaluator as the
@@ -206,10 +233,7 @@ func (m *Model) EvalEnv(f logic.Formula, env Env) (*bitset.Set, error) {
 			owned = true
 		}
 	}
-	if owned {
-		return s, nil // hand the scratch set out of the pool
-	}
-	return s.Clone(), nil
+	return s, owned, nil
 }
 
 // eval computes the denotation of f. The returned flag reports ownership:
@@ -254,37 +278,40 @@ func (ev *evaluator) eval(f logic.Formula, env *binding) (*bitset.Set, bool, err
 		ev.arena, closed = logic.AppendKey(ev.arena, f, nil)
 		if closed {
 			if s, ok := ev.memo[string(ev.arena[start:])]; ok {
+				ev.memoHits++
 				ev.arena = ev.arena[:start]
 				return s, false, nil
 			}
 			if ev.shared != nil {
 				if s := ev.shared.get(ev.arena[start:]); s != nil {
+					ev.memoHits++
 					ev.memo[string(ev.arena[start:])] = s
 					ev.arena = ev.arena[:start]
 					return s, false, nil
 				}
 			}
+			ev.memoMisses++
 		}
 		s, owned, err := ev.evalCompound(f, env)
 		if err == nil && closed {
 			if ev.shared != nil {
-				// Publish to the batch-wide memo. A winning set's ownership
+				// Publish to the shared memo. A published set's ownership
 				// transfers to the memo (it is immutable from here on, and
 				// never recycled); a losing duplicate is reclaimed and the
-				// winner adopted, so all workers alias one copy.
-				winner, won := ev.shared.put(ev.arena[start:], s)
-				if !won {
-					ev.releaseIf(s, owned)
-					s = winner
-				}
-				ev.memo[string(ev.arena[start:])] = s
-				owned = false
-			} else {
-				ev.memo[string(ev.arena[start:])] = s
-				if owned {
-					ev.retired = append(ev.retired, s)
+				// winner adopted, so all evaluators alias one copy. A set
+				// too large for a bounded memo stays the evaluator's.
+				if w := ev.shared.put(ev.arena[start:], s); w != nil {
+					if w != s {
+						ev.releaseIf(s, owned)
+						s = w
+					}
 					owned = false
 				}
+			}
+			ev.memo[string(ev.arena[start:])] = s
+			if owned {
+				ev.retired = append(ev.retired, s)
+				owned = false
 			}
 		}
 		ev.arena = ev.arena[:start]

@@ -32,10 +32,25 @@ const quotientKeepRatio = 0.75
 // while reporting verdicts in terms of the original worlds. Build one with
 // QuotientForEval; it is safe for concurrent use once built, like the
 // models it wraps.
+//
+// A view fixes its model, so it fixes every denotation: the view keeps a
+// closed-subformula memo, bounded by viewMemoBytes, that Eval, EvalBatch,
+// Holds and Valid read from and publish to for as long as the view lives.
+// A knowledge tower asked again — E^k φ after E^(k-1) φ, the same K, D and
+// C over the same atoms in batch after batch — is then served from the
+// memo instead of the partition kernels.
 type Quotiented struct {
 	orig  *Model
 	quot  *Model // model formulas evaluate on; == orig when quotienting was skipped
 	block []int  // Minimize block map; nil when quotienting was skipped
+	memo  sharedMemo
+}
+
+// newView builds a view evaluating on quot, with a fresh bounded memo.
+func newView(orig, quot *Model, block []int) *Quotiented {
+	q := &Quotiented{orig: orig, quot: quot, block: block}
+	q.memo.shardBudget = viewMemoBytes / memoShards
+	return q
 }
 
 // QuotientForEval returns a batch-evaluation view of the model that
@@ -45,18 +60,23 @@ type Quotiented struct {
 // not survive minimization), and the quotient must actually shrink the
 // model (see quotientKeepRatio). Otherwise the view transparently evaluates
 // the original model — callers never need to distinguish the two cases.
+//
+// The view memoizes denotations for its whole lifetime, so the model must
+// be fully constructed before the view is built and never mutated
+// afterwards — no SetTrue, SetFact or Indistinguishable, and no change to
+// its Temporal hook. A mutated model would keep answering from the memo.
 func (m *Model) QuotientForEval(minWorlds int) *Quotiented {
 	if minWorlds <= 0 {
 		minWorlds = QuotientMinWorlds
 	}
 	if m.Temporal != nil || m.numWorlds < minWorlds {
-		return &Quotiented{orig: m, quot: m}
+		return newView(m, m, nil)
 	}
 	q, block := m.Minimize()
 	if float64(q.NumWorlds()) > quotientKeepRatio*float64(m.numWorlds) {
-		return &Quotiented{orig: m, quot: m}
+		return newView(m, m, nil)
 	}
-	return &Quotiented{orig: m, quot: q, block: block}
+	return newView(m, q, block)
 }
 
 // QuotientForEvalEpistemic is QuotientForEval for models carrying a
@@ -112,7 +132,8 @@ func (q *Quotiented) Blocks() []int { return q.block }
 // and a fresh view is built over the submodel with the same gates as
 // QuotientForEval. This is the per-round step of an announcement chain:
 // each link pays an incremental re-refinement instead of a from-scratch
-// Minimize.
+// Minimize. The new view starts with an empty memo: links never share
+// denotations.
 func (q *Quotiented) Restrict(keep *bitset.Set, minWorlds int) *Quotiented {
 	if q.block == nil {
 		return q.orig.Restrict(keep).QuotientForEval(minWorlds)
@@ -126,18 +147,42 @@ func (q *Quotiented) NumWorlds() int { return q.orig.numWorlds }
 // QuotientWorlds returns the world count of the model evaluation runs on.
 func (q *Quotiented) QuotientWorlds() int { return q.quot.numWorlds }
 
+// MemoStats counts the closed-subformula lookups of the view's evaluations
+// since it was built.
+type MemoStats struct {
+	Hits   int64 // served by a memo, the view's or the evaluation's own
+	Misses int64 // ran the subformula's kernels
+}
+
+// MemoStats returns the view memo's lookup counts. Counts are folded in
+// when an evaluation finishes, so a snapshot taken while evaluations run
+// excludes them.
+func (q *Quotiented) MemoStats() MemoStats {
+	return MemoStats{Hits: q.memo.hits.Load(), Misses: q.memo.misses.Load()}
+}
+
+// eval evaluates f on the quotient through the view memo. The result is
+// over quotient worlds; unless owned, it is shared and must not be
+// modified.
+func (q *Quotiented) eval(f logic.Formula) (*bitset.Set, bool, error) {
+	return q.quot.evalWith(f, nil, &q.memo)
+}
+
 // Eval returns the set of original-model worlds at which f holds: the
 // formula is evaluated on the quotient and the verdict expanded back
 // through the block map. The returned set is owned by the caller.
 func (q *Quotiented) Eval(f logic.Formula) (*bitset.Set, error) {
-	qset, err := q.quot.Eval(f)
+	qset, owned, err := q.eval(f)
 	if err != nil {
 		return nil, err
 	}
-	if q.block == nil {
-		return qset, nil
+	if q.block != nil {
+		return q.expand(qset), nil
 	}
-	return q.expand(qset), nil
+	if !owned {
+		qset = qset.Clone()
+	}
+	return qset, nil
 }
 
 // expand maps a quotient-world denotation back to original-model worlds
@@ -165,7 +210,7 @@ func (q *Quotiented) EvalBatch(fs []logic.Formula, opts ...BatchOption) ([]*bits
 // after at most one in-flight formula per worker, and the block-map
 // expansion is skipped entirely.
 func (q *Quotiented) EvalBatchCtx(ctx context.Context, fs []logic.Formula, opts ...BatchOption) ([]*bitset.Set, error) {
-	qsets, err := q.quot.EvalBatchCtx(ctx, fs, opts...)
+	qsets, err := q.quot.evalBatch(ctx, fs, &q.memo, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +226,7 @@ func (q *Quotiented) EvalBatchCtx(ctx context.Context, fs []logic.Formula, opts 
 
 // Holds reports whether f holds at original-model world w.
 func (q *Quotiented) Holds(f logic.Formula, w int) (bool, error) {
-	qset, err := q.quot.Eval(f)
+	qset, _, err := q.eval(f)
 	if err != nil {
 		return false, err
 	}
@@ -195,7 +240,7 @@ func (q *Quotiented) Holds(f logic.Formula, w int) (bool, error) {
 // the same formulas, so validity on the quotient and on the original model
 // coincide.
 func (q *Quotiented) Valid(f logic.Formula) (bool, error) {
-	qset, err := q.quot.Eval(f)
+	qset, _, err := q.eval(f)
 	if err != nil {
 		return false, err
 	}

@@ -165,6 +165,10 @@ type Stats struct {
 	DedupeHits int64 `json:"dedupe_hits"`
 	Shed       int64 `json:"shed"`
 	Panics     int64 `json:"panics"`
+	// MemoHits and MemoMisses count the closed-subformula lookups of eval
+	// batches against the sessions' per-view denotation memos.
+	MemoHits   int64 `json:"memo_hits"`
+	MemoMisses int64 `json:"memo_misses"`
 }
 
 type errorBody struct {
@@ -205,6 +209,7 @@ type Server struct {
 	opened, closed, evicted, restored atomic.Int64
 	evals, announces, replays         atomic.Int64
 	shed, panics                      atomic.Int64
+	memoHits, memoMisses              atomic.Int64
 }
 
 // New builds a daemon from cfg.
@@ -293,7 +298,7 @@ func (s *Server) evictIdle(now time.Time) {
 	s.mu.Lock()
 	dropped := 0
 	for id, ss := range s.sessions {
-		if now.Sub(ss.lastUsed) > s.cfg.SessionTTL {
+		if ss.idleSince(now) > s.cfg.SessionTTL {
 			delete(s.sessions, id)
 			s.evicted.Add(1)
 			dropped++
@@ -416,6 +421,8 @@ func (s *Server) StatsSnapshot() Stats {
 		DedupeHits: s.dedupe.Hits(),
 		Shed:       s.shed.Load(),
 		Panics:     s.panics.Load(),
+		MemoHits:   s.memoHits.Load(),
+		MemoMisses: s.memoMisses.Load(),
 	}
 }
 
@@ -433,7 +440,8 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	ss := &session{seed: seed, ld: ld, lastUsed: s.now()}
+	ss := &session{seed: seed, ld: ld}
+	ss.touch(s.now())
 	s.mu.Lock()
 	s.nextID++
 	if s.cfg.BootID != "" {
@@ -548,11 +556,13 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 
 	ss.mu.Lock()
 	ss.touch(s.now())
-	sets, err := ss.evalBatch(r.Context(), fs, s.evalWorkers(req.Workers))
+	sets, memo, err := ss.evalBatch(r.Context(), fs, s.evalWorkers(req.Workers))
 	// The sets are this request's own: the verdicts are encoded after the
 	// session is released.
 	link, marked := len(ss.announced), ss.ld.chain.Marked()
 	ss.mu.Unlock()
+	s.memoHits.Add(memo.Hits)
+	s.memoMisses.Add(memo.Misses)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return // client gone; nobody is listening
@@ -784,7 +794,8 @@ func (s *Server) LoadSessions() (int, error) {
 			s.logf("skipping persisted session %s: %v", ps.ID, err)
 			continue
 		}
-		ss := &session{id: ps.ID, seed: ps.Seed, ld: ld, lastUsed: s.now()}
+		ss := &session{id: ps.ID, seed: ps.Seed, ld: ld}
+		ss.touch(s.now())
 		if err := ss.replay(ps.Announced); err != nil {
 			s.logf("skipping persisted session %s: %v", ps.ID, err)
 			continue

@@ -529,6 +529,119 @@ func TestIdleEviction(t *testing.T) {
 	}
 }
 
+// TestEvictIdleRacesEval runs the idle janitor's sweep in a loop while
+// evals and announces touch the session. The sweep reads the last-use time
+// under the server lock while requests write it under the session lock,
+// so under -race this pins that the timestamp is shared safely.
+func TestEvictIdleRacesEval(t *testing.T) {
+	s, ts := newTestServer(t, Config{SessionTTL: time.Hour})
+	code, body := do(t, ts, "POST", "/v1/sessions", OpenRequest{System: "muddy:3"}, "")
+	if code != http.StatusCreated {
+		t.Fatalf("open: %d: %s", code, body)
+	}
+	sid := decode[SessionState](t, body).Session
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.evictIdle(time.Now())
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		code, body := do(t, ts, "POST", "/v1/sessions/"+sid+"/eval", EvalRequest{Formulas: []string{"K0 muddy1"}}, "")
+		if code != http.StatusOK {
+			t.Fatalf("eval %d: %d: %s", i, code, body)
+		}
+	}
+	code, body = do(t, ts, "POST", "/v1/sessions/"+sid+"/announce", AnnounceRequest{Formula: "muddy0 | muddy1 | muddy2"}, "")
+	if code != http.StatusOK {
+		t.Fatalf("announce: %d: %s", code, body)
+	}
+	close(stop)
+	<-done
+	if s.session(sid) == nil {
+		t.Fatal("a session in use was evicted")
+	}
+}
+
+// TestEvalMemoStats: a warm session answers a repeated batch from its
+// view memo, at link 0 of a muddy chain and of a runs-based system alike,
+// and /v1/stats reports the lookups. A new chain link starts a new memo.
+func TestEvalMemoStats(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	stats := func() Stats {
+		t.Helper()
+		code, body := do(t, ts, "GET", "/v1/stats", nil, "")
+		if code != http.StatusOK {
+			t.Fatalf("stats: %d: %s", code, body)
+		}
+		var raw map[string]json.RawMessage
+		if err := json.Unmarshal(body, &raw); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []string{"memo_hits", "memo_misses"} {
+			if _, ok := raw[k]; !ok {
+				t.Fatalf("stats body lacks %q: %s", k, body)
+			}
+		}
+		return decode[Stats](t, body)
+	}
+	open := func(system string) string {
+		t.Helper()
+		code, body := do(t, ts, "POST", "/v1/sessions", OpenRequest{System: system}, "")
+		if code != http.StatusCreated {
+			t.Fatalf("open %s: %d: %s", system, code, body)
+		}
+		return decode[SessionState](t, body).Session
+	}
+	eval := func(sid string, fs ...string) {
+		t.Helper()
+		code, body := do(t, ts, "POST", "/v1/sessions/"+sid+"/eval", EvalRequest{Formulas: fs, Workers: 1}, "")
+		if code != http.StatusOK {
+			t.Fatalf("eval %v: %d: %s", fs, code, body)
+		}
+	}
+
+	muddy := open("muddy:3")
+	eval(muddy, "K0 muddy1", "E^2 muddy2", "C (muddy0 | muddy1)")
+	if got := stats(); got.MemoHits != 0 || got.MemoMisses != 4 {
+		t.Fatalf("cold batch: %d hits, %d misses; want 0, 4", got.MemoHits, got.MemoMisses)
+	}
+	eval(muddy, "K0 muddy1", "E^2 muddy2", "C (muddy0 | muddy1)")
+	if got := stats(); got.MemoHits != 3 || got.MemoMisses != 4 {
+		t.Fatalf("repeated batch: %d hits, %d misses; want 3, 4", got.MemoHits, got.MemoMisses)
+	}
+
+	r2d2 := open("r2d2")
+	before := stats()
+	eval(r2d2, "Ce[1] sent", "K0 sent")
+	cold := stats()
+	if cold.MemoMisses == before.MemoMisses {
+		t.Fatalf("cold temporal batch missed nothing: %+v", cold)
+	}
+	eval(r2d2, "Ce[1] sent", "K0 sent")
+	if warm := stats(); warm.MemoMisses != cold.MemoMisses || warm.MemoHits != cold.MemoHits+2 {
+		t.Fatalf("repeated temporal batch at link 0: %+v after %+v, want 2 more hits only", warm, cold)
+	}
+
+	code, body := do(t, ts, "POST", "/v1/sessions/"+muddy+"/announce", AnnounceRequest{Formula: "muddy0 | muddy1 | muddy2"}, "")
+	if code != http.StatusOK {
+		t.Fatalf("announce: %d: %s", code, body)
+	}
+	before = stats()
+	eval(muddy, "K0 muddy1")
+	if got := stats(); got.MemoMisses != before.MemoMisses+1 || got.MemoHits != before.MemoHits {
+		t.Fatalf("first batch on link 1: %+v after %+v, want one miss", got, before)
+	}
+}
+
 // TestSaveLoadSessions drains one daemon's sessions to disk and restores
 // them in a fresh daemon: the replayed chains must match their records
 // (worlds, quotient blocks, marked world) and serve identical verdicts;

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bitset"
@@ -27,24 +28,42 @@ type session struct {
 
 	ld        *loaded
 	announced []string // announcement sources in chain order
-	lastUsed  time.Time
+
+	// lastUsed is the UnixNano time of the last eval or announce. It is
+	// written under mu but read by the idle janitor, which holds only the
+	// server's lock, so it is atomic.
+	lastUsed atomic.Int64
 }
 
 // touch records use for idle eviction.
-func (ss *session) touch(now time.Time) { ss.lastUsed = now }
+func (ss *session) touch(now time.Time) { ss.lastUsed.Store(now.UnixNano()) }
 
-// evalBatch evaluates fs over the session's current model. At link zero of
-// a runs-based system the point model serves the batch, so temporal
-// formulas (C^eps, C^dia, C^T, ...) work against the unrestricted
-// structure; after the first announcement the chain view has moved off the
-// original model and only the epistemic fragment is meaningful — temporal
-// operators then fail with kripke.ErrTemporal, which the handler reports
-// as 422 rather than recomputing a stale answer.
-func (ss *session) evalBatch(ctx context.Context, fs []logic.Formula, workers int) ([]*bitset.Set, error) {
-	if len(ss.announced) == 0 && ss.ld.pm != nil {
-		return ss.ld.pm.EvalBatchCtx(ctx, fs, kripke.BatchWorkers(workers))
+// idleSince reports how long the session has gone unused at now.
+func (ss *session) idleSince(now time.Time) time.Duration {
+	return now.Sub(time.Unix(0, ss.lastUsed.Load()))
+}
+
+// evalBatch evaluates fs over the session's current model and reports the
+// view memo's lookups for the batch. At link zero of a runs-based system
+// the point model's view serves the batch, so temporal formulas (C^eps,
+// C^dia, C^T, ...) work against the unrestricted structure; after the
+// first announcement the chain view has moved off the original model and
+// only the epistemic fragment is meaningful — temporal operators then fail
+// with kripke.ErrTemporal, which the handler reports as 422 rather than
+// recomputing a stale answer.
+//
+// Both views memoize denotations for their lifetime, so a warm session
+// answers a repeated knowledge tower from the memo. The caller holds mu,
+// so no other batch runs on the view and the memo delta is this batch's.
+func (ss *session) evalBatch(ctx context.Context, fs []logic.Formula, workers int) ([]*bitset.Set, kripke.MemoStats, error) {
+	v := ss.ld.chain.View()
+	if len(ss.announced) == 0 && ss.ld.link0 != nil {
+		v = ss.ld.link0
 	}
-	return ss.ld.chain.EvalBatchCtx(ctx, fs, kripke.BatchWorkers(workers))
+	before := v.MemoStats()
+	sets, err := v.EvalBatchCtx(ctx, fs, kripke.BatchWorkers(workers))
+	after := v.MemoStats()
+	return sets, kripke.MemoStats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}, err
 }
 
 // announce publicly announces f on the session's chain and appends its

@@ -16,8 +16,9 @@ import (
 
 // A loaded system is one experiment instantiated for a session: the
 // epistemic view the announcement chain restricts, plus — for runs-based
-// systems — the point model that serves temporal formulas at link zero,
-// before any announcement has moved the session off the original model.
+// systems — a view over the point model that serves temporal formulas at
+// link zero, before any announcement has moved the session off the
+// original model.
 type loaded struct {
 	spec   string
 	desc   string
@@ -27,10 +28,11 @@ type loaded struct {
 	// (actual muddy assignment, best attack chain run at the horizon,
 	// scenario witness point).
 	chain *kripke.Chain
-	// pm is non-nil for runs-based systems and carries the temporal
-	// semantics hook; it matches the chain's world coordinates only at
-	// link 0.
-	pm *runs.PointModel
+	// link0 is non-nil for runs-based systems: the view over the point
+	// model, temporal semantics hook included (QuotientForEval keeps
+	// temporal models unquotiented). It matches the chain's world
+	// coordinates only at link 0.
+	link0 *kripke.Quotiented
 }
 
 // Horizon/budget constants of the fixed demo systems. Small enough that a
@@ -109,7 +111,7 @@ func loadSystem(spec string, seed int64) (*loaded, error) {
 			desc:   "coordinated attack over the unreliable channel",
 			agents: s.Sys.N,
 			chain:  kripke.NewChain(pm.Model, marked),
-			pm:     pm,
+			link0:  pm.Model.QuotientForEval(0),
 		}, nil
 
 	case spec == "r2d2":
@@ -126,7 +128,7 @@ func loadSystem(spec string, seed int64) (*loaded, error) {
 			desc:   "R2-D2 broadcast, one epsilon per knowledge level",
 			agents: sys.N,
 			chain:  kripke.NewChain(pm.Model, marked),
-			pm:     pm,
+			link0:  pm.Model.QuotientForEval(0),
 		}, nil
 
 	case strings.HasPrefix(spec, "scenario:"):
@@ -144,7 +146,7 @@ func loadSystem(spec string, seed int64) (*loaded, error) {
 			desc:   rg.Desc,
 			agents: b.Sys.N,
 			chain:  kripke.NewChain(b.PM.Model, b.PM.World(b.WitnessIdx, b.TStar)),
-			pm:     b.PM,
+			link0:  b.PM.Model.QuotientForEval(0),
 		}, nil
 	}
 	return nil, fmt.Errorf("unknown system spec %q", spec)
