@@ -329,7 +329,8 @@ func BenchmarkAblationBatchEval(b *testing.B) {
 		logic.EK(nil, 3, logic.P(muddy.MProp)),
 		logic.D(nil, logic.P(muddy.MuddyProp(0))),
 	)
-	if err := m.PrepareAgents(nil); err != nil {
+	// One untimed batch builds the partition tables both arms share.
+	if _, err := m.EvalBatch(fs); err != nil {
 		b.Fatal(err)
 	}
 	for _, mode := range []struct {

@@ -285,14 +285,14 @@ func (m *Model) evalBatch(ctx context.Context, fs []logic.Formula, sm *sharedMem
 }
 
 // prepareBatch builds, ahead of the fan-out, the derived tables the batch
-// formulas mention: per-agent partition tables (sharded across goroutines
-// on large models, as PrepareAgents does), joint-view partitions for the
-// D_G groups and reachability partitions for the C_G groups. Invalid
-// agents or groups are skipped — the evaluation itself reports them with
-// its usual errors. The context is checked between the single-flight
-// builds: a cancelled batch stops launching further table builds (builds
-// already in flight run to completion — they are shared with other
-// batches through the model's caches and must stay coherent).
+// formulas mention: per-agent partition tables (striped across goroutines
+// on large models), joint-view partitions for the D_G groups and
+// reachability partitions for the C_G groups. Invalid agents or groups are
+// skipped — the evaluation itself reports them with its usual errors. The
+// context is checked between the single-flight builds: a cancelled batch
+// stops launching further table builds (builds already in flight run to
+// completion — they are shared with other batches through the model's
+// caches and must stay coherent).
 func (m *Model) prepareBatch(ctx context.Context, fs []logic.Formula) {
 	t := m.tables()
 	seen := make([]bool, m.numAgents)

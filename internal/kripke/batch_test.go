@@ -84,7 +84,7 @@ func TestEvalBatchResultsAreOwned(t *testing.T) {
 }
 
 // TestEvalBatchColdRace drives EvalBatch on fresh models with no
-// PrepareAgents warm-up, forcing the lazy per-agent table builds, the
+// warm-up, forcing the lazy per-agent table builds, the
 // single-flight joint-view and reachability builds, and the shared-memo
 // publish races to all happen inside the worker pool (meaningful mainly
 // under -race). Two concurrent EvalBatch calls share one model to cross
@@ -98,8 +98,6 @@ func TestEvalBatchColdRace(t *testing.T) {
 	}{
 		{&parallelPartsMinWorlds, parallelPartsMinWorlds},
 		{&parallelPartsMinAgents, parallelPartsMinAgents},
-		{&parallelKernelMinWords, parallelKernelMinWords},
-		{&parallelKernelMinAgents, parallelKernelMinAgents},
 	}
 	defer func() {
 		for _, r := range restore {
@@ -108,8 +106,6 @@ func TestEvalBatchColdRace(t *testing.T) {
 	}()
 	parallelPartsMinWorlds = 128
 	parallelPartsMinAgents = 2
-	parallelKernelMinWords = 2
-	parallelKernelMinAgents = 2
 
 	const n, agents = 768, 6
 	formulas := []logic.Formula{

@@ -431,18 +431,13 @@ func (ev *evaluator) evalCompound(f logic.Formula, env *binding) (*bitset.Set, b
 			return nil, false, err
 		}
 		dst := ev.alloc()
-		if ev.m.kernelParallel(agents) {
-			dst.Clear()
-			ev.m.parallelKnow(ev.t, agents, dst, phi, false)
-		} else {
-			dst.Clear()
-			tmp := ev.alloc()
-			for _, a := range agents {
-				ev.m.part(ev.t, a).knowInto(tmp, phi, &ev.ks)
-				dst.Or(tmp)
-			}
-			ev.release(tmp)
+		dst.Clear()
+		tmp := ev.alloc()
+		for _, a := range agents {
+			ev.m.part(ev.t, a).knowInto(tmp, phi, &ev.ks)
+			dst.Or(tmp)
 		}
+		ev.release(tmp)
 		ev.releaseIf(phi, owned)
 		return dst, true, nil
 
@@ -456,14 +451,7 @@ func (ev *evaluator) evalCompound(f logic.Formula, env *binding) (*bitset.Set, b
 			return nil, false, err
 		}
 		dst := ev.alloc()
-		dst.Fill()
-		if ev.m.kernelParallel(agents) {
-			ev.m.parallelKnow(ev.t, agents, dst, phi, true)
-		} else {
-			for _, a := range agents {
-				ev.m.part(ev.t, a).andKnowInto(dst, phi, &ev.ks)
-			}
-		}
+		ev.m.everyoneInto(ev.t, agents, dst, phi, &ev.ks)
 		ev.releaseIf(phi, owned)
 		return dst, true, nil
 

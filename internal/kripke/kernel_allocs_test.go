@@ -1,0 +1,62 @@
+//go:build !race
+
+// The race detector makes sync.Pool drop a random share of Puts, so the
+// pooled evaluators would reallocate at random and blur the counts below.
+
+package kripke
+
+import (
+	"math"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"repro/internal/logic"
+)
+
+// TestGroupKernelAllocs pins that E_G and S_G are plain serial loops of
+// per-agent K passes: on a wide model at GOMAXPROCS=4, a warm Eval of
+// E p, S p or E^3 q allocates no more than the K_0 formula of the same
+// nesting does (K0 p, or K0 K0 K0 q, since every closed modal subformula
+// costs one memo key) — no per-call goroutines, no per-shard
+// accumulators. Allocations are read from runtime.MemStats
+// (testing.AllocsPerRun forces GOMAXPROCS=1, which would hide a fan-out),
+// with GC off so the pooled evaluators survive the measurement.
+func TestGroupKernelAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	m := buildWideModel(4096, 8, 1)
+	// mallocs is the per-call average over the quietest of a few rounds: a
+	// goroutine that migrates between Ps can miss the evaluator another P
+	// holds in its private pool slot, and that refill is not the kernel's.
+	mallocs := func(f logic.Formula) float64 {
+		const rounds, runs = 5, 100
+		if _, err := m.Eval(f); err != nil { // warm the tables and the pool
+			t.Fatal(err)
+		}
+		best := math.Inf(1)
+		for r := 0; r < rounds; r++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				if _, err := m.Eval(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, float64(after.Mallocs-before.Mallocs)/runs)
+		}
+		return best
+	}
+	p, q := logic.P("p"), logic.P("q")
+	for _, c := range []struct{ group, single logic.Formula }{
+		{logic.E(nil, p), logic.K(0, p)},
+		{logic.S(nil, p), logic.K(0, p)},
+		{logic.EK(nil, 3, q), logic.K(0, logic.K(0, logic.K(0, q)))},
+	} {
+		got, base := mallocs(c.group), mallocs(c.single)
+		if got > base {
+			t.Errorf("warm Eval(%s) = %.2f allocs/call, want <= %.2f (%s)", c.group, got, base, c.single)
+		}
+	}
+}

@@ -54,9 +54,11 @@
 // (so fixed-point iteration re-uses the component structure instead of
 // rebuilding a union-find per step). When a group operator needs many
 // agents' tables at once on a large model, the per-agent builds are
-// sharded across goroutines, as are the per-agent passes of the E_G/S_G
-// kernels — each worker owns its scratch, and small models keep the serial
-// path. Construction calls (Indistinguishable) invalidate the tables.
+// striped across goroutines (stripeAgents), as is Restrict's per-agent
+// renaming; small models keep the same code inline. E_G and S_G are plain
+// serial loops of per-agent K passes: the one level of evaluation
+// parallelism is the EvalBatch worker pool, one formula per worker.
+// Construction calls (Indistinguishable) invalidate the tables.
 // Evaluation itself runs on a pooled evaluator that memoizes closed
 // subformula denotations by structural key and recycles scratch sets,
 // making steady-state Eval near-allocation-free. All caches are safe for
@@ -76,23 +78,45 @@ import (
 	"repro/internal/unionfind"
 )
 
-// Parallelism gates for the sharded construction and kernel paths. They are
-// variables (not constants) so tests can lower them to exercise the parallel
-// paths on small models; production code treats them as constants.
+// Parallelism gates for stripeAgents. They are variables (not constants) so
+// tests can lower them to exercise the striped paths on small models;
+// production code treats them as constants.
 var (
-	// parallelPartsMinWorlds is the world count from which missing per-agent
-	// partition tables are built concurrently (one goroutine per table).
+	// parallelPartsMinWorlds is the world count from which per-agent work
+	// (partition table builds, Restrict's renaming) is striped across
+	// goroutines.
 	parallelPartsMinWorlds = 2048
-	// parallelPartsMinAgents is the minimum number of missing tables worth
+	// parallelPartsMinAgents is the minimum number of per-agent jobs worth
 	// spawning goroutines for.
 	parallelPartsMinAgents = 3
-	// parallelKernelMinWords is the universe size (in 64-bit words) from
-	// which the per-agent passes of the E_G/S_G kernels are sharded across
-	// workers, each with its own scratch and accumulator.
-	parallelKernelMinWords = 64
-	// parallelKernelMinAgents is the minimum group width worth sharding.
-	parallelKernelMinAgents = 4
 )
+
+// stripeAgents runs fn(worker, i) for every per-agent job i in [0, n) over
+// a universe of the given size, striped across one goroutine per CPU (job
+// i goes to worker i mod workers, and worker < n). Under the
+// parallelPartsMin* gates, or on one CPU, it runs inline as worker 0, so
+// the serial path is the same code. fn may own per-worker scratch indexed
+// by worker.
+func stripeAgents(n, worlds int, fn func(worker, i int)) {
+	workers := min(n, runtime.GOMAXPROCS(0))
+	if n < parallelPartsMinAgents || worlds < parallelPartsMinWorlds || workers < 2 {
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < n; i += workers {
+				fn(w, i)
+			}
+		}(w)
+	}
+	wg.Wait()
+}
 
 // Model is a finite epistemic model. Create one with NewModel (or batch
 // construct with a Builder), add facts and indistinguishability edges, then
@@ -465,7 +489,7 @@ func (m *Model) partSlow(t *derived, a int) *partition {
 }
 
 // ensureParts makes sure every listed agent's partition table exists,
-// sharding the builds across goroutines when the model is large enough for
+// striping the builds across goroutines when the model is large enough for
 // the table construction itself to dominate (each build owns its scratch,
 // so workers share nothing but the atomic result slots).
 func (m *Model) ensureParts(t *derived, agents []int) {
@@ -495,46 +519,9 @@ func (m *Model) ensureParts(t *derived, agents []int) {
 			}
 		}
 	}
-	if len(todo) == 0 {
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	if len(todo) < parallelPartsMinAgents || m.numWorlds < parallelPartsMinWorlds || workers < 2 {
-		for _, a := range todo {
-			t.parts[a].Store(m.buildPart(a))
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for off := 0; off < workers; off++ {
-		wg.Add(1)
-		go func(off int) {
-			defer wg.Done()
-			for i := off; i < len(todo); i += workers {
-				a := todo[i]
-				t.parts[a].Store(m.buildPart(a))
-			}
-		}(off)
-	}
-	wg.Wait()
-}
-
-// PrepareAgents materializes the partition tables of the given group (nil
-// means all agents) ahead of evaluation, sharding the builds across
-// goroutines on large models. It is optional — evaluation builds tables
-// lazily — but a caller about to run a per-agent loop of single-agent
-// evaluations (which would otherwise build one table at a time) can
-// front-load the construction in parallel.
-func (m *Model) PrepareAgents(g logic.Group) error {
-	agents, err := m.resolveGroup(g)
-	if err != nil {
-		return err
-	}
-	m.ensureParts(m.tables(), agents)
-	return nil
+	stripeAgents(len(todo), m.numWorlds, func(_, i int) {
+		t.parts[todo[i]].Store(m.buildPart(todo[i]))
+	})
 }
 
 // ClassID returns agent a's dense view-class id of world w.
@@ -820,68 +807,10 @@ func (m *Model) jointPartition(t *derived, agents []int, keyBuf []byte) *partiti
 }
 
 // everyoneInto computes E_G(phi) = ∧_a K_a(phi) into dst (overwritten).
-// Wide groups on large universes shard the per-agent kernel passes across
-// workers, each with its own accumulator and scratch; the results meet in
-// one word-level AND reduction.
 func (m *Model) everyoneInto(t *derived, agents []int, dst, phi *bitset.Set, ks *kernelScratch) {
 	dst.Fill()
-	if m.kernelParallel(agents) {
-		m.parallelKnow(t, agents, dst, phi, true)
-		return
-	}
 	for _, a := range agents {
 		m.part(t, a).andKnowInto(dst, phi, ks)
-	}
-}
-
-// kernelParallel reports whether the per-agent passes of a group kernel
-// are worth sharding for this model and group.
-func (m *Model) kernelParallel(agents []int) bool {
-	return len(agents) >= parallelKernelMinAgents &&
-		(m.numWorlds+63)>>6 >= parallelKernelMinWords &&
-		runtime.GOMAXPROCS(0) > 1
-}
-
-// parallelKnow shards the per-agent K passes of E_G (conj=true) or S_G
-// (conj=false) across workers. dst must be pre-filled (E) or pre-cleared
-// (S); each worker owns a private accumulator and kernel scratch, and the
-// per-worker results are folded into dst with word-level AND/OR.
-func (m *Model) parallelKnow(t *derived, agents []int, dst, phi *bitset.Set, conj bool) {
-	m.ensureParts(t, agents)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(agents) {
-		workers = len(agents)
-	}
-	results := make([]*bitset.Set, workers)
-	var wg sync.WaitGroup
-	for off := 0; off < workers; off++ {
-		wg.Add(1)
-		go func(off int) {
-			defer wg.Done()
-			var ks kernelScratch
-			acc := bitset.New(m.numWorlds)
-			if conj {
-				acc.Fill()
-				for i := off; i < len(agents); i += workers {
-					t.parts[agents[i]].Load().andKnowInto(acc, phi, &ks)
-				}
-			} else {
-				tmp := bitset.New(m.numWorlds)
-				for i := off; i < len(agents); i += workers {
-					t.parts[agents[i]].Load().knowInto(tmp, phi, &ks)
-					acc.Or(tmp)
-				}
-			}
-			results[off] = acc
-		}(off)
-	}
-	wg.Wait()
-	for _, acc := range results {
-		if conj {
-			dst.And(acc)
-		} else {
-			dst.Or(acc)
-		}
 	}
 }
 
@@ -900,44 +829,6 @@ func (m *Model) KnowSet(a int, phi *bitset.Set) *bitset.Set {
 // GroupAgents expands a (possibly nil) group into explicit agent indices.
 func (m *Model) GroupAgents(g logic.Group) ([]int, error) {
 	return m.resolveGroup(g)
-}
-
-// EveryoneSet computes E_G applied to an already-evaluated world set.
-func (m *Model) EveryoneSet(agents []int, phi *bitset.Set) *bitset.Set {
-	ev := m.getEvaluator()
-	defer m.putEvaluator(ev)
-	out := bitset.New(m.numWorlds)
-	m.everyoneInto(ev.t, agents, out, phi, &ev.ks)
-	return out
-}
-
-// CommonSet computes C_G applied to an already-evaluated world set: the
-// worlds whose whole G-reachability component satisfies phi.
-func (m *Model) CommonSet(agents []int, phi *bitset.Set) *bitset.Set {
-	if len(agents) == 0 {
-		return phi.Clone()
-	}
-	ev := m.getEvaluator()
-	defer m.putEvaluator(ev)
-	out := bitset.New(m.numWorlds)
-	p := m.reachPartition(ev.t, agents, ev.keyScratch())
-	p.knowInto(out, phi, &ev.ks)
-	return out
-}
-
-// DistSet computes D_G applied to an already-evaluated world set:
-// knowledge under the joint view, i.e. the common refinement of the
-// agents' partitions.
-func (m *Model) DistSet(agents []int, phi *bitset.Set) *bitset.Set {
-	if len(agents) == 0 {
-		return phi.Clone()
-	}
-	ev := m.getEvaluator()
-	defer m.putEvaluator(ev)
-	out := bitset.New(m.numWorlds)
-	p := m.jointPartition(ev.t, agents, ev.keyScratch())
-	p.knowInto(out, phi, &ev.ks)
-	return out
 }
 
 // GReachIDs returns dense component ids for the G-reachability relation of
@@ -1039,15 +930,48 @@ func (m *Model) RefineAgent(a int, phi *bitset.Set) *Model {
 }
 
 // restrictScratch is the reusable working state of Restrict: the kept-world
-// list and the class-renaming mark table. Pooled so announcement chains
+// list, the per-agent class-id sources, the submodel being built, and one
+// class-renaming mark table per stripeAgents worker (the
+// inherited-partition remaps use worker 0's). Pooled so announcement chains
 // (muddy rounds, attack message chains) recycle one scratch instead of
 // reallocating per update.
 type restrictScratch struct {
-	old  []int
-	mark []int32
+	old   []int
+	srcs  []pendingPart
+	sub   *Model
+	marks [][]int32
+
+	// rename is the renameAgent method value, bound once per scratch: a
+	// closure handed to stripeAgents escapes, so binding it per Restrict
+	// would cost an allocation per announcement.
+	rename func(worker, a int)
 }
 
-var restrictPool = sync.Pool{New: func() any { return new(restrictScratch) }}
+var restrictPool = sync.Pool{New: func() any {
+	s := new(restrictScratch)
+	s.rename = s.renameAgent
+	return s
+}}
+
+// mark returns worker's mark table with room for n class ids.
+func (s *restrictScratch) mark(worker, n int) []int32 {
+	if cap(s.marks[worker]) < n {
+		s.marks[worker] = make([]int32, n)
+	}
+	return s.marks[worker][:n]
+}
+
+// renameAgent installs agent a's class ids, renamed over the kept worlds,
+// on s.sub, using worker's mark table.
+func (s *restrictScratch) renameAgent(worker, a int) {
+	src := s.srcs[a]
+	if src.ids == nil {
+		return // discrete restricts to discrete
+	}
+	subIDs := make([]int32, len(s.old))
+	next := renumber(subIDs, src.ids, s.old, s.mark(worker, src.n))
+	s.sub.rels[a] = agentRel{ids: subIDs, n: int(next)}
+}
 
 // renumber writes into dst the dense renaming of src's ids gathered over
 // the kept worlds, using mark (len >= n, reset here) as scratch, and
@@ -1111,7 +1035,7 @@ func DefaultRestrictOptions() RestrictOptions {
 // is the i-th element of keep in increasing order. Ground facts and
 // indistinguishability are inherited: valuation columns are compacted with
 // the word-level gather kernel, per-agent partitions are renamed in one
-// pass per agent (sharded across goroutines on large wide models), any
+// pass per agent (striped across goroutines on large wide models), any
 // memoized joint-view partitions are remapped into the new model —
 // restriction commutes with common refinement, so an announcement chain
 // inherits its D_G structure instead of recomputing it — and memoized
@@ -1170,25 +1094,25 @@ func (m *Model) RestrictOpts(keep *bitset.Set, opts RestrictOptions) *Model {
 	}
 
 	// Rename each agent's class ids over the surviving worlds and install
-	// the resulting partitions directly — no pairwise unions needed. Wide
-	// large models shard the per-agent renaming across workers, each with
-	// its own mark table.
-	if m.numAgents >= parallelPartsMinAgents && k >= parallelPartsMinWorlds && runtime.GOMAXPROCS(0) > 1 {
-		m.restrictRelsParallel(sub, old)
-	} else {
-		for a := 0; a < m.numAgents; a++ {
-			src, n := m.relIDs(a)
-			if src == nil {
-				continue // discrete restricts to discrete
-			}
-			if cap(scr.mark) < n {
-				scr.mark = make([]int32, n)
-			}
-			subIDs := make([]int32, k)
-			next := renumber(subIDs, src, old, scr.mark[:n])
-			sub.rels[a] = agentRel{ids: subIDs, n: int(next)}
-		}
+	// the resulting partitions directly — no pairwise unions needed. The id
+	// sources are resolved serially (relIDs may build a partition table,
+	// which takes the model build lock); the renaming is striped across
+	// agents, one mark table per worker.
+	scr.srcs = scr.srcs[:0]
+	for a := 0; a < m.numAgents; a++ {
+		ids, n := m.relIDs(a)
+		scr.srcs = append(scr.srcs, pendingPart{ids: ids, n: n})
 	}
+	// Worker indices stay below the agent count; slot 0 also serves the
+	// inherited-partition remaps, so even a zero-agent model has one.
+	if need := max(1, m.numAgents); len(scr.marks) < need {
+		scr.marks = append(scr.marks, make([][]int32, need-len(scr.marks))...)
+	}
+	scr.sub = sub
+	stripeAgents(m.numAgents, k, scr.rename)
+	// Drop the references to both models before the scratch is pooled.
+	clear(scr.srcs)
+	scr.sub = nil
 
 	if opts.InheritJoint {
 		m.inheritJointInto(sub, old, scr)
@@ -1203,43 +1127,6 @@ func (m *Model) RestrictOpts(keep *bitset.Set, opts RestrictOptions) *Model {
 	return sub
 }
 
-// restrictRelsParallel is the sharded form of the per-agent renaming pass
-// of Restrict: agents are striped across workers, one mark table each.
-func (m *Model) restrictRelsParallel(sub *Model, old []int) {
-	// Resolve id sources serially: relIDs may lazily build partition
-	// tables, which takes the model build lock.
-	srcs := make([][]int32, m.numAgents)
-	ns := make([]int, m.numAgents)
-	for a := 0; a < m.numAgents; a++ {
-		srcs[a], ns[a] = m.relIDs(a)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m.numAgents {
-		workers = m.numAgents
-	}
-	var wg sync.WaitGroup
-	for off := 0; off < workers; off++ {
-		wg.Add(1)
-		go func(off int) {
-			defer wg.Done()
-			var mark []int32
-			for a := off; a < m.numAgents; a += workers {
-				src, n := srcs[a], ns[a]
-				if src == nil {
-					continue
-				}
-				if cap(mark) < n {
-					mark = make([]int32, n)
-				}
-				subIDs := make([]int32, len(old))
-				next := renumber(subIDs, src, old, mark[:n])
-				sub.rels[a] = agentRel{ids: subIDs, n: int(next)}
-			}
-		}(off)
-	}
-	wg.Wait()
-}
-
 // inheritJointInto remaps every memoized (or still-pending) joint-view
 // partition of m onto the restricted model: common refinement commutes
 // with restriction, so renaming the class ids over the kept worlds is
@@ -1250,11 +1137,8 @@ func (m *Model) inheritJointInto(sub *Model, old []int, scr *restrictScratch) {
 		if _, ok := sub.inheritedJoint[key]; ok {
 			return
 		}
-		if cap(scr.mark) < n {
-			scr.mark = make([]int32, n)
-		}
 		subIDs := make([]int32, len(old))
-		next := renumber(subIDs, ids, old, scr.mark[:n])
+		next := renumber(subIDs, ids, old, scr.mark(0, n))
 		if sub.inheritedJoint == nil {
 			sub.inheritedJoint = make(map[string]pendingPart)
 		}
@@ -1284,10 +1168,7 @@ func (m *Model) inheritReachInto(sub *Model, old []int, scr *restrictScratch) {
 		if _, ok := sub.inheritedReach[key]; ok {
 			return
 		}
-		if cap(scr.mark) < n {
-			scr.mark = make([]int32, n)
-		}
-		mark := scr.mark[:n]
+		mark := scr.mark(0, n)
 		subIDs := make([]int32, len(old))
 		next := renumber(subIDs, ids, old, mark)
 		// A component is touched iff it kept fewer worlds than it had (or

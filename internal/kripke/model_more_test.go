@@ -49,7 +49,7 @@ func TestSameClassAndClassID(t *testing.T) {
 }
 
 func TestSetLevelOperators(t *testing.T) {
-	// KnowSet / EveryoneSet / CommonSet agree with formula evaluation.
+	// KnowSet agrees with formula evaluation.
 	m := chainModel(6)
 	p, err := m.Eval(logic.P("p"))
 	if err != nil {
@@ -69,19 +69,28 @@ func TestSetLevelOperators(t *testing.T) {
 	if len(agents) != 2 {
 		t.Errorf("GroupAgents(nil) = %v", agents)
 	}
-	eDirect, err := m.Eval(logic.E(nil, logic.P("p")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.EveryoneSet(agents, p).Equal(eDirect) {
-		t.Error("EveryoneSet disagrees with E evaluation")
-	}
-	cDirect, err := m.Eval(logic.C(nil, logic.P("p")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.CommonSet(agents, p).Equal(cDirect) {
-		t.Error("CommonSet disagrees with C evaluation")
+}
+
+// TestRestrictZeroAgents restricts agent-free models below and above the
+// striping gates, where Restrict has no per-agent job to stripe.
+func TestRestrictZeroAgents(t *testing.T) {
+	for _, n := range []int{10, 2 * parallelPartsMinWorlds} {
+		m := NewModel(n, 0)
+		m.SetTrue(1, "p")
+		keep := bitset.New(n)
+		keep.Add(1)
+		keep.Add(n - 1)
+		sub := m.Restrict(keep)
+		if sub.NumWorlds() != 2 || sub.NumAgents() != 0 {
+			t.Fatalf("n=%d: Restrict = %d worlds, %d agents, want 2, 0", n, sub.NumWorlds(), sub.NumAgents())
+		}
+		got, err := sub.Eval(logic.C(nil, logic.P("p")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != "{0}" {
+			t.Errorf("n=%d: restricted C p = %s, want {0}", n, got)
+		}
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 	"repro/internal/logic"
 )
 
-// buildWideModel constructs a model wide and large enough for the sharded
-// kernel paths: numAgents random partitions installed columnar, plus two
+// buildWideModel constructs a model wide and large enough for the striped
+// per-agent paths: numAgents random partitions installed columnar, plus two
 // valuation columns.
 func buildWideModel(n, numAgents int, seed int64) *Model {
 	rng := rand.New(rand.NewSource(seed))
@@ -42,11 +42,11 @@ func buildWideModel(n, numAgents int, seed int64) *Model {
 	return b.Build()
 }
 
-// TestParallelKernelsRace drives the sharded partition-table construction
-// and the sharded E_G/S_G kernels from many concurrent evaluators at once
-// (run under -race). The parallelism gates are lowered and GOMAXPROCS
-// raised so the parallel paths engage even on small CI machines; results
-// are checked against a serially evaluated twin model.
+// TestParallelKernelsRace drives the striped partition-table construction
+// and the E_G/S_G kernels from many concurrent evaluators at once (run
+// under -race). The striping gates are lowered and GOMAXPROCS raised so
+// the striped paths engage even on small CI machines; results are checked
+// against a serially evaluated twin model.
 func TestParallelKernelsRace(t *testing.T) {
 	prevProcs := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prevProcs)
@@ -56,8 +56,6 @@ func TestParallelKernelsRace(t *testing.T) {
 	}{
 		{&parallelPartsMinWorlds, parallelPartsMinWorlds},
 		{&parallelPartsMinAgents, parallelPartsMinAgents},
-		{&parallelKernelMinWords, parallelKernelMinWords},
-		{&parallelKernelMinAgents, parallelKernelMinAgents},
 	}
 	defer func() {
 		for _, r := range restore {
@@ -66,8 +64,6 @@ func TestParallelKernelsRace(t *testing.T) {
 	}()
 	parallelPartsMinWorlds = 128
 	parallelPartsMinAgents = 2
-	parallelKernelMinWords = 2
-	parallelKernelMinAgents = 2
 
 	const n, agents = 1024, 8
 	formulas := []logic.Formula{
@@ -92,8 +88,8 @@ func TestParallelKernelsRace(t *testing.T) {
 		want[i] = s.String()
 	}
 
-	// Cold target: lazy table construction, the sharded builds and the
-	// sharded kernels all race against one another across 8 goroutines.
+	// Cold target: lazy table construction, the striped builds and the
+	// kernels all race against one another across 8 goroutines.
 	m := buildWideModel(n, agents, 1)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -101,9 +97,13 @@ func TestParallelKernelsRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			if g == 0 {
-				// One goroutine front-loads the sharded table build while
-				// the others already evaluate.
-				if err := m.PrepareAgents(nil); err != nil {
+				// One goroutine front-loads the striped table build (an
+				// EvalBatch of every K_i) while the others already evaluate.
+				ks := make([]logic.Formula, agents)
+				for a := range ks {
+					ks[a] = logic.K(logic.Agent(a), logic.P("p"))
+				}
+				if _, err := m.EvalBatch(ks); err != nil {
 					t.Error(err)
 					return
 				}

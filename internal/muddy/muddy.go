@@ -312,12 +312,6 @@ func (p *Puzzle) Round() (RoundResult, error) {
 		return RoundResult{}, err
 	}
 	evalStart := time.Now()
-	// Build all children's partition tables up front (sharded across
-	// goroutines on large models) so the per-child evaluations below don't
-	// construct them one at a time.
-	if err := p.model.PrepareAgents(nil); err != nil {
-		return RoundResult{}, err
-	}
 	// knowSets[i] = worlds where child i would answer yes. The n per-child
 	// formulas are independent queries against the shared round model —
 	// exactly the batch shape EvalBatch fans out across cores.
