@@ -219,8 +219,9 @@ func redundantChain(blocks, copies int) *kripke.Model {
 // Ablation: a chained sequence of announcements, re-minimizing after every
 // restriction — the announcement-chain hot path. The incremental arm
 // threads the block map through RestrictWithQuotient so each Minimize is a
-// seeded re-refinement; the from-scratch arm restricts with zero
-// inheritance and refines from the trivial partition every round.
+// seeded re-refinement; the from-scratch arm restricts with plain Restrict,
+// which carries no seed, and refines from the trivial partition every
+// round.
 func BenchmarkAblationChainedRestrict(b *testing.B) {
 	const blocks, copies, steps = 48, 96, 32
 	run := func(b *testing.B, incremental bool) {
@@ -235,7 +236,7 @@ func BenchmarkAblationChainedRestrict(b *testing.B) {
 				if incremental {
 					m = m.RestrictWithQuotient(keep, blk)
 				} else {
-					m = m.RestrictOpts(keep, kripke.RestrictOptions{})
+					m = m.Restrict(keep)
 				}
 				q, blk = m.Minimize()
 			}
@@ -249,9 +250,9 @@ func BenchmarkAblationChainedRestrict(b *testing.B) {
 }
 
 // Ablation: the muddy round loop with a per-round common-knowledge check,
-// on the joint views and reachability seeds that Restrict threads through
-// every round. The sub-benchmark keeps its historical "/incremental" name
-// so its trajectory rows continue.
+// each round rebuilding the reachability components of its restricted
+// model. The sub-benchmark keeps its historical "/incremental" name so its
+// trajectory rows continue.
 func BenchmarkAblationMuddyRoundsQuotient(b *testing.B) {
 	for _, n := range []int{10, 13} {
 		b.Run(fmt.Sprintf("n=%d/incremental", n), func(b *testing.B) {

@@ -3,10 +3,10 @@ package repro_test
 // Regression: every announcement chain of the repository — the attack
 // delivery chain, the scenario ladders, the R2-D2 system, the gossip
 // revelation chain and the muddy rounds — is a kripke.Chain, which threads
-// the quotient block map and the memoized reachability seeds through each
-// restriction. The table below replays each chain link for link against a
-// reference that rebuilds every link from scratch: a restriction with zero
-// inheritance followed by a fresh quotient-for-eval view.
+// the quotient block map through each restriction. The table below replays
+// each chain link for link against a reference that rebuilds every link
+// from scratch: a plain Restrict followed by a fresh quotient-for-eval
+// view.
 
 import (
 	"fmt"
@@ -245,7 +245,7 @@ func TestChainMatchesScratchReference(t *testing.T) {
 				default:
 					refMarked = -1
 				}
-				ref = ref.Model().RestrictOpts(keep, kripke.RestrictOptions{}).QuotientForEvalEpistemic(1)
+				ref = ref.Model().Restrict(keep).QuotientForEvalEpistemic(1)
 				compareChainLink(t, i+1, ch, ref, refMarked, c.queries)
 				links++
 			}

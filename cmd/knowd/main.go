@@ -85,6 +85,12 @@ func run(args []string, out io.Writer) error {
 		BootID:       bootID,
 		Logf:         logf,
 	})
+	// Catch SIGTERM before the first line of output: a supervisor may
+	// signal as soon as it sees the daemon report progress.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
+	defer signal.Stop(sigc)
+
 	if *state != "" {
 		restored, err := s.LoadSessions()
 		if err != nil {
@@ -100,10 +106,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "knowd: listening on %s (seed %d)\n", l.Addr(), *seed)
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
-	defer signal.Stop(sigc)
 
 	served := make(chan error, 1)
 	go func() { served <- s.Serve(l) }()

@@ -63,9 +63,9 @@ func TestReplayDeliveryChainDeepensKnowledge(t *testing.T) {
 }
 
 // TestReplayDeliveryChainIncrementalMatchesScratch pins the chain replay —
-// whose links thread the quotient block map and reachability seeds through
-// each restriction — to a reference that rebuilds every link from scratch
-// and asks each verdict one formula at a time, step for step.
+// whose links thread the quotient block map through each restriction — to
+// a reference that rebuilds every link's quotient from scratch and asks
+// each verdict one formula at a time, step for step.
 func TestReplayDeliveryChainIncrementalMatchesScratch(t *testing.T) {
 	s := build(t, 4, 10)
 	never := func(protocol.LocalView) bool { return false }
@@ -98,7 +98,7 @@ func TestReplayDeliveryChainIncrementalMatchesScratch(t *testing.T) {
 			break
 		}
 		w = keep.Rank(w)
-		view = view.Model().RestrictOpts(keep, kripke.RestrictOptions{}).QuotientForEvalEpistemic(1)
+		view = view.Model().Restrict(keep).QuotientForEvalEpistemic(1)
 		step := ChainStep{Deliveries: d, Points: view.NumWorlds(), QuotientWorlds: view.QuotientWorlds()}
 		f := logic.P(IntentProp)
 		for lvl := 1; lvl <= s.Budget+1; lvl++ {

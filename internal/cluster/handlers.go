@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -56,46 +55,24 @@ type ShardStats struct {
 	MaxMicros        int64   `json:"max_micros"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
-}
-
 // writeUpstreamErr maps a shard-call failure onto the router's response: a
 // definitive shard verdict passes through with its status, a latched
 // breaker or transport exhaustion becomes a 502.
 func writeUpstreamErr(w http.ResponseWriter, err error, what string) {
 	var apiErr *client.APIError
 	if errors.As(err, &apiErr) {
-		writeErr(w, apiErr.Status, apiErr.Msg)
+		server.WriteError(w, apiErr.Status, apiErr.Msg)
 		return
 	}
-	writeErr(w, http.StatusBadGateway, fmt.Sprintf("%s: %v", what, err))
-}
-
-// decodeBody decodes a bounded JSON request body, reporting malformed
-// input as 400. Returns false when a response was already written.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return false
-	}
-	return true
+	server.WriteError(w, http.StatusBadGateway, fmt.Sprintf("%s: %v", what, err))
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if rt.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (rt *Router) handleSystems(w http.ResponseWriter, r *http.Request) {
@@ -108,7 +85,7 @@ func (rt *Router) handleSystems(w http.ResponseWriter, r *http.Request) {
 		systems, err := rt.clients[sh.ID].Systems()
 		rt.observe(sh.ID, t0, err)
 		if err == nil {
-			writeJSON(w, http.StatusOK, systems)
+			server.WriteJSON(w, http.StatusOK, systems)
 			return
 		}
 		lastErr = err
@@ -121,7 +98,7 @@ func (rt *Router) handleSystems(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleOpen(w http.ResponseWriter, r *http.Request) {
 	var req server.OpenRequest
-	if !decodeBody(w, r, &req) {
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	seed := req.Seed
@@ -133,7 +110,7 @@ func (rt *Router) handleOpen(w http.ResponseWriter, r *http.Request) {
 	ranked := rt.rank(req.System, "")
 	if len(ranked) == 0 {
 		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusServiceUnavailable, "no healthy shard")
+		server.WriteError(w, http.StatusServiceUnavailable, "no healthy shard")
 		return
 	}
 	// The csession is registered (and its lock held) BEFORE the upstream
@@ -177,13 +154,13 @@ func (rt *Router) handleOpen(w http.ResponseWriter, r *http.Request) {
 	cs.mu.Unlock()
 	rt.opens.Add(1)
 	st.Session = cs.id
-	writeJSON(w, http.StatusCreated, st)
+	server.WriteJSON(w, http.StatusCreated, st)
 }
 
 func (rt *Router) handleGet(w http.ResponseWriter, r *http.Request) {
 	cs := rt.lookup(r.PathValue("id"))
 	if cs == nil {
-		writeErr(w, http.StatusNotFound, "no such session")
+		server.WriteError(w, http.StatusNotFound, "no such session")
 		return
 	}
 	st, err := readWithFailover(rt, r.Context(), cs,
@@ -198,17 +175,17 @@ func (rt *Router) handleGet(w http.ResponseWriter, r *http.Request) {
 	cs.last = st
 	cs.mu.Unlock()
 	st.Session = cs.id
-	writeJSON(w, http.StatusOK, st)
+	server.WriteJSON(w, http.StatusOK, st)
 }
 
 func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
 	cs := rt.lookup(r.PathValue("id"))
 	if cs == nil {
-		writeErr(w, http.StatusNotFound, "no such session")
+		server.WriteError(w, http.StatusNotFound, "no such session")
 		return
 	}
 	var req server.EvalRequest
-	if !decodeBody(w, r, &req) {
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	// The verdicts are relayed, not decoded: internal/server owns the eval
@@ -230,7 +207,7 @@ func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// A shard that answered 200 with a foreign body is broken in a way
 		// a failover would not fix; report it rather than guess.
-		writeErr(w, http.StatusBadGateway, fmt.Sprintf("eval: %v", err))
+		server.WriteError(w, http.StatusBadGateway, fmt.Sprintf("eval: %v", err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -241,11 +218,11 @@ func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleAnnounce(w http.ResponseWriter, r *http.Request) {
 	cs := rt.lookup(r.PathValue("id"))
 	if cs == nil {
-		writeErr(w, http.StatusNotFound, "no such session")
+		server.WriteError(w, http.StatusNotFound, "no such session")
 		return
 	}
 	var req server.AnnounceRequest
-	if !decodeBody(w, r, &req) {
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	cs.mu.Lock()
@@ -273,13 +250,13 @@ func (rt *Router) handleAnnounce(w http.ResponseWriter, r *http.Request) {
 			cs.last = st
 			rt.catchUpStandbyLocked(cs)
 			st.Session = cs.id
-			writeJSON(w, http.StatusOK, st)
+			server.WriteJSON(w, http.StatusOK, st)
 			return
 		}
 		lastErr = err
 		var apiErr *client.APIError
 		if errors.As(err, &apiErr) && apiErr.Status != http.StatusNotFound {
-			writeErr(w, apiErr.Status, apiErr.Msg)
+			server.WriteError(w, apiErr.Status, apiErr.Msg)
 			return
 		}
 		// Transport exhaustion, breaker, or a shard that lost the session:
@@ -287,7 +264,7 @@ func (rt *Router) handleAnnounce(w http.ResponseWriter, r *http.Request) {
 		// precondition; if the dead primary had already applied it, the
 		// successor's replayed chain plus the CAS keeps it exactly-once.
 		if ferr := rt.failoverLocked(cs, cs.primary); ferr != nil {
-			writeErr(w, http.StatusBadGateway, fmt.Sprintf("announce: %v (failover: %v)", err, ferr))
+			server.WriteError(w, http.StatusBadGateway, fmt.Sprintf("announce: %v (failover: %v)", err, ferr))
 			return
 		}
 	}
@@ -298,7 +275,7 @@ func (rt *Router) handleClose(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	cs := rt.lookup(id)
 	if cs == nil {
-		writeErr(w, http.StatusNotFound, "no such session")
+		server.WriteError(w, http.StatusNotFound, "no such session")
 		return
 	}
 	cs.mu.Lock()
@@ -317,7 +294,7 @@ func (rt *Router) handleClose(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Unlock()
 	cs.mu.Unlock()
 	rt.closes.Add(1)
-	writeJSON(w, http.StatusOK, map[string]string{"closed": id})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"closed": id})
 }
 
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
@@ -329,7 +306,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		cs.mu.Unlock()
 		out = append(out, st)
 	}
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 func (rt *Router) handleReconcile(w http.ResponseWriter, r *http.Request) {
@@ -347,7 +324,7 @@ func (rt *Router) handleReconcile(w http.ResponseWriter, r *http.Request) {
 		}
 		closed += n
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"strays_closed": closed, "shard_errors": errs})
+	server.WriteJSON(w, http.StatusOK, map[string]int{"strays_closed": closed, "shard_errors": errs})
 }
 
 // StatsSnapshot assembles the router's counters and per-shard views.
@@ -413,7 +390,7 @@ func (rt *Router) StatsSnapshot() RouterStats {
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.StatsSnapshot())
+	server.WriteJSON(w, http.StatusOK, rt.StatsSnapshot())
 }
 
 // handleReport renders the per-shard latency histograms and health states

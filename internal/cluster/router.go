@@ -251,26 +251,17 @@ func (rt *Router) logf(format string, args ...any) {
 	}
 }
 
-// Middleware (mirrors internal/server's, at fleet scope).
+// Middleware.
 
 func (rt *Router) withRecover(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if p := recover(); p != nil {
-				rt.panics.Add(1)
-				rt.logf("panic serving %s %s: %v", r.Method, r.URL.Path, p)
-				writeErr(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", p))
-			}
-		}()
-		h(w, r)
-	}
+	return server.Recover(h, rt.logf, func() { rt.panics.Add(1) })
 }
 
 func (rt *Router) intake(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if rt.draining.Load() {
 			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusServiceUnavailable, "draining")
+			server.WriteError(w, http.StatusServiceUnavailable, "draining")
 			return
 		}
 		h(w, r)

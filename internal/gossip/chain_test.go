@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
-	"repro/internal/kripke"
 	"repro/internal/logic"
 )
 
@@ -24,8 +23,8 @@ func chainFixture(t *testing.T, conv Convention, seed int64) (*Model, Sequence) 
 }
 
 // TestRevealChainParity pins the revelation chain — its links thread the
-// quotient block map and reachability seeds through every restriction — to
-// a reference that rebuilds every link from scratch, across seeds and
+// quotient block map through every restriction — to a reference that
+// rebuilds every link's quotient from scratch, across seeds and
 // conventions: every per-link verdict must be identical.
 func TestRevealChainParity(t *testing.T) {
 	for _, conv := range Conventions() {
@@ -55,7 +54,7 @@ func TestRevealChainParity(t *testing.T) {
 					}
 				}
 				w = keep.Rank(w)
-				view = view.Model().RestrictOpts(keep, kripke.RestrictOptions{}).QuotientForEvalEpistemic(1)
+				view = view.Model().Restrict(keep).QuotientForEvalEpistemic(1)
 				step := ChainStep{Link: i + 1, Call: c, Worlds: view.NumWorlds(), QuotientWorlds: view.QuotientWorlds()}
 				for k := 1; k <= depth && holds(tower[k]); k++ {
 					step.EDepth = k

@@ -15,9 +15,9 @@
 // same positions, with the same peers and the same exchanged secret sets
 // (synchronous perfect recall). Executing a call sequence then turns into
 // an incremental announcement chain: revealing the calls one link at a time
-// restricts the model, with Minimize block maps and reachability seeds
-// threaded link to link through kripke.RestrictWithQuotient, and the
-// verdict tower batch-evaluated per link via EvalBatch.
+// restricts the model, with the Minimize block map threaded link to link
+// through kripke.RestrictWithQuotient, and the verdict tower
+// batch-evaluated per link via EvalBatch.
 //
 // The private channel itself never creates common knowledge — the paper's
 // central obstruction — while the revelation chain shows C arriving only as

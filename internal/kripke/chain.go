@@ -24,9 +24,9 @@ const chainMinWorlds = 1
 // E^k into C, like the father's "m" in the muddy children or the delivered
 // messages of the attack handshake — on the epistemic structure of a model.
 // Each announcement restricts the current view to the worlds where it
-// holds; Quotiented.Restrict threads the link's quotient block map and the
-// memoized reachability components through the restriction, so every link
-// pays a seeded re-refinement instead of a from-scratch Minimize. A marked
+// holds; Quotiented.Restrict threads the link's quotient block map through
+// the restriction, so every link pays a seeded re-refinement instead of a
+// from-scratch Minimize. A marked
 // world (the actual world of the chain) is tracked through every
 // restriction by rank.
 //

@@ -1,10 +1,9 @@
 package kripke
 
-// Property tests for the incremental announcement-chain paths: seeded
-// quotient re-refinement (RestrictWithQuotient + minimizeSeeded) and
-// component-local reachability rebuilds (inherited reach seeds) must be
-// indistinguishable — block map for block map, component for component,
-// verdict for verdict — from the from-scratch computations they replace.
+// Property tests for the incremental announcement-chain path: seeded
+// quotient re-refinement (RestrictWithQuotient + minimizeSeeded) must be
+// indistinguishable — block map for block map, verdict for verdict — from
+// the from-scratch Minimize it replaces.
 
 import (
 	"math/rand"
@@ -26,24 +25,6 @@ func randKeep(rng *rand.Rand, n int) *bitset.Set {
 		keep.Add(rng.Intn(n))
 	}
 	return keep
-}
-
-// canonIDs renumbers arbitrary component ids to dense first-occurrence
-// form, so partitions can be compared independently of their numbering.
-func canonIDs(ids []int) []int {
-	mark := make(map[int]int, len(ids))
-	out := make([]int, len(ids))
-	next := 0
-	for i, id := range ids {
-		c, ok := mark[id]
-		if !ok {
-			c = next
-			next++
-			mark[id] = c
-		}
-		out[i] = c
-	}
-	return out
 }
 
 func equalInts(a, b []int) bool {
@@ -77,7 +58,7 @@ func TestRestrictWithQuotientMinimizeExact(t *testing.T) {
 		for step := 0; step < 3 && inc.NumWorlds() > 2; step++ {
 			keep := randKeep(rng, inc.NumWorlds())
 			inc = inc.RestrictWithQuotient(keep, blocks)
-			scratch = scratch.RestrictOpts(keep, RestrictOptions{})
+			scratch = scratch.Restrict(keep)
 
 			if inc.quotSeed == nil {
 				t.Fatalf("trial %d step %d: RestrictWithQuotient installed no quotient seed", trial, step)
@@ -137,7 +118,7 @@ func TestMinimizeSeededMergesAcrossSeedBlocks(t *testing.T) {
 		t.Fatalf("seeded Minimize missed the announcement-induced merge: %d worlds, block map %v",
 			q.NumWorlds(), b)
 	}
-	qs, bs := sub.RestrictOpts(bitset.NewFull(2), RestrictOptions{}).Minimize()
+	qs, bs := sub.Restrict(bitset.NewFull(2)).Minimize()
 	if qs.NumWorlds() != q.NumWorlds() || !equalInts(b, bs) {
 		t.Fatalf("seeded and from-scratch Minimize disagree: %v vs %v", b, bs)
 	}
@@ -169,129 +150,21 @@ func TestMinimizeSeededArbitrarySeed(t *testing.T) {
 	}
 }
 
-// reachFormulas are the C_G formulas used to warm and compare the
-// reachability caches.
-func reachFormulas(numAgents int) []logic.Formula {
-	g2 := logic.NewGroup(0, logic.Agent(numAgents-1))
-	return []logic.Formula{
-		logic.C(nil, logic.P("p")),
-		logic.C(g2, logic.Disj(logic.P("p"), logic.P("q"))),
-	}
-}
-
-// TestInheritedReachAgreesWithScratch pins the component-local rebuild:
-// along a random restriction chain with warmed reach caches, C_G verdicts
-// and G-reachability components on the default (seed-inheriting) Restrict
-// must agree exactly with a chain restricted from scratch, for both the
-// full group and a proper subgroup.
-func TestInheritedReachAgreesWithScratch(t *testing.T) {
-	rng := rand.New(rand.NewSource(4321))
-	for trial := 0; trial < 20; trial++ {
-		n := 12 + rng.Intn(100)
-		numAgents := 2 + rng.Intn(3)
-		m := randModel(rng, n, numAgents)
-		formulas := reachFormulas(numAgents)
-		groups := []logic.Group{nil, logic.NewGroup(0, logic.Agent(numAgents-1))}
-
-		inc, scratch := m, m
-		for step := 0; step < 3 && inc.NumWorlds() > 2; step++ {
-			// Warm the reach caches on the incremental side so the next
-			// Restrict has partitions to carry as seeds.
-			for _, f := range formulas {
-				if _, err := inc.Eval(f); err != nil {
-					t.Fatalf("trial %d step %d: warm eval %s: %v", trial, step, f, err)
-				}
-			}
-			keep := randKeep(rng, inc.NumWorlds())
-			inc = inc.Restrict(keep)
-			scratch = scratch.RestrictOpts(keep, RestrictOptions{})
-			if inc.inheritedReach == nil {
-				t.Fatalf("trial %d step %d: Restrict carried no reach seeds despite warm caches", trial, step)
-			}
-			for _, f := range formulas {
-				got, err := inc.Eval(f)
-				if err != nil {
-					t.Fatalf("trial %d step %d: eval %s on seeded model: %v", trial, step, f, err)
-				}
-				want, err := scratch.Eval(f)
-				if err != nil {
-					t.Fatalf("trial %d step %d: eval %s on scratch model: %v", trial, step, f, err)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("trial %d step %d: Eval(%s) seeded = %s, scratch = %s",
-						trial, step, f, got, want)
-				}
-			}
-			for _, g := range groups {
-				gotIDs, err := inc.GReachIDs(g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantIDs, err := scratch.GReachIDs(g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !equalInts(canonIDs(gotIDs), canonIDs(wantIDs)) {
-					t.Fatalf("trial %d step %d: G-reach components diverged for %v:\n  seeded  %v\n  scratch %v",
-						trial, step, g, gotIDs, wantIDs)
-				}
-			}
-		}
-	}
-}
-
-// TestInheritedReachPendingChains checks the never-materialized case: two
-// chained Restricts with no C_G evaluation in between must still produce
-// exact components at the end — pending seeds compose their touched flags
-// instead of being rebuilt at every link.
-func TestInheritedReachPendingChains(t *testing.T) {
-	rng := rand.New(rand.NewSource(99887))
-	for trial := 0; trial < 15; trial++ {
-		n := 16 + rng.Intn(80)
-		numAgents := 2 + rng.Intn(3)
-		m := randModel(rng, n, numAgents)
-		// Warm only once, at the head of the chain.
-		if _, err := m.Eval(logic.C(nil, logic.P("p"))); err != nil {
-			t.Fatal(err)
-		}
-		inc, scratch := m, m
-		for step := 0; step < 3 && inc.NumWorlds() > 2; step++ {
-			keep := randKeep(rng, inc.NumWorlds())
-			inc = inc.Restrict(keep)
-			scratch = scratch.RestrictOpts(keep, RestrictOptions{})
-		}
-		got, err := inc.Eval(logic.C(nil, logic.P("p")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := scratch.Eval(logic.C(nil, logic.P("p")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("trial %d: chained pending reach seeds diverged: %s vs %s", trial, got, want)
-		}
-	}
-}
-
 // TestMutationDropsIncrementalSeeds pins the invalidation contract: adding
 // an edge to a restricted model describes new relations, so the quotient
-// seed and the reach seeds inherited from the pre-mutation model must be
-// discarded with the other derived state.
+// seed renamed from the pre-mutation model must be discarded with the other
+// derived state.
 func TestMutationDropsIncrementalSeeds(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := randModel(rng, 40, 3)
-	if _, err := m.Eval(logic.C(nil, logic.P("p"))); err != nil {
-		t.Fatal(err)
-	}
 	_, blocks := m.Minimize()
 	keep := randKeep(rng, 40)
 	sub := m.RestrictWithQuotient(keep, blocks)
-	if sub.quotSeed == nil || sub.inheritedReach == nil {
-		t.Fatalf("restriction carried no seeds to invalidate")
+	if sub.quotSeed == nil {
+		t.Fatalf("restriction carried no quotient seed to invalidate")
 	}
 	sub.Indistinguishable(0, 0, sub.NumWorlds()-1)
-	if sub.quotSeed != nil || sub.inheritedReach != nil || sub.inheritedJoint != nil {
-		t.Fatalf("mutation left stale incremental seeds behind")
+	if sub.quotSeed != nil {
+		t.Fatalf("mutation left a stale quotient seed behind")
 	}
 }

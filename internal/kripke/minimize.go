@@ -76,9 +76,9 @@ func (m *Model) minimizeScratch() (*Model, []int) {
 // two block maps are composed. That second "compose" pass is bounded by
 // the quotient size, never the world count, which is what makes the
 // seeded path pay on redundant models; when the restriction recorded
-// touched-block flags (dirty, non-nil only for declared-exact seeds), the
-// pass is further narrowed to the disturbed region — or skipped outright
-// when no block was disturbed (see composeQuotient). When something did
+// touched-block flags (dirty, set by RestrictWithQuotient), the pass is
+// further narrowed to the disturbed region — or skipped outright when no
+// block was disturbed (see composeQuotient). When something did
 // merge, the composed partition is rebuilt into a quotient of m directly,
 // so names, representatives and numbering follow the Minimize contract
 // either way.
@@ -130,8 +130,8 @@ func (m *Model) minimizeSeeded(seed []int32, nSeed int, dirty []bool) (*Model, [
 //     singleton the refinement never has to walk.
 //
 // The dirty flags are sound only for seeds that were the parent model's
-// own coarsest quotient (RestrictOptions.SeedBlocksExact); arbitrary seeds
-// come through with dirty == nil and take the full pass.
+// own coarsest quotient, as RestrictWithQuotient requires of its block map;
+// arbitrary seeds come through with dirty == nil and take the full pass.
 func (q1 *Model) composeQuotient(seed []int32, b1 []int, dirty []bool) (*Model, []int, bool) {
 	if dirty == nil {
 		q2, b2 := q1.minimizeScratch()

@@ -125,9 +125,9 @@ func TestParallelKernelsRace(t *testing.T) {
 	wg.Wait()
 
 	// Restriction concurrent with evaluation: Restrict only reads the
-	// source model (through the same lazily built tables) and the
-	// restricted copies are evaluated in their own goroutines, exercising
-	// the joint-partition inheritance remap under -race.
+	// source model (through the same lazily built tables, checked under
+	// -race) and the restricted copies are evaluated in their own
+	// goroutines.
 	keep := bitset.New(n)
 	for w := 0; w < n; w++ {
 		if w%5 != 0 {

@@ -85,10 +85,10 @@ func restrictByHand(m *Model, keep *bitset.Set) *Model {
 	return sub
 }
 
-// TestRestrictAgreesWithHandRestriction is the guard on the incremental
-// construction paths: evaluating on Restrict(keep) — including the
-// remapped joint-view partitions and the renamed class ids — must agree
-// with evaluating on a model rebuilt by hand over the kept worlds.
+// TestRestrictAgreesWithHandRestriction is the guard on the columnar
+// construction paths: evaluating on Restrict(keep) — the gathered fact
+// columns and the renamed class ids — must agree with evaluating on a model
+// rebuilt by hand over the kept worlds.
 func TestRestrictAgreesWithHandRestriction(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 25; trial++ {
@@ -98,7 +98,7 @@ func TestRestrictAgreesWithHandRestriction(t *testing.T) {
 		formulas := propertyFormulas(numAgents)
 
 		// Warm the derived caches (joint views, reachability, partitions)
-		// so Restrict has memoized state to inherit and remap.
+		// so Restrict reads a model whose tables are already built.
 		for _, f := range formulas {
 			if _, err := m.Eval(f); err != nil {
 				t.Fatalf("trial %d: warm eval %s: %v", trial, f, err)
@@ -137,8 +137,8 @@ func TestRestrictAgreesWithHandRestriction(t *testing.T) {
 			}
 		}
 
-		// A second restriction chained on the first exercises remapping of
-		// already-remapped (pending) joint partitions.
+		// A second restriction chained on the first restricts a model whose
+		// relations are installed class ids rather than union-finds.
 		keep2 := bitset.New(sub.NumWorlds())
 		for w := 0; w < sub.NumWorlds(); w++ {
 			if rng.Intn(4) != 0 {
@@ -166,22 +166,22 @@ func TestRestrictAgreesWithHandRestriction(t *testing.T) {
 	}
 }
 
-// TestRestrictThenMutateDropsInheritedJoint pins the invalidation contract:
+// TestRestrictThenMutateRebuildsJoint pins the invalidation contract:
 // incremental construction on a restricted model must discard the
-// joint-view partitions it inherited, or D_G would be answered from the
+// joint-view partitions memoized on it, or D_G would be answered from the
 // pre-mutation relations.
-func TestRestrictThenMutateDropsInheritedJoint(t *testing.T) {
+func TestRestrictThenMutateRebuildsJoint(t *testing.T) {
 	m := NewModel(3, 2)
 	m.SetTrue(0, "p")
 	m.SetTrue(1, "p")
 	m.Indistinguishable(0, 0, 2) // agent 0 confuses 0 and 2; agent 1 discrete
 	g := logic.NewGroup(0, 1)
-	// Memoize the joint partition (still discrete: agent 1 separates all
-	// worlds), then restrict to everything — the submodel inherits it.
-	if _, err := m.Eval(logic.D(g, logic.P("p"))); err != nil {
+	// Restrict to everything and memoize the submodel's joint partition
+	// (still discrete: agent 1 separates all worlds).
+	sub := m.Restrict(bitset.NewFull(3))
+	if _, err := sub.Eval(logic.D(g, logic.P("p"))); err != nil {
 		t.Fatal(err)
 	}
-	sub := m.Restrict(bitset.NewFull(3))
 	// Mutate the restricted model: now agent 1 confuses 0 and 2 as well,
 	// so the joint view of {0,1} merges them.
 	sub.Indistinguishable(1, 0, 2)

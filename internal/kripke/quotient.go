@@ -92,8 +92,7 @@ func (m *Model) QuotientForEvalEpistemic(minWorlds int) *Quotiented {
 
 // epistemicView returns the model stripped of its temporal hook: a shallow
 // model sharing the (immutable once constructed) valuation columns, names,
-// relation ids and restriction-inherited seeds, with its own derived-table
-// caches.
+// relation ids and quotient seed, with its own derived-table caches.
 func (m *Model) epistemicView() *Model {
 	if m.Temporal == nil {
 		return m
@@ -101,8 +100,6 @@ func (m *Model) epistemicView() *Model {
 	v := NewModel(m.numWorlds, m.numAgents)
 	v.names = m.names
 	v.valuation = m.valuation
-	v.inheritedJoint = m.inheritedJoint
-	v.inheritedReach = m.inheritedReach
 	v.quotSeed = m.quotSeed
 	for a := 0; a < m.numAgents; a++ {
 		ids, n := m.relIDs(a)

@@ -156,11 +156,10 @@ func (p *Puzzle) ActualWorld() (int, error) {
 func (p *Puzzle) SetParallel(workers int) { p.parallel = workers }
 
 // announce applies a truthful public announcement given as a world set,
-// tracking the actual world through the restriction by rank. Restrict
-// threads memoized joint views and reachability seeds into the submodel;
-// the muddy model is its own bisimulation quotient (every world has a
-// distinct fact vector), so the round loop restricts the model directly
-// instead of paying a kripke.Chain's quotient pass per round.
+// tracking the actual world through the restriction by rank. The muddy
+// model is its own bisimulation quotient (every world has a distinct fact
+// vector), so the round loop restricts the model directly instead of
+// paying a kripke.Chain's quotient pass per round.
 func (p *Puzzle) announce(keep *bitset.Set) {
 	if p.actualWorld >= 0 {
 		if keep.Contains(p.actualWorld) {
@@ -380,9 +379,8 @@ const (
 // SimOptions tunes a simulation beyond the announcement mode.
 type SimOptions struct {
 	// TrackCommon evaluates C m at the actual world after every round and
-	// records the verdicts in SimResult.CommonM. The per-round C
-	// evaluation is exactly the workload the inherited reachability seeds
-	// accelerate.
+	// records the verdicts in SimResult.CommonM. Each round's C
+	// evaluation builds the reachability components of that round's model.
 	TrackCommon bool
 	// Parallel is the worker count of the per-round knowledge batch
 	// (kripke.BatchWorkers semantics): 0, the zero value, fans the n

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/bitset"
-	"repro/internal/kripke"
 	"repro/internal/logic"
 )
 
@@ -302,10 +301,10 @@ func BenchmarkBuildModel(b *testing.B) {
 }
 
 // scratchRounds is the reference round loop of SimulateOpts under the
-// public announcement: the model is copied with zero inheritance after the
-// father's announcement and after every round, so no memoized joint view or
-// reachability seed survives from one link to the next. It returns each
-// round's answers and the C m verdict after it, up to the first yes.
+// public announcement: the model is copied after the father's announcement
+// and after every round, and every verdict is asked of the puzzle one call
+// at a time. It returns each round's answers and the C m verdict after it,
+// up to the first yes.
 func scratchRounds(t *testing.T, n int, muddy []int, maxRounds int) (yes [][]bool, commonM []bool) {
 	t.Helper()
 	p, err := New(n, muddy)
@@ -313,7 +312,7 @@ func scratchRounds(t *testing.T, n int, muddy []int, maxRounds int) (yes [][]boo
 		t.Fatal(err)
 	}
 	fresh := func() {
-		p.model = p.model.RestrictOpts(bitset.NewFull(p.model.NumWorlds()), kripke.RestrictOptions{})
+		p.model = p.model.Restrict(bitset.NewFull(p.model.NumWorlds()))
 	}
 	if err := p.FatherAnnounces(); err != nil {
 		t.Fatal(err)
@@ -337,10 +336,10 @@ func scratchRounds(t *testing.T, n int, muddy []int, maxRounds int) (yes [][]boo
 	return yes, commonM
 }
 
-// TestSimulateOptsIncrementalMatchesScratch pins the round loop, whose
-// Restrict threads joint views and reachability seeds through every round,
-// to the from-scratch reference: answers, common-knowledge verdicts and
-// termination round alike.
+// TestSimulateOptsIncrementalMatchesScratch pins the round loop of
+// SimulateOpts, with its batched per-child evaluation, to the step-by-step
+// reference: answers, common-knowledge verdicts and termination round
+// alike.
 func TestSimulateOptsIncrementalMatchesScratch(t *testing.T) {
 	cases := []struct {
 		n     int

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/kripke"
 	"repro/internal/logic"
 )
 
@@ -153,7 +152,7 @@ func TestBuildWitnessIsFastestEarliestWake(t *testing.T) {
 }
 
 // scratchLadder is the reference for Built.Ladder: every link restricts
-// with zero inheritance, builds a fresh quotient-for-eval view, and asks
+// with plain Restrict, builds a fresh quotient-for-eval view, and asks
 // each verdict one formula at a time.
 func scratchLadder(t *testing.T, b *Built, p Params) []LadderStep {
 	t.Helper()
@@ -178,7 +177,7 @@ func scratchLadder(t *testing.T, b *Built, p Params) []LadderStep {
 			break
 		}
 		w = keep.Rank(w)
-		view = view.Model().RestrictOpts(keep, kripke.RestrictOptions{}).QuotientForEvalEpistemic(1)
+		view = view.Model().Restrict(keep).QuotientForEvalEpistemic(1)
 		step := LadderStep{Deliveries: d, Points: view.NumWorlds()}
 		for lvl := 1; lvl < p.Agents && holds(logic.EK(nil, lvl, phi)); lvl++ {
 			step.EDepth = lvl
@@ -190,8 +189,7 @@ func scratchLadder(t *testing.T, b *Built, p Params) []LadderStep {
 }
 
 // TestLadderIncrementalMatchesScratch checks the delivery ladder, whose
-// links thread the quotient block map and reachability seeds through each
-// restriction, against the from-scratch reference, and checks its shape:
+// links thread the quotient block map through each restriction, against the from-scratch reference, and checks its shape:
 // every link keeps or shrinks the model, and announcing the full delivery
 // count makes the broadcast fact common knowledge.
 func TestLadderIncrementalMatchesScratch(t *testing.T) {

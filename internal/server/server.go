@@ -329,12 +329,19 @@ func (s *Server) compute(h http.HandlerFunc) http.HandlerFunc {
 }
 
 func (s *Server) withRecover(h http.HandlerFunc) http.HandlerFunc {
+	return Recover(h, s.logf, func() { s.panics.Add(1) })
+}
+
+// Recover wraps h with panic recovery: a panicking request is counted
+// through onPanic, logged through logf and answered 500 with an error
+// body. knowd and knowrouter share it as their outermost middleware.
+func Recover(h http.HandlerFunc, logf func(format string, args ...any), onPanic func()) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if p := recover(); p != nil {
-				s.panics.Add(1)
-				s.logf("panic serving %s %s: %v", r.Method, r.URL.Path, p)
-				writeErr(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", p))
+				onPanic()
+				logf("panic serving %s %s: %v", r.Method, r.URL.Path, p)
+				WriteError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", p))
 			}
 		}()
 		h(w, r)
@@ -348,7 +355,7 @@ func (s *Server) withAdmit(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusServiceUnavailable, "draining")
+			WriteError(w, http.StatusServiceUnavailable, "draining")
 			return
 		}
 		select {
@@ -358,7 +365,7 @@ func (s *Server) withAdmit(h http.HandlerFunc) http.HandlerFunc {
 		default:
 			s.shed.Add(1)
 			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusTooManyRequests, "over capacity")
+			WriteError(w, http.StatusTooManyRequests, "over capacity")
 		}
 	}
 }
@@ -369,15 +376,17 @@ func (s *Server) withDedupe(h http.HandlerFunc) http.HandlerFunc {
 	return s.dedupe.Wrap(h)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with status and v encoded as a JSON body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
-func writeErr(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, errorBody{Error: msg})
+// WriteError answers with status and the {"error": msg} body every knowd
+// and knowrouter error response carries.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, errorBody{Error: msg})
 }
 
 // Handlers.
@@ -390,18 +399,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		// 503, not 200-with-a-sad-body: a health checker keys off the status
 		// code, and a draining daemon must stop receiving routed traffic
 		// before its listener actually closes.
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleSystems(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, Systems(s.cfg.Seed))
+	WriteJSON(w, http.StatusOK, Systems(s.cfg.Seed))
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.StatsSnapshot())
+	WriteJSON(w, http.StatusOK, s.StatsSnapshot())
 }
 
 // StatsSnapshot returns the current counter values.
@@ -428,7 +437,7 @@ func (s *Server) StatsSnapshot() Stats {
 
 func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 	var req OpenRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	seed := req.Seed
@@ -437,7 +446,7 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	ld, err := loadSystem(req.System, seed)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	ss := &session{seed: seed, ld: ld}
@@ -453,7 +462,7 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	s.opened.Add(1)
 	s.persistWriteThrough()
-	writeJSON(w, http.StatusCreated, s.stateOf(ss))
+	WriteJSON(w, http.StatusCreated, s.stateOf(ss))
 }
 
 // persistWriteThrough snapshots session state to disk after a mutation
@@ -501,7 +510,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		ss.mu.Unlock()
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) session(id string) *session {
@@ -517,38 +526,38 @@ func (s *Server) session(id string) *session {
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	ss := s.session(r.PathValue("id"))
 	if ss == nil {
-		writeErr(w, http.StatusNotFound, "no such session")
+		WriteError(w, http.StatusNotFound, "no such session")
 		return
 	}
 	ss.mu.Lock()
 	st := s.stateOf(ss)
 	ss.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	ss := s.session(r.PathValue("id"))
 	if ss == nil {
-		writeErr(w, http.StatusNotFound, "no such session")
+		WriteError(w, http.StatusNotFound, "no such session")
 		return
 	}
 	var req EvalRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Formulas) == 0 {
-		writeErr(w, http.StatusBadRequest, "empty formula batch")
+		WriteError(w, http.StatusBadRequest, "empty formula batch")
 		return
 	}
 	if len(req.Formulas) > maxBatch {
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("batch of %d formulas exceeds the %d cap", len(req.Formulas), maxBatch))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d formulas exceeds the %d cap", len(req.Formulas), maxBatch))
 		return
 	}
 	fs := make([]logic.Formula, len(req.Formulas))
 	for i, src := range req.Formulas {
 		f, err := logic.Parse(src)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Sprintf("formula %d: %v", i, err))
+			WriteError(w, http.StatusBadRequest, fmt.Sprintf("formula %d: %v", i, err))
 			return
 		}
 		fs[i] = f
@@ -567,7 +576,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		if r.Context().Err() != nil {
 			return // client gone; nobody is listening
 		}
-		writeErr(w, http.StatusUnprocessableEntity, err.Error())
+		WriteError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
 	resp := EvalResponse{
@@ -588,7 +597,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	body := AppendEvalResponse(nil, resp)
 	if len(body) > MaxResponseBytes-resessionHeadroom {
-		writeErr(w, http.StatusUnprocessableEntity, fmt.Sprintf(
+		WriteError(w, http.StatusUnprocessableEntity, fmt.Sprintf(
 			"eval response of %d bytes exceeds the %d-byte cap: ask for fewer formulas or no world lists",
 			len(body), MaxResponseBytes-resessionHeadroom))
 		return
@@ -614,16 +623,16 @@ func (s *Server) evalWorkers(req int) int {
 func (s *Server) handleAnnounce(w http.ResponseWriter, r *http.Request) {
 	ss := s.session(r.PathValue("id"))
 	if ss == nil {
-		writeErr(w, http.StatusNotFound, "no such session")
+		WriteError(w, http.StatusNotFound, "no such session")
 		return
 	}
 	var req AnnounceRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	f, err := logic.Parse(req.Formula)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	ss.mu.Lock()
@@ -640,25 +649,25 @@ func (s *Server) handleAnnounce(w http.ResponseWriter, r *http.Request) {
 			st := s.stateOf(ss)
 			ss.mu.Unlock()
 			s.replays.Add(1)
-			writeJSON(w, http.StatusOK, st)
+			WriteJSON(w, http.StatusOK, st)
 			return
 		default:
 			ss.mu.Unlock()
-			writeErr(w, http.StatusConflict,
+			WriteError(w, http.StatusConflict,
 				fmt.Sprintf("link precondition %d does not match chain at link %d", *req.Link, at))
 			return
 		}
 	}
 	if err := ss.announce(req.Formula, f); err != nil {
 		ss.mu.Unlock()
-		writeErr(w, http.StatusUnprocessableEntity, err.Error())
+		WriteError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
 	st := s.stateOf(ss)
 	ss.mu.Unlock()
 	s.announces.Add(1)
 	s.persistWriteThrough()
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
@@ -670,21 +679,22 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if !ok {
-		writeErr(w, http.StatusNotFound, "no such session")
+		WriteError(w, http.StatusNotFound, "no such session")
 		return
 	}
 	s.closed.Add(1)
 	s.persistWriteThrough()
-	writeJSON(w, http.StatusOK, map[string]string{"closed": id})
+	WriteJSON(w, http.StatusOK, map[string]string{"closed": id})
 }
 
-// decodeBody decodes a bounded JSON request body, reporting malformed
-// input as 400. Returns false when a response was already written.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// DecodeBody decodes a bounded JSON request body into v, rejecting unknown
+// fields and reporting malformed input as 400. It returns false when the
+// error response was already written.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return false
 	}
 	return true

@@ -452,7 +452,7 @@ func TestPanicRecovery(t *testing.T) {
 		if calls == 1 {
 			panic("first time hurts")
 		}
-		writeJSON(w, http.StatusOK, map[string]int{"call": calls})
+		WriteJSON(w, http.StatusOK, map[string]int{"call": calls})
 	})
 	req := httptest.NewRequest("POST", "/x", nil)
 	req.Header.Set("Idempotency-Key", "flaky")

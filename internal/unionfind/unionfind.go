@@ -60,27 +60,6 @@ func NewFromIDs(ids []int32, n int) *DSU {
 // Len returns the size of the universe.
 func (d *DSU) Len() int { return len(d.parent) }
 
-// Reset reinitializes the structure to n singleton sets, reusing the
-// backing arrays when they are large enough. It lets a caller that runs
-// many small local union-finds (the component-local reachability rebuild
-// of the kripke package) recycle one DSU instead of allocating per group.
-func (d *DSU) Reset(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if cap(d.parent) < n {
-		d.parent = make([]int, n)
-		d.size = make([]int, n)
-	}
-	d.parent = d.parent[:n]
-	d.size = d.size[:n]
-	d.comps = n
-	for i := 0; i < n; i++ {
-		d.parent[i] = i
-		d.size[i] = 1
-	}
-}
-
 // Find returns the canonical representative of the set containing x.
 func (d *DSU) Find(x int) int {
 	for d.parent[x] != x {
