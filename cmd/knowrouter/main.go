@@ -53,7 +53,7 @@ func run(args []string, out io.Writer) error {
 	healthEvery := fs.Duration("health-every", time.Second, "health probe sweep period")
 	failAfter := fs.Int("fail-after", 3, "consecutive failed probes before a shard is ejected")
 	readmitAfter := fs.Duration("readmit-after", 5*time.Second,
-		"cooldown before an ejected shard gets a half-open re-admission probe")
+		"cooldown before an ejected shard gets a half-open re-admission probe (also the data-path breaker's cooldown)")
 	shardAttempts := fs.Int("shard-attempts", 0, "data-path attempts per shard call (0 uses the client default)")
 	shardBaseDelay := fs.Duration("shard-base-delay", 0, "data-path retry base backoff (0 uses the client default)")
 	shardMaxDelay := fs.Duration("shard-max-delay", 0, "data-path retry backoff cap (0 uses the client default)")

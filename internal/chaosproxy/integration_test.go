@@ -180,7 +180,7 @@ func TestChaosConvergence(t *testing.T) {
 				t.Errorf("sessions: %d, want %d", sst.Sessions, workloadOpens)
 			}
 			t.Logf("seed %d: proxy %+v; server dedupe_hits=%d shed=%d; client retries=%d",
-				seed, pst, sst.DedupeHits, sst.Shed, c.Retries())
+				seed, pst, sst.DedupeHits, sst.Shed, c.Stats().Retries)
 		})
 	}
 }

@@ -6,8 +6,9 @@
 // network in between. Transient failures (connection errors, 429, 503,
 // 5xx) back off exponentially with full jitter drawn from the repo's
 // seeded splitmix64 stream, honoring Retry-After; a run of consecutive
-// failures opens a circuit breaker that fails fast until a cooldown
-// elapses and a half-open probe is allowed through.
+// failures opens a circuit breaker (Breaker, the state machine the router's
+// health checker shares) that fails fast until a cooldown elapses and a
+// half-open probe is allowed through.
 package client
 
 import (
@@ -109,20 +110,17 @@ func (c Config) withDefaults() Config {
 type Client struct {
 	cfg Config
 
-	mu       sync.Mutex
-	jitter   *faults.Stream
-	keyPfx   string
-	keySeq   uint64
-	fails    int       // consecutive failed calls
-	openedAt time.Time // breaker open time; zero when closed
-	probing  bool      // a half-open probe is in flight
+	mu      sync.Mutex
+	jitter  *faults.Stream
+	keyPfx  string
+	keySeq  uint64
+	breaker Breaker // fed once per call; a cancelled call is neutral
 
 	now   func() time.Time      // injectable for tests
 	sleep func(d time.Duration) // injectable for tests
 	rand  func(n int64) int64   // injectable for tests; default jitter stream
 
-	// Retries counts every retried attempt (total attempts minus calls),
-	// for tests and chaos assertions.
+	// retries counts every retried attempt (total attempts minus calls).
 	retries int
 	// sheds counts 429/503 responses observed across attempts: the
 	// server-side backpressure this client has been leaned on with. A
@@ -134,10 +132,11 @@ type Client struct {
 func New(cfg Config) *Client {
 	cfg = cfg.withDefaults()
 	c := &Client{
-		cfg:    cfg,
-		jitter: faults.NewStream(cfg.Seed),
-		now:    time.Now,
-		sleep:  time.Sleep,
+		cfg:     cfg,
+		jitter:  faults.NewStream(cfg.Seed),
+		breaker: Breaker{Threshold: cfg.BreakerThreshold, Cooldown: cfg.BreakerCooldown},
+		now:     time.Now,
+		sleep:   time.Sleep,
 	}
 	if cfg.DeterministicKeys {
 		c.keyPfx = fmt.Sprintf("c%x", cfg.Seed)
@@ -158,13 +157,6 @@ func New(cfg Config) *Client {
 	return c
 }
 
-// Retries reports how many retried attempts the client has made.
-func (c *Client) Retries() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.retries
-}
-
 // Stats is the client's own telemetry: breaker state, failure run length,
 // and backpressure counts. It is the client-side mirror of server.Stats —
 // a router health-checks shards off this instead of shadow-counting.
@@ -175,7 +167,7 @@ type Stats struct {
 	// ConsecutiveFails is the current run of failed calls; BreakerThreshold
 	// of them opens the breaker.
 	ConsecutiveFails int
-	// Retries mirrors the Retries accessor.
+	// Retries counts retried attempts (total attempts minus calls).
 	Retries int
 	// Sheds counts 429/503 responses observed across all attempts.
 	Sheds int
@@ -185,14 +177,7 @@ type Stats struct {
 func (c *Client) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := Stats{Breaker: "closed", ConsecutiveFails: c.fails, Retries: c.retries, Sheds: c.sheds}
-	if !c.openedAt.IsZero() {
-		st.Breaker = "open"
-		if c.probing || c.now().Sub(c.openedAt) >= c.cfg.BreakerCooldown {
-			st.Breaker = "half-open"
-		}
-	}
-	return st
+	return Stats{Breaker: c.breaker.State(c.now()), ConsecutiveFails: c.breaker.Fails(), Retries: c.retries, Sheds: c.sheds}
 }
 
 // nextKey mints the idempotency key for one logical call. The sequence is
@@ -204,43 +189,28 @@ func (c *Client) nextKey() string {
 	return fmt.Sprintf("%s-%d", c.keyPfx, c.keySeq)
 }
 
-// breakerAdmit decides whether a call may proceed. While open, only the
-// half-open probe after the cooldown is admitted.
+// breakerAdmit fails a call fast unless the breaker admits it.
 func (c *Client) breakerAdmit() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.openedAt.IsZero() {
-		return nil
-	}
-	if c.now().Sub(c.openedAt) < c.cfg.BreakerCooldown || c.probing {
+	if !c.breaker.Allow(c.now()) {
 		return ErrCircuitOpen
 	}
-	c.probing = true // this call is the probe
 	return nil
 }
 
 func (c *Client) recordOutcome(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.probing = false
-	if err == nil {
-		c.fails = 0
-		c.openedAt = time.Time{}
-		return
-	}
-	c.fails++
-	if c.fails >= c.cfg.BreakerThreshold {
-		c.openedAt = c.now()
-	}
+	c.breaker.Record(err == nil, c.now())
 }
 
-// recordNeutral ends a call that says nothing about the daemon's health —
-// a context-cancelled attempt (a hedge loser is cancelled on purpose).
-// Neither the failure run nor the breaker moves; a probe slot is released.
+// recordNeutral ends a context-cancelled call (a hedge loser is cancelled
+// on purpose): it says nothing about the daemon's health.
 func (c *Client) recordNeutral() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.probing = false
+	c.breaker.Release()
 }
 
 // retryable reports whether a response status is worth another attempt.

@@ -61,8 +61,8 @@ func TestRetryReusesIdempotencyKey(t *testing.T) {
 	if keys[0] == "" || keys[0] != keys[1] || keys[1] != keys[2] {
 		t.Fatalf("idempotency keys drift across retries: %v", keys)
 	}
-	if c.Retries() != 2 {
-		t.Fatalf("retries counter: %d", c.Retries())
+	if c.Stats().Retries != 2 {
+		t.Fatalf("retries counter: %d", c.Stats().Retries)
 	}
 	// The first backoff honors Retry-After: 1s floor beats the tiny jitter.
 	if len(st.slept) != 2 || st.slept[0] < time.Second {
@@ -211,8 +211,8 @@ func TestExhaustedRetries(t *testing.T) {
 	if err == nil {
 		t.Fatal("exhausted retries reported success")
 	}
-	if c.Retries() != 2 {
-		t.Fatalf("retries: %d", c.Retries())
+	if c.Stats().Retries != 2 {
+		t.Fatalf("retries: %d", c.Stats().Retries)
 	}
 }
 

@@ -99,21 +99,44 @@ func TestStatsSheds(t *testing.T) {
 // TestCancelledCallIsNeutral: a context-cancelled call (the hedge-loser
 // path) reports the cancellation but moves neither the failure run nor
 // the breaker — cancelling a healthy shard's request must not eject it.
+// Admitted as the half-open trial, it frees the trial slot, or the
+// breaker would stay half-open forever.
 func TestCancelledCallIsNeutral(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `{"error":"boom"}`, http.StatusInternalServerError)
 	}))
 	defer ts.Close()
 
-	c := New(Config{BaseURL: ts.URL, MaxAttempts: 1, BreakerThreshold: 1})
-	stubClock(c)
+	c := New(Config{BaseURL: ts.URL, MaxAttempts: 1, BreakerThreshold: 1, BreakerCooldown: 5 * time.Second})
+	clk := stubClock(c)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := c.EvalCtx(ctx, "s1", server.EvalRequest{Formulas: []string{"p"}})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled call error: %v", err)
+	cancelled := func() {
+		t.Helper()
+		_, err := c.EvalCtx(ctx, "s1", server.EvalRequest{Formulas: []string{"p"}})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled call error: %v", err)
+		}
 	}
+	cancelled()
 	if st := c.Stats(); st.Breaker != "closed" || st.ConsecutiveFails != 0 {
 		t.Fatalf("cancelled call fed the breaker: %+v", st)
+	}
+
+	// Trip the breaker, wait out the cooldown, and let a cancelled call be
+	// the half-open trial: the next call must still be admitted as the trial.
+	if _, err := c.Health(); err == nil {
+		t.Fatal("call against a 500 should fail")
+	}
+	if st := c.Stats(); st.Breaker != "open" {
+		t.Fatalf("breaker after a failed call: %+v", st)
+	}
+	clk.now = clk.now.Add(6 * time.Second)
+	cancelled()
+	if err := c.breakerAdmit(); err != nil {
+		t.Fatalf("cancelled half-open trial kept the trial slot: %v", err)
+	}
+	if st := c.Stats(); st.Breaker != "half-open" || st.ConsecutiveFails != 1 {
+		t.Fatalf("breaker after admitting the next trial: %+v", st)
 	}
 }

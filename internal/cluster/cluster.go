@@ -11,8 +11,8 @@
 // mechanism here is shaped by that:
 //
 //   - active health checks eject a shard after consecutive probe failures
-//     and re-admit it through a half-open probe, mirroring the
-//     internal/client breaker (whose telemetry the checker also reads);
+//     and re-admit it through a half-open probe, sharing client.Breaker
+//     and its cooldown with the data path (whose breaker it also reads);
 //   - a dead shard's sessions fail over by replaying their announcement
 //     sources on a successor; the announce-link CAS makes the replayed
 //     chain advance exactly-once even when the "dead" shard had already

@@ -18,11 +18,12 @@ type HealthConfig struct {
 	// Default 3.
 	FailAfter int
 	// ReadmitAfter is the cooldown an ejected shard sits out before a
-	// half-open probe may re-admit it. Default 5s.
+	// half-open probe may re-admit it, and the cooldown of each shard's
+	// data-path client breaker. Default 5s.
 	ReadmitAfter time.Duration
-	// Timeout bounds one probe. Default 2s.
-	Timeout time.Duration
 }
+
+const probeTimeout = 2 * time.Second // bounds one health probe
 
 func (c HealthConfig) withDefaults() HealthConfig {
 	if c.Every <= 0 {
@@ -34,18 +35,13 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	if c.ReadmitAfter <= 0 {
 		c.ReadmitAfter = 5 * time.Second
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = 2 * time.Second
-	}
 	return c
 }
 
-// shardHealth is one shard's view from the checker: probe failure run,
-// ejection state, and the decaying shed penalty that feeds routing weight.
+// shardHealth is one shard's view from the checker: the probe breaker
+// (ejected unless closed) and the decaying shed penalty on routing weight.
 type shardHealth struct {
-	ejected   bool
-	fails     int
-	ejectedAt time.Time
+	breaker   client.Breaker
 	penalty   float64
 	lastSheds int
 	// boot is the last incarnation stamp the shard advertised on healthz.
@@ -55,14 +51,18 @@ type shardHealth struct {
 	boot string
 }
 
-// checker actively health-checks the fleet. It mirrors the client breaker
-// semantics — consecutive failures open (eject), a cooldown ends in a
-// half-open probe, one success closes (re-admits) — and it also *reads*
-// each shard's data-path breaker through client.Stats, so a shard the data
-// path has already given up on is ejected without waiting for FailAfter
-// probe misses. The probe itself is a single raw un-retried GET /healthz:
-// a draining daemon answers 503 and must be treated as down immediately,
-// which the retrying client path would paper over.
+// ejected reports whether the breaker is not closed, which needs no clock.
+func (st *shardHealth) ejected() bool { return st.breaker.State(time.Time{}) != "closed" }
+
+// checker actively health-checks the fleet. Each shard's probe verdicts
+// feed a client.Breaker — consecutive failures open it (eject), a cooldown
+// ends in a half-open probe, one success closes it (re-admit) — and the
+// checker also *reads* each shard's data-path breaker through
+// client.Stats, so a shard the data path has already given up on is
+// ejected without waiting for FailAfter probe misses. The probe itself is
+// a single raw un-retried GET /healthz: a draining daemon answers 503 and
+// must be treated as down immediately, which the retrying client path
+// would paper over.
 type checker struct {
 	cfg     HealthConfig
 	shards  []Shard
@@ -86,12 +86,11 @@ type checker struct {
 	startOnce sync.Once
 	stopOnce  sync.Once
 	stop      chan struct{}
-	done      chan struct{}
 }
 
 func newChecker(cfg HealthConfig, shards []Shard, clients map[string]*client.Client, logf func(string, ...any)) *checker {
 	cfg = cfg.withDefaults()
-	hc := &http.Client{Timeout: cfg.Timeout}
+	hc := &http.Client{Timeout: probeTimeout}
 	c := &checker{
 		cfg:     cfg,
 		shards:  shards,
@@ -105,10 +104,9 @@ func newChecker(cfg HealthConfig, shards []Shard, clients map[string]*client.Cli
 		logf:  logf,
 		st:    make(map[string]*shardHealth),
 		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
 	}
 	for _, sh := range shards {
-		c.st[sh.ID] = &shardHealth{}
+		c.st[sh.ID] = &shardHealth{breaker: client.Breaker{Threshold: cfg.FailAfter, Cooldown: cfg.ReadmitAfter}}
 	}
 	return c
 }
@@ -133,7 +131,6 @@ func rawHealthProbe(hc *http.Client, addr string) (string, error) {
 func (c *checker) start() {
 	c.startOnce.Do(func() {
 		go func() {
-			defer close(c.done)
 			tc, stop := c.tick(c.cfg.Every)
 			defer stop()
 			for {
@@ -178,7 +175,8 @@ func (c *checker) sweep() {
 		verdicts = append(verdicts, verdict{sh.ID, boot, err, stats})
 	}
 
-	var ejected, readmitted, restarted []string
+	var ejected []verdict
+	var readmitted, restarted []string
 	c.mu.Lock()
 	for _, v := range verdicts {
 		st := c.st[v.id]
@@ -196,28 +194,19 @@ func (c *checker) sweep() {
 		delta := v.stats.Sheds - st.lastSheds
 		st.lastSheds = v.stats.Sheds
 		st.penalty = st.penalty/2 + float64(delta)
-		switch {
-		case !st.ejected && v.err != nil:
-			st.fails++
-			if st.fails >= c.cfg.FailAfter {
-				st.ejected = true
-				st.ejectedAt = now
-				ejected = append(ejected, v.id)
-			}
-		case !st.ejected:
-			st.fails = 0
-		case now.Sub(st.ejectedAt) >= c.cfg.ReadmitAfter:
-			// Half-open: this sweep's probe was the trial request.
-			if v.err == nil {
-				st.ejected = false
-				st.fails = 0
-				readmitted = append(readmitted, v.id)
-			} else {
-				st.ejectedAt = now // failed probe restarts the cooldown
-			}
+		// While the breaker cools down the verdict is ignored; once the
+		// cooldown lapses, this sweep's probe is the half-open trial.
+		wasOut := st.ejected()
+		if st.breaker.Allow(now) {
+			st.breaker.Record(v.err == nil, now)
 		}
-		if v.err != nil && c.logf != nil && !st.ejected {
-			c.logf("health: shard %s probe failed (%d/%d): %v", v.id, st.fails, c.cfg.FailAfter, v.err)
+		switch out := st.ejected(); {
+		case out && !wasOut:
+			ejected = append(ejected, v)
+		case !out && wasOut:
+			readmitted = append(readmitted, v.id)
+		case !out && v.err != nil && c.logf != nil:
+			c.logf("health: shard %s probe failed (%d/%d): %v", v.id, st.breaker.Fails(), c.cfg.FailAfter, v.err)
 		}
 	}
 	c.mu.Unlock()
@@ -230,12 +219,12 @@ func (c *checker) sweep() {
 			c.onRestart(id)
 		}
 	}
-	for _, id := range ejected {
+	for _, v := range ejected {
 		if c.logf != nil {
-			c.logf("health: shard %s ejected after %d consecutive probe failures", id, c.cfg.FailAfter)
+			c.logf("health: shard %s ejected: %v", v.id, v.err)
 		}
 		if c.onEject != nil {
-			c.onEject(id)
+			c.onEject(v.id)
 		}
 	}
 	for _, id := range readmitted {
@@ -253,7 +242,7 @@ func (c *checker) usable(id string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st, ok := c.st[id]
-	return ok && !st.ejected
+	return ok && !st.ejected()
 }
 
 // effectiveWeight maps a shard's static weight through its health state:
@@ -263,7 +252,7 @@ func (c *checker) effectiveWeight(id string, static int) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st, ok := c.st[id]
-	if !ok || st.ejected {
+	if !ok || st.ejected() {
 		return 0
 	}
 	return float64(static) / (1 + st.penalty)
@@ -277,8 +266,8 @@ func (c *checker) snapshot(id string) (state string, fails int, penalty float64)
 	if !ok {
 		return "unknown", 0, 0
 	}
-	if st.ejected {
-		return "ejected", st.fails, st.penalty
+	if st.ejected() {
+		return "ejected", st.breaker.Fails(), st.penalty
 	}
-	return "healthy", st.fails, st.penalty
+	return "healthy", st.breaker.Fails(), st.penalty
 }

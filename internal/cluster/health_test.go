@@ -186,3 +186,43 @@ func TestHealthShedPenalty(t *testing.T) {
 		t.Fatalf("weight after decay %v, want in (%v, 4)", w2, w1)
 	}
 }
+
+// TestReadmitFollowsReadmitAfter: a shard ejected because its data-path
+// breaker latched is re-admitted by a healthy half-open probe once
+// ReadmitAfter lapses, not after the client's own default cooldown — the
+// router gives its data-path clients the checker's cooldown.
+func TestReadmitFollowsReadmitAfter(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, `{"error":"boom"}`, http.StatusInternalServerError)
+	}))
+	defer ts.Close()
+	rt, err := New(Config{
+		Shards:           []Shard{{"n1", ts.URL, 1}},
+		ShardMaxAttempts: 1,
+		Health:           HealthConfig{FailAfter: 1, ReadmitAfter: 50 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := rt.clients["n1"].Health(); err == nil {
+			t.Fatal("call against a 500 should fail")
+		}
+	}
+	if st := rt.clients["n1"].Stats(); st.Breaker != "open" {
+		t.Fatalf("data-path breaker %q after 5 failed calls, want open", st.Breaker)
+	}
+	rt.health.probe = func(string) (string, error) { return "", nil }
+
+	rt.health.sweep()
+	if rt.health.usable("n1") {
+		t.Fatal("a latched data-path breaker did not eject n1")
+	}
+	for start := time.Now(); !rt.health.usable("n1"); rt.health.sweep() {
+		if time.Since(start) > 2*time.Second {
+			t.Fatalf("n1 still ejected after 2s with ReadmitAfter 50ms (data-path breaker %q)",
+				rt.clients["n1"].Stats().Breaker)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

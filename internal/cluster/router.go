@@ -55,6 +55,7 @@ func (c Config) withDefaults() Config {
 	if c.HedgeAfter == 0 {
 		c.HedgeAfter = 25 * time.Millisecond
 	}
+	c.Health = c.Health.withDefaults()
 	return c
 }
 
@@ -181,7 +182,9 @@ func New(cfg Config) (*Router, error) {
 			MaxAttempts: cfg.ShardMaxAttempts,
 			BaseDelay:   cfg.ShardBaseDelay,
 			MaxDelay:    cfg.ShardMaxDelay,
-			HTTPClient:  cfg.HTTPClient,
+			// The checker reads this breaker: one cooldown per shard.
+			BreakerCooldown: cfg.Health.ReadmitAfter,
+			HTTPClient:      cfg.HTTPClient,
 		})
 		rt.quick[sh.ID] = client.New(client.Config{
 			BaseURL:          sh.Addr,

@@ -121,10 +121,13 @@ func control(t *testing.T, sys string, seed int64, sources, formulas []string) (
 	return st, resp
 }
 
+// ejectShard drives the shard's probe breaker open with failed verdicts.
 func ejectShard(rt *Router, id string) {
 	rt.health.mu.Lock()
-	rt.health.st[id].ejected = true
-	rt.health.mu.Unlock()
+	defer rt.health.mu.Unlock()
+	for st := rt.health.st[id]; !st.ejected(); {
+		st.breaker.Record(false, rt.health.now())
+	}
 }
 
 func TestRouterBasicFlow(t *testing.T) {

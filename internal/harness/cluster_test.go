@@ -291,12 +291,13 @@ func TestClusterPartitionConvergence(t *testing.T) {
 
 			// Convergence: the fleet may keep churning for a few seconds after
 			// traffic stops (latched data-path breakers eject, evacuate, and
-			// readmit as cooldowns lapse), so demand one quiescent fixed-point
-			// iteration where everything holds at once: a reconcile pass found
-			// zero strays and zero shard errors, every shard is healthy, and
-			// every shard (asked directly, past the chaos link) holds exactly
-			// the replicas the router maps there. An upstream session that
-			// survived reconciliation unmapped would be a duplicate open.
+			// readmit once -readmit-after lapses), so demand one quiescent
+			// fixed-point iteration where everything holds at once: a
+			// reconcile pass found zero strays and zero shard errors, every
+			// shard is healthy, and every shard (asked directly, past the
+			// chaos link) holds exactly the replicas the router maps there.
+			// An upstream session that survived reconciliation unmapped
+			// would be a duplicate open.
 			deadline := time.Now().Add(20 * time.Second)
 			var st cluster.RouterStats
 			converged := false

@@ -22,6 +22,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -497,11 +498,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	for id := range s.sessions {
 		ids = append(ids, id)
 	}
-	slices.SortFunc(ids, func(a, b string) int {
-		na, _ := strconv.Atoi(a[1:])
-		nb, _ := strconv.Atoi(b[1:])
-		return na - nb
-	})
+	slices.SortFunc(ids, compareSessionIDs)
 	out := make([]SessionState, 0, len(ids))
 	for _, id := range ids {
 		ss := s.sessions[id]
@@ -747,11 +744,7 @@ func (s *Server) SaveSessions() (string, error) {
 		ss.mu.Unlock()
 	}
 	s.mu.Unlock()
-	slices.SortFunc(sf.Sessions, func(a, b persistedSession) int {
-		na, _ := strconv.Atoi(a.ID[1:])
-		nb, _ := strconv.Atoi(b.ID[1:])
-		return na - nb
-	})
+	slices.SortFunc(sf.Sessions, func(a, b persistedSession) int { return compareSessionIDs(a.ID, b.ID) })
 	if err := os.MkdirAll(s.cfg.StateDir, 0o755); err != nil {
 		return "", err
 	}
@@ -813,16 +806,14 @@ func (s *Server) LoadSessions() (int, error) {
 		if ss.ld.chain.Marked() != ps.Marked ||
 			ss.ld.chain.NumWorlds() != ps.Worlds ||
 			ss.ld.chain.QuotientWorlds() != ps.Quotient ||
-			!blocksEqual(ss.ld.chain.View().Blocks(), ps.Blocks) {
+			!slices.Equal(ss.ld.chain.View().Blocks(), ps.Blocks) {
 			s.logf("skipping persisted session %s: replayed chain does not match its record", ps.ID)
 			continue
 		}
 		s.mu.Lock()
 		s.sessions[ps.ID] = ss
 		s.mu.Unlock()
-		if n, err := strconv.ParseInt(ps.ID[1:], 10, 64); err == nil && n > maxID {
-			maxID = n
-		}
+		maxID = max(maxID, sessionSeq(ps.ID))
 		restored++
 	}
 	s.mu.Lock()
@@ -837,18 +828,25 @@ func (s *Server) LoadSessions() (int, error) {
 	return restored, nil
 }
 
-// blocksEqual compares block maps, treating nil and empty as equal.
-func blocksEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	return slices.Equal(a, b)
+// sessionSeq is the sequence number of a server-assigned session id: the
+// <n> of "s<n>" or of the boot-fenced "s<boot>-<n>".
+func sessionSeq(id string) int64 {
+	body := strings.TrimPrefix(id, "s")
+	n, _ := strconv.ParseInt(body[strings.IndexByte(body, '-')+1:], 10, 64)
+	return n
+}
+
+// compareSessionIDs orders session ids by sequence number, then by id, so
+// the session list and the state file come out in open order.
+func compareSessionIDs(a, b string) int {
+	return cmp.Or(cmp.Compare(sessionSeq(a), sessionSeq(b)), strings.Compare(a, b))
 }
 
 // validSessionID reports whether id has the server-assigned "s<digits>"
 // shape. Restore refuses anything else: every ID consumer (the session
-// list sort, the next-ID bump) slices off the leading byte and parses the
-// rest, and a hand-edited state file must not be able to panic the daemon.
+// list sort, the next-ID bump) reads the sequence number through
+// sessionSeq, and a hand-edited state file must not be able to panic the
+// daemon.
 func validSessionID(id string) bool {
 	if len(id) < 2 || id[0] != 's' {
 		return false

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -503,6 +504,64 @@ func TestSessionGet(t *testing.T) {
 	code, _ = do(t, ts, "GET", "/v1/sessions/nope", nil, "")
 	if code != http.StatusNotFound {
 		t.Fatalf("get missing session: %d", code)
+	}
+}
+
+// TestSessionOrderBootFenced: boot-fenced ids "s<boot>-<n>" list and
+// persist in open order (numerically, so sk9-10 follows sk9-9), and a
+// restore bumps the id sequence past them.
+func TestSessionOrderBootFenced(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Config{BootID: "k9", StateDir: dir})
+	var want []string
+	for i := 1; i <= 12; i++ {
+		if code, body := do(t, ts1, "POST", "/v1/sessions", OpenRequest{System: "muddy:2"}, ""); code != http.StatusCreated {
+			t.Fatalf("open: %d: %s", code, body)
+		}
+		want = append(want, fmt.Sprintf("sk9-%d", i))
+	}
+	code, body := do(t, ts1, "GET", "/v1/sessions", nil, "")
+	if code != http.StatusOK {
+		t.Fatalf("list: %d: %s", code, body)
+	}
+	var listed []string
+	for _, st := range decode[[]SessionState](t, body) {
+		listed = append(listed, st.Session)
+	}
+	if !slices.Equal(listed, want) {
+		t.Fatalf("listed %v, want %v", listed, want)
+	}
+
+	path, err := s1.SaveSessions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sf stateFile
+	if err := json.Unmarshal(data, &sf); err != nil {
+		t.Fatal(err)
+	}
+	var saved []string
+	for _, ps := range sf.Sessions {
+		saved = append(saved, ps.ID)
+	}
+	if !slices.Equal(saved, want) {
+		t.Fatalf("persisted %v, want %v", saved, want)
+	}
+
+	s2, ts2 := newTestServer(t, Config{BootID: "k9", StateDir: dir})
+	if n, err := s2.LoadSessions(); err != nil || n != 12 {
+		t.Fatalf("restored %d sessions (%v), want 12", n, err)
+	}
+	code, body = do(t, ts2, "POST", "/v1/sessions", OpenRequest{System: "muddy:2"}, "")
+	if code != http.StatusCreated {
+		t.Fatalf("open after restore: %d: %s", code, body)
+	}
+	if got := decode[SessionState](t, body).Session; got != "sk9-13" {
+		t.Fatalf("open after restore got id %s, want sk9-13", got)
 	}
 }
 
