@@ -332,29 +332,12 @@ func (m *Model) prepareBatch(ctx context.Context, fs []logic.Formula) {
 	}
 	for _, f := range fs {
 		logic.Walk(f, func(g logic.Formula) bool {
-			switch n := g.(type) {
-			case logic.Know:
-				markAgent(int(n.Agent))
-			case logic.Someone:
-				need(n.G, false, false)
-			case logic.Everyone:
-				need(n.G, false, false)
-			case logic.Dist:
-				need(n.G, true, false)
-			case logic.Common:
-				need(n.G, false, true)
-			case logic.EveryEps:
-				need(n.G, false, false)
-			case logic.CommonEps:
-				need(n.G, false, false)
-			case logic.EveryEv:
-				need(n.G, false, false)
-			case logic.CommonEv:
-				need(n.G, false, false)
-			case logic.EveryTime:
-				need(n.G, false, false)
-			case logic.CommonTime:
-				need(n.G, false, false)
+			if n, ok := g.(logic.Modal); ok {
+				if n.Op == logic.OpKnow {
+					markAgent(n.N)
+				} else if n.Op.Grouped() {
+					need(n.G, n.Op == logic.OpDist, n.Op == logic.OpCommon)
+				}
 			}
 			return true
 		})

@@ -164,7 +164,7 @@ func TestEvalBatchErrors(t *testing.T) {
 	fs := []logic.Formula{
 		logic.K(0, logic.P("p")),
 		logic.K(7, logic.P("p")), // agent out of range: the first error
-		logic.Eventually{F: logic.P("p")},
+		logic.Ev(logic.P("p")),
 	}
 	_, err := m.EvalBatch(fs, BatchWorkers(4))
 	if err == nil {

@@ -269,10 +269,7 @@ func (ev *evaluator) eval(f logic.Formula, env *binding) (*bitset.Set, bool, err
 	// Propositional connectives are not worth the key: recomputing them is
 	// a handful of word operations.
 	switch f.(type) {
-	case logic.Know, logic.Someone, logic.Everyone, logic.Dist, logic.Common,
-		logic.Nu, logic.Mu,
-		logic.EveryEps, logic.CommonEps, logic.EveryEv, logic.CommonEv,
-		logic.EveryTime, logic.CommonTime, logic.Eventually, logic.Always:
+	case logic.Modal, logic.Nu, logic.Mu:
 		start := len(ev.arena)
 		var closed bool
 		ev.arena, closed = logic.AppendKey(ev.arena, f, nil)
@@ -408,86 +405,47 @@ func (ev *evaluator) evalCompound(f logic.Formula, env *binding) (*bitset.Set, b
 		ev.releaseIf(r, rOwned)
 		return l, true, nil
 
-	case logic.Know:
-		if int(n.Agent) < 0 || int(n.Agent) >= ev.m.numAgents {
-			return nil, false, fmt.Errorf("kripke: agent %d out of range [0,%d)", n.Agent, ev.m.numAgents)
+	case logic.Modal:
+		if n.Op.Temporal() {
+			return ev.evalTemporal(f, env)
+		}
+		var agents []int
+		if n.Op == logic.OpKnow {
+			if n.N < 0 || n.N >= ev.m.numAgents {
+				return nil, false, fmt.Errorf("kripke: agent %d out of range [0,%d)", n.N, ev.m.numAgents)
+			}
+		} else {
+			var err error
+			if agents, err = ev.resolveAgents(n.G); err != nil {
+				return nil, false, err
+			}
 		}
 		phi, owned, err := ev.eval(n.F, env)
 		if err != nil {
 			return nil, false, err
 		}
-		dst := ev.alloc()
-		ev.m.part(ev.t, int(n.Agent)).knowInto(dst, phi, &ev.ks)
-		ev.releaseIf(phi, owned)
-		return dst, true, nil
-
-	case logic.Someone:
-		agents, err := ev.resolveAgents(n.G)
-		if err != nil {
-			return nil, false, err
-		}
-		phi, owned, err := ev.eval(n.F, env)
-		if err != nil {
-			return nil, false, err
+		if len(agents) == 0 && (n.Op == logic.OpDist || n.Op == logic.OpCommon) {
+			return phi, owned, nil // D_∅ φ and C_∅ φ are φ
 		}
 		dst := ev.alloc()
-		dst.Clear()
-		tmp := ev.alloc()
-		for _, a := range agents {
-			ev.m.part(ev.t, a).knowInto(tmp, phi, &ev.ks)
-			dst.Or(tmp)
+		switch n.Op {
+		case logic.OpKnow:
+			ev.m.part(ev.t, n.N).knowInto(dst, phi, &ev.ks)
+		case logic.OpSomeone:
+			dst.Clear()
+			tmp := ev.alloc()
+			for _, a := range agents {
+				ev.m.part(ev.t, a).knowInto(tmp, phi, &ev.ks)
+				dst.Or(tmp)
+			}
+			ev.release(tmp)
+		case logic.OpEveryone:
+			ev.m.everyoneInto(ev.t, agents, dst, phi, &ev.ks)
+		case logic.OpDist:
+			ev.m.jointPartition(ev.t, agents, ev.keyScratch()).knowInto(dst, phi, &ev.ks)
+		case logic.OpCommon:
+			ev.m.reachPartition(ev.t, agents, ev.keyScratch()).knowInto(dst, phi, &ev.ks)
 		}
-		ev.release(tmp)
-		ev.releaseIf(phi, owned)
-		return dst, true, nil
-
-	case logic.Everyone:
-		agents, err := ev.resolveAgents(n.G)
-		if err != nil {
-			return nil, false, err
-		}
-		phi, owned, err := ev.eval(n.F, env)
-		if err != nil {
-			return nil, false, err
-		}
-		dst := ev.alloc()
-		ev.m.everyoneInto(ev.t, agents, dst, phi, &ev.ks)
-		ev.releaseIf(phi, owned)
-		return dst, true, nil
-
-	case logic.Dist:
-		agents, err := ev.resolveAgents(n.G)
-		if err != nil {
-			return nil, false, err
-		}
-		phi, owned, err := ev.eval(n.F, env)
-		if err != nil {
-			return nil, false, err
-		}
-		if len(agents) == 0 {
-			return phi, owned, nil
-		}
-		p := ev.m.jointPartition(ev.t, agents, ev.keyScratch())
-		dst := ev.alloc()
-		p.knowInto(dst, phi, &ev.ks)
-		ev.releaseIf(phi, owned)
-		return dst, true, nil
-
-	case logic.Common:
-		agents, err := ev.resolveAgents(n.G)
-		if err != nil {
-			return nil, false, err
-		}
-		phi, owned, err := ev.eval(n.F, env)
-		if err != nil {
-			return nil, false, err
-		}
-		if len(agents) == 0 {
-			return phi, owned, nil
-		}
-		p := ev.m.reachPartition(ev.t, agents, ev.keyScratch())
-		dst := ev.alloc()
-		p.knowInto(dst, phi, &ev.ks)
 		ev.releaseIf(phi, owned)
 		return dst, true, nil
 
@@ -497,32 +455,34 @@ func (ev *evaluator) evalCompound(f logic.Formula, env *binding) (*bitset.Set, b
 	case logic.Mu:
 		return ev.fixpoint(n.Var, n.Body, env, false)
 
-	case logic.EveryEps, logic.CommonEps, logic.EveryEv, logic.CommonEv,
-		logic.EveryTime, logic.CommonTime, logic.Eventually, logic.Always:
-		if ev.m.Temporal == nil {
-			return nil, false, fmt.Errorf("%w: %s", ErrTemporal, f)
-		}
-		rec := func(sub logic.Formula) (*bitset.Set, error) {
-			s, owned, err := ev.eval(sub, env)
-			if err != nil {
-				return nil, err
-			}
-			if !owned {
-				// The temporal semantics may mutate or retain the set;
-				// hand it an independent copy of shared state.
-				return s.Clone(), nil
-			}
-			return s, nil
-		}
-		s, err := ev.m.Temporal.EvalTemporal(ev.m, f, rec)
-		if err != nil {
-			return nil, false, err
-		}
-		return s, true, nil
-
 	default:
 		return nil, false, fmt.Errorf("kripke: unsupported formula %T", f)
 	}
+}
+
+// evalTemporal hands a run-based operator to the model's temporal
+// semantics, which evaluates its operand through the evaluator.
+func (ev *evaluator) evalTemporal(f logic.Formula, env *binding) (*bitset.Set, bool, error) {
+	if ev.m.Temporal == nil {
+		return nil, false, fmt.Errorf("%w: %s", ErrTemporal, f)
+	}
+	rec := func(sub logic.Formula) (*bitset.Set, error) {
+		s, owned, err := ev.eval(sub, env)
+		if err != nil {
+			return nil, err
+		}
+		if !owned {
+			// The temporal semantics may mutate or retain the set;
+			// hand it an independent copy of shared state.
+			return s.Clone(), nil
+		}
+		return s, nil
+	}
+	s, err := ev.m.Temporal.EvalTemporal(ev.m, f, rec)
+	if err != nil {
+		return nil, false, err
+	}
+	return s, true, nil
 }
 
 // fixpoint computes νX.body (greatest = true) or μX.body (least). Greatest

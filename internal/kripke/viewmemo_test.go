@@ -39,6 +39,57 @@ func viewMemoFormulas(rng *rand.Rand, numAgents int) []logic.Formula {
 	return fs
 }
 
+// genStaticFormula generates a random closed formula without temporal
+// operators (which plain Kripke models cannot evaluate), constants and
+// fixed points included.
+func genStaticFormula(rng *rand.Rand, depth int, agents int, vars []string) logic.Formula {
+	if depth <= 0 {
+		switch rng.Intn(4) {
+		case 0:
+			return logic.P("p")
+		case 1:
+			return logic.P("q")
+		case 2:
+			return logic.Truth{Value: rng.Intn(2) == 0}
+		default:
+			if len(vars) > 0 {
+				return logic.Var{Name: vars[rng.Intn(len(vars))]}
+			}
+			return logic.P("p")
+		}
+	}
+	groups := []logic.Group{nil, logic.NewGroup(0), logic.NewGroup(0, 1)}
+	g := groups[rng.Intn(len(groups))]
+	sub := func() logic.Formula { return genStaticFormula(rng, depth-1, agents, vars) }
+	subNoVars := func() logic.Formula { return genStaticFormula(rng, depth-1, agents, nil) }
+	switch rng.Intn(11) {
+	case 0:
+		return logic.Neg(subNoVars())
+	case 1:
+		return logic.Conj(sub(), sub())
+	case 2:
+		return logic.Disj(sub(), sub())
+	case 3:
+		return logic.Imp(subNoVars(), sub())
+	case 4:
+		return logic.Equiv(subNoVars(), subNoVars())
+	case 5:
+		return logic.K(logic.Agent(rng.Intn(agents)), sub())
+	case 6:
+		return logic.E(g, sub())
+	case 7:
+		return logic.C(g, sub())
+	case 8:
+		return logic.D(g, sub())
+	case 9:
+		return logic.S(g, sub())
+	default:
+		name := string(rune('X' + rng.Intn(2)))
+		inner := genStaticFormula(rng, depth-1, agents, append(append([]string{}, vars...), name))
+		return logic.GFP(name, inner)
+	}
+}
+
 // modelVerdicts is the reference: Model.Eval on every formula.
 func modelVerdicts(t *testing.T, m *Model, fs []logic.Formula) []*bitset.Set {
 	t.Helper()

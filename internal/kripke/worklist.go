@@ -47,51 +47,42 @@ import (
 // variable itself, and the remaining conjuncts do not mention the variable.
 // It returns the modal node and the residual φ (Truth{true} when there are
 // no other conjuncts).
-func worklistShape(name string, body logic.Formula) (mod logic.Formula, phi logic.Formula, ok bool) {
-	var inner logic.Formula
-	switch n := body.(type) {
-	case logic.Know:
-		inner = n.F
-	case logic.Everyone:
-		inner = n.F
-	case logic.Dist:
-		inner = n.F
-	case logic.Common:
-		inner = n.F
-	default:
-		return nil, nil, false
+func worklistShape(name string, body logic.Formula) (mod logic.Modal, phi logic.Formula, ok bool) {
+	mod, ok = body.(logic.Modal)
+	if !ok || mod.Op == logic.OpSomeone || mod.Op > logic.OpCommon {
+		return mod, nil, false // S_G and the run-based operators have no partition form
 	}
-	switch c := inner.(type) {
+	switch c := mod.F.(type) {
 	case logic.Var:
 		if c.Name != name {
-			return nil, nil, false
+			return mod, nil, false
 		}
-		return body, logic.True, true
+		return mod, logic.True, true
 	case logic.And:
 		rest := make([]logic.Formula, 0, len(c.Fs))
 		seenVar := false
 		for _, f := range c.Fs {
 			if v, isVar := f.(logic.Var); isVar && v.Name == name {
 				if seenVar {
-					return nil, nil, false
+					return mod, nil, false
 				}
 				seenVar = true
 				continue
 			}
 			if logic.PolarityOf(f, name) != logic.PolarityNone {
-				return nil, nil, false
+				return mod, nil, false
 			}
 			rest = append(rest, f)
 		}
 		if !seenVar {
-			return nil, nil, false
+			return mod, nil, false
 		}
 		if len(rest) == 0 {
-			return body, logic.True, true
+			return mod, logic.True, true
 		}
-		return body, logic.Conj(rest...), true
+		return mod, logic.Conj(rest...), true
 	}
-	return nil, nil, false
+	return mod, nil, false
 }
 
 // worklistParts resolves the partitions the modal operator of a supported
@@ -102,41 +93,31 @@ func worklistShape(name string, body logic.Formula) (mod logic.Formula, phi logi
 // errors the naive path reports with its usual message) report !ok. The
 // returned slice aliases the evaluator's scratch and is valid until the
 // next worklistParts call.
-func (ev *evaluator) worklistParts(mod logic.Formula) ([]*partition, bool) {
-	switch n := mod.(type) {
-	case logic.Know:
-		if int(n.Agent) < 0 || int(n.Agent) >= ev.m.numAgents {
+func (ev *evaluator) worklistParts(mod logic.Modal) ([]*partition, bool) {
+	if mod.Op == logic.OpKnow {
+		if mod.N < 0 || mod.N >= ev.m.numAgents {
 			return nil, false
 		}
-		ev.wparts = append(ev.wparts[:0], ev.m.part(ev.t, int(n.Agent)))
+		ev.wparts = append(ev.wparts[:0], ev.m.part(ev.t, mod.N))
 		return ev.wparts, true
-	case logic.Everyone:
-		agents, err := ev.resolveAgents(n.G)
-		if err != nil || len(agents) == 0 {
-			return nil, false
-		}
+	}
+	agents, err := ev.resolveAgents(mod.G)
+	if err != nil || len(agents) == 0 {
+		return nil, false
+	}
+	switch mod.Op {
+	case logic.OpEveryone:
 		ev.m.ensureParts(ev.t, agents)
 		ev.wparts = ev.wparts[:0]
 		for _, a := range agents {
 			ev.wparts = append(ev.wparts, ev.t.parts[a].Load())
 		}
-		return ev.wparts, true
-	case logic.Dist:
-		agents, err := ev.resolveAgents(n.G)
-		if err != nil || len(agents) == 0 {
-			return nil, false
-		}
+	case logic.OpDist:
 		ev.wparts = append(ev.wparts[:0], ev.m.jointPartition(ev.t, agents, ev.keyScratch()))
-		return ev.wparts, true
-	case logic.Common:
-		agents, err := ev.resolveAgents(n.G)
-		if err != nil || len(agents) == 0 {
-			return nil, false
-		}
+	default: // OpCommon
 		ev.wparts = append(ev.wparts[:0], ev.m.reachPartition(ev.t, agents, ev.keyScratch()))
-		return ev.wparts, true
 	}
-	return nil, false
+	return ev.wparts, true
 }
 
 // fixpointWorklist computes νX.op_G(φ ∧ X) by chaotic iteration. parts are

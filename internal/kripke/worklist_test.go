@@ -98,7 +98,7 @@ func TestWorklistShape(t *testing.T) {
 		{logic.E(nil, logic.Conj(x, x)), false},                        // variable twice
 		{logic.E(nil, logic.Conj(logic.K(0, x), x)), false},            // variable inside a conjunct
 		{logic.E(nil, logic.Neg(x)), false},                            // non-positive
-		{logic.Someone{G: nil, F: x}, false},                           // S_G has no class-failure form
+		{logic.S(nil, x), false},                                       // S_G has no class-failure form
 		{logic.E(nil, logic.Conj(logic.P("p"), logic.X("X2"))), false}, // X absent
 		{logic.E(nil, x), true},
 		{logic.E(nil, logic.Conj(logic.P("p"), x)), true},

@@ -1,15 +1,26 @@
 // Package logic defines the epistemic language of Halpern & Moses,
 // "Knowledge and Common Knowledge in a Distributed Environment".
 //
-// The language extends propositional logic with knowledge operators for
-// individual agents (K_i), groups (S_G, E_G, E^k_G, D_G, C_G), the temporal
-// variants of Sections 11–12 (E^ε/C^ε, E^⋄/C^⋄, E^T/C^T), linear-time
-// operators ◇ and □, and the fixed-point operators ν and μ of Appendix A.
+// The language extends propositional logic with one node shape, Modal: an
+// operator over an agent or a group applied to φ. Its Op is one of
 //
-// Formulas are immutable trees. Evaluation lives in the kripke and fixpoint
-// packages; this package provides construction, printing, parsing, and the
-// syntactic analyses (free variables, positivity) that the fixed-point
-// semantics requires.
+//	K_i                 individual knowledge (N is the agent)
+//	S_G, E_G, D_G, C_G  someone, everyone, distributed, common knowledge
+//	E^ε_G, C^ε_G        Section 11, N = ε ticks
+//	E^⋄_G, C^⋄_G        Section 11, eventual
+//	E^T_G, C^T_G        Section 12, N = the timestamp T
+//	◇, □                linear time (footnote 7)
+//
+// Each C variant is the greatest fixed point of X ≡ E^x_G(φ ∧ X); E^k_G is
+// k nested E_G nodes. The fixed-point operators ν and μ of Appendix A bind
+// variables in their bodies.
+//
+// Formulas are immutable trees. Evaluation lives in the kripke, runs and
+// fixpoint packages; this package provides construction, printing,
+// parsing, structural equality and keys, substitution, and the positivity
+// check that the fixed-point semantics requires. One operator table gives
+// each Op its spelling, key prefix and parameter, and Parse, String and
+// AppendKey all read it.
 package logic
 
 import "sort"
@@ -116,95 +127,82 @@ type Iff struct {
 	L, R Formula
 }
 
-// Know is K_i φ: agent i knows φ.
-type Know struct {
-	Agent Agent
-	F     Formula
+// Modal is the operator Op over an agent or a group applied to F. N is the
+// operator's single integer: the agent of K, the ε of E^ε/C^ε or the T of
+// E^T/C^T, and 0 for every other Op. G is the group of a group operator
+// (nil for "all agents") and nil for K, ◇ and □. Build nodes with the
+// constructors below, which keep the unused fields zero.
+type Modal struct {
+	Op Op
+	N  int
+	G  Group
+	F  Formula
 }
 
-// Someone is S_G φ: some member of G knows φ (⋁_{i∈G} K_i φ).
-type Someone struct {
-	G Group
-	F Formula
+// Op names the operator of a Modal node.
+type Op uint8
+
+// The operators, in the paper's notation. The group operators take an
+// optional group; the run-based ones from OpEveryEps on need a model with
+// run/time structure (see Op.Temporal).
+const (
+	OpKnow       Op = iota // K_i φ: agent i knows φ
+	OpSomeone              // S_G φ: some member of G knows φ
+	OpEveryone             // E_G φ: every member of G knows φ
+	OpDist                 // D_G φ: φ is distributed knowledge in G
+	OpCommon               // C_G φ: the gfp of X ≡ E_G(φ ∧ X)
+	OpEveryEps             // E^ε_G φ (§11): all of G know φ within an ε-interval around now
+	OpCommonEps            // C^ε_G φ: the gfp of X ≡ E^ε_G(φ ∧ X)
+	OpEveryEv              // E^⋄_G φ (§11): all of G know φ at some point of the run
+	OpCommonEv             // C^⋄_G φ: the gfp of X ≡ E^⋄_G(φ ∧ X)
+	OpEveryTime            // E^T_G φ (§12): each member knows φ when its clock reads T
+	OpCommonTime           // C^T_G φ: the gfp of X ≡ E^T_G(φ ∧ X)
+	OpEventually           // ◇φ: φ holds now or later in the run (footnote 7)
+	OpAlways               // □φ: φ holds now and at every later point of the run
+)
+
+// param says what a Modal node's N is and how it is written.
+type param uint8
+
+const (
+	paramNone    param = iota // no integer: N is 0
+	paramAgent                // the agent, written right after the operator: K3
+	paramBracket              // ε or T, written in brackets: Ee[2], Ct[5]
+)
+
+// opInfo is one row of the operator table that Parse, String and AppendKey
+// read: how the operator is spelled, its structural-key prefix, what its
+// integer is, and whether it takes a group.
+type opInfo struct {
+	spell string
+	key   string
+	param param
+	group bool
 }
 
-// Everyone is E_G φ: every member of G knows φ (⋀_{i∈G} K_i φ).
-type Everyone struct {
-	G Group
-	F Formula
+var ops = [...]opInfo{
+	OpKnow:       {"K", "K", paramAgent, false},
+	OpSomeone:    {"S", "S", paramNone, true},
+	OpEveryone:   {"E", "E", paramNone, true},
+	OpDist:       {"D", "D", paramNone, true},
+	OpCommon:     {"C", "C", paramNone, true},
+	OpEveryEps:   {"Ee", "Ee", paramBracket, true},
+	OpCommonEps:  {"Ce", "Ce", paramBracket, true},
+	OpEveryEv:    {"Ev", "Ev", paramNone, true},
+	OpCommonEv:   {"Cv", "Cv", paramNone, true},
+	OpEveryTime:  {"Et", "Et", paramBracket, true},
+	OpCommonTime: {"Ct", "Ct", paramBracket, true},
+	OpEventually: {"<>", "F", paramNone, false},
+	OpAlways:     {"[]", "G", paramNone, false},
 }
 
-// Dist is D_G φ: φ is distributed knowledge in G.
-type Dist struct {
-	G Group
-	F Formula
-}
+// Temporal reports whether op is one of the run-based operators of
+// Sections 11–12 (E^ε, C^ε, E^⋄, C^⋄, E^T, C^T, ◇, □), which only a model
+// with run/time structure can evaluate.
+func (op Op) Temporal() bool { return op >= OpEveryEps }
 
-// Common is C_G φ: φ is common knowledge in G — the greatest fixed point of
-// X ≡ E_G(φ ∧ X), equivalently ⋀_k E^k_G φ under view-based interpretations.
-type Common struct {
-	G Group
-	F Formula
-}
-
-// EveryEps is E^ε_G φ (Section 11): there is an interval of ε time units
-// containing the current time in which every member of G comes to know φ.
-// Eps is measured in the system's discrete clock ticks.
-type EveryEps struct {
-	G   Group
-	Eps int
-	F   Formula
-}
-
-// CommonEps is C^ε_G φ: ε-common knowledge, the greatest fixed point of
-// X ≡ E^ε_G(φ ∧ X).
-type CommonEps struct {
-	G   Group
-	Eps int
-	F   Formula
-}
-
-// EveryEv is E^⋄_G φ (Section 11): every member of G knows φ at some point
-// of the current run.
-type EveryEv struct {
-	G Group
-	F Formula
-}
-
-// CommonEv is C^⋄_G φ: eventual common knowledge, the greatest fixed point
-// of X ≡ E^⋄_G(φ ∧ X).
-type CommonEv struct {
-	G Group
-	F Formula
-}
-
-// EveryTime is E^T_G φ (Section 12): every member of G knows φ at the point
-// of the current run where its own clock reads T.
-type EveryTime struct {
-	G Group
-	T int
-	F Formula
-}
-
-// CommonTime is C^T_G φ: timestamped common knowledge, the greatest fixed
-// point of X ≡ E^T_G(φ ∧ X).
-type CommonTime struct {
-	G Group
-	T int
-	F Formula
-}
-
-// Eventually is ◇φ: φ holds at some point (r, t') of the current run with
-// t' ≥ t (footnote 7 of the paper).
-type Eventually struct {
-	F Formula
-}
-
-// Always is □φ: φ holds at every point (r, t') of the current run with
-// t' ≥ t.
-type Always struct {
-	F Formula
-}
+// Grouped reports whether op ranges over a group of agents.
+func (op Op) Grouped() bool { return ops[op].group }
 
 // Nu is νX.φ: the greatest fixed point of φ viewed as a function of X
 // (Appendix A). All free occurrences of X in φ must be positive.
@@ -219,29 +217,17 @@ type Mu struct {
 	Body Formula
 }
 
-func (Prop) isFormula()       {}
-func (Truth) isFormula()      {}
-func (Var) isFormula()        {}
-func (Not) isFormula()        {}
-func (And) isFormula()        {}
-func (Or) isFormula()         {}
-func (Implies) isFormula()    {}
-func (Iff) isFormula()        {}
-func (Know) isFormula()       {}
-func (Someone) isFormula()    {}
-func (Everyone) isFormula()   {}
-func (Dist) isFormula()       {}
-func (Common) isFormula()     {}
-func (EveryEps) isFormula()   {}
-func (CommonEps) isFormula()  {}
-func (EveryEv) isFormula()    {}
-func (CommonEv) isFormula()   {}
-func (EveryTime) isFormula()  {}
-func (CommonTime) isFormula() {}
-func (Eventually) isFormula() {}
-func (Always) isFormula()     {}
-func (Nu) isFormula()         {}
-func (Mu) isFormula()         {}
+func (Prop) isFormula()    {}
+func (Truth) isFormula()   {}
+func (Var) isFormula()     {}
+func (Not) isFormula()     {}
+func (And) isFormula()     {}
+func (Or) isFormula()      {}
+func (Implies) isFormula() {}
+func (Iff) isFormula()     {}
+func (Modal) isFormula()   {}
+func (Nu) isFormula()      {}
+func (Mu) isFormula()      {}
 
 // Convenience constructors. These make test and example code read close to
 // the paper's notation.
@@ -302,51 +288,51 @@ func Imp(ant, cons Formula) Formula { return Implies{Ant: ant, Cons: cons} }
 func Equiv(l, r Formula) Formula { return Iff{L: l, R: r} }
 
 // K returns K_i φ.
-func K(i Agent, f Formula) Formula { return Know{Agent: i, F: f} }
+func K(i Agent, f Formula) Formula { return Modal{Op: OpKnow, N: int(i), F: f} }
 
 // S returns S_G φ.
-func S(g Group, f Formula) Formula { return Someone{G: g, F: f} }
+func S(g Group, f Formula) Formula { return Modal{Op: OpSomeone, G: g, F: f} }
 
 // E returns E_G φ.
-func E(g Group, f Formula) Formula { return Everyone{G: g, F: f} }
+func E(g Group, f Formula) Formula { return Modal{Op: OpEveryone, G: g, F: f} }
 
 // EK returns E^k_G φ as k nested E_G operators. EK(g, 0, φ) is φ itself.
 func EK(g Group, k int, f Formula) Formula {
 	for ; k > 0; k-- {
-		f = Everyone{G: g, F: f}
+		f = E(g, f)
 	}
 	return f
 }
 
 // D returns D_G φ.
-func D(g Group, f Formula) Formula { return Dist{G: g, F: f} }
+func D(g Group, f Formula) Formula { return Modal{Op: OpDist, G: g, F: f} }
 
 // C returns C_G φ.
-func C(g Group, f Formula) Formula { return Common{G: g, F: f} }
+func C(g Group, f Formula) Formula { return Modal{Op: OpCommon, G: g, F: f} }
 
 // Eeps returns E^ε_G φ.
-func Eeps(g Group, eps int, f Formula) Formula { return EveryEps{G: g, Eps: eps, F: f} }
+func Eeps(g Group, eps int, f Formula) Formula { return Modal{Op: OpEveryEps, N: eps, G: g, F: f} }
 
 // Ceps returns C^ε_G φ.
-func Ceps(g Group, eps int, f Formula) Formula { return CommonEps{G: g, Eps: eps, F: f} }
+func Ceps(g Group, eps int, f Formula) Formula { return Modal{Op: OpCommonEps, N: eps, G: g, F: f} }
 
 // Eev returns E^⋄_G φ.
-func Eev(g Group, f Formula) Formula { return EveryEv{G: g, F: f} }
+func Eev(g Group, f Formula) Formula { return Modal{Op: OpEveryEv, G: g, F: f} }
 
 // Cev returns C^⋄_G φ.
-func Cev(g Group, f Formula) Formula { return CommonEv{G: g, F: f} }
+func Cev(g Group, f Formula) Formula { return Modal{Op: OpCommonEv, G: g, F: f} }
 
 // Et returns E^T_G φ.
-func Et(g Group, ts int, f Formula) Formula { return EveryTime{G: g, T: ts, F: f} }
+func Et(g Group, ts int, f Formula) Formula { return Modal{Op: OpEveryTime, N: ts, G: g, F: f} }
 
 // Ct returns C^T_G φ.
-func Ct(g Group, ts int, f Formula) Formula { return CommonTime{G: g, T: ts, F: f} }
+func Ct(g Group, ts int, f Formula) Formula { return Modal{Op: OpCommonTime, N: ts, G: g, F: f} }
 
 // Ev returns ◇φ.
-func Ev(f Formula) Formula { return Eventually{F: f} }
+func Ev(f Formula) Formula { return Modal{Op: OpEventually, F: f} }
 
 // Alw returns □φ.
-func Alw(f Formula) Formula { return Always{F: f} }
+func Alw(f Formula) Formula { return Modal{Op: OpAlways, F: f} }
 
 // GFP returns νX.body.
 func GFP(x string, body Formula) Formula { return Nu{Var: x, Body: body} }

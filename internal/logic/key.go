@@ -48,37 +48,19 @@ func AppendKey(dst []byte, f Formula, bound []string) ([]byte, bool) {
 		dst, c1 := AppendKey(append(dst, '='), n.L, bound)
 		dst, c2 := AppendKey(dst, n.R, bound)
 		return dst, c1 && c2
-	case Know:
-		dst = strconv.AppendInt(append(dst, 'K'), int64(n.Agent), 10)
-		return AppendKey(append(dst, ':'), n.F, bound)
-	case Someone:
-		return AppendKey(appendGroup(append(dst, 'S'), n.G), n.F, bound)
-	case Everyone:
-		return AppendKey(appendGroup(append(dst, 'E'), n.G), n.F, bound)
-	case Dist:
-		return AppendKey(appendGroup(append(dst, 'D'), n.G), n.F, bound)
-	case Common:
-		return AppendKey(appendGroup(append(dst, 'C'), n.G), n.F, bound)
-	case EveryEps:
-		dst = strconv.AppendInt(append(dst, 'E', 'e'), int64(n.Eps), 10)
-		return AppendKey(appendGroup(dst, n.G), n.F, bound)
-	case CommonEps:
-		dst = strconv.AppendInt(append(dst, 'C', 'e'), int64(n.Eps), 10)
-		return AppendKey(appendGroup(dst, n.G), n.F, bound)
-	case EveryEv:
-		return AppendKey(appendGroup(append(dst, 'E', 'v'), n.G), n.F, bound)
-	case CommonEv:
-		return AppendKey(appendGroup(append(dst, 'C', 'v'), n.G), n.F, bound)
-	case EveryTime:
-		dst = strconv.AppendInt(append(dst, 'E', 't'), int64(n.T), 10)
-		return AppendKey(appendGroup(dst, n.G), n.F, bound)
-	case CommonTime:
-		dst = strconv.AppendInt(append(dst, 'C', 't'), int64(n.T), 10)
-		return AppendKey(appendGroup(dst, n.G), n.F, bound)
-	case Eventually:
-		return AppendKey(append(dst, 'F'), n.F, bound)
-	case Always:
-		return AppendKey(append(dst, 'G'), n.F, bound)
+	case Modal:
+		op := &ops[n.Op]
+		dst = append(dst, op.key...)
+		switch op.param {
+		case paramAgent:
+			dst = append(strconv.AppendInt(dst, int64(n.N), 10), ':')
+		case paramBracket:
+			dst = strconv.AppendInt(dst, int64(n.N), 10)
+		}
+		if op.group {
+			dst = appendGroup(dst, n.G)
+		}
+		return AppendKey(dst, n.F, bound)
 	case Nu:
 		return AppendKey(appendName(append(dst, 'n'), n.Var), n.Body, append(bound, n.Var))
 	case Mu:

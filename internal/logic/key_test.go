@@ -39,6 +39,18 @@ func TestKeyClosedness(t *testing.T) {
 }
 
 func TestKeyAgreesWithEqual(t *testing.T) {
+	// Every operator over every group and integer against every other: the
+	// one Modal node must not let two operators share a key prefix.
+	ms := modalsOver(P("p"))
+	for i, a := range ms {
+		for j, b := range ms {
+			ka, kb := key(a), key(b)
+			if Equal(a, b) != (i == j) || (ka == kb) != (i == j) {
+				t.Errorf("%s vs %s: Equal = %v, keys %q and %q", a, b, Equal(a, b), ka, kb)
+			}
+		}
+	}
+
 	gen := func(rng *rand.Rand, depth int) Formula {
 		return randomFormulaForKeys(rng, depth)
 	}
@@ -61,8 +73,24 @@ func TestKeyAgreesWithEqual(t *testing.T) {
 	}
 }
 
+// modalsOver returns every Modal operator applied to f: K over agents 0
+// and 1, ◇ and □, and each group operator over nil, {0} and {0,1}, with
+// ε and T of 0 and 1.
+func modalsOver(f Formula) []Formula {
+	out := []Formula{K(0, f), K(1, f), Ev(f), Alw(f)}
+	for _, g := range []Group{nil, NewGroup(0), NewGroup(0, 1)} {
+		out = append(out, S(g, f), E(g, f), D(g, f), C(g, f), Eev(g, f), Cev(g, f))
+		for n := 0; n < 2; n++ {
+			out = append(out, Eeps(g, n, f), Ceps(g, n, f), Et(g, n, f), Ct(g, n, f))
+		}
+	}
+	return out
+}
+
 // randomFormulaForKeys draws from a small pool so that random pairs collide
-// often enough to exercise the equal-keys direction.
+// often enough to exercise the equal-keys direction. Modal nodes come from
+// modalsOver, so every operator is drawn, with nil and explicit groups and
+// with varied ε and T.
 func randomFormulaForKeys(rng *rand.Rand, depth int) Formula {
 	if depth == 0 || rng.Intn(4) == 0 {
 		switch rng.Intn(4) {
@@ -77,7 +105,7 @@ func randomFormulaForKeys(rng *rand.Rand, depth int) Formula {
 		}
 	}
 	sub := func() Formula { return randomFormulaForKeys(rng, depth-1) }
-	switch rng.Intn(8) {
+	switch rng.Intn(10) {
 	case 0:
 		return Neg(sub())
 	case 1:
@@ -85,14 +113,15 @@ func randomFormulaForKeys(rng *rand.Rand, depth int) Formula {
 	case 2:
 		return Or{Fs: []Formula{sub(), sub()}}
 	case 3:
-		return K(Agent(rng.Intn(2)), sub())
-	case 4:
-		return E(NewGroup(0, 1), sub())
-	case 5:
-		return C(nil, sub())
-	case 6:
-		return GFP("X", Conj(sub(), X("X")))
-	default:
 		return Imp(sub(), sub())
+	case 4:
+		return Equiv(sub(), sub())
+	case 5:
+		return GFP("X", Conj(sub(), X("X")))
+	case 6:
+		return LFP("X", Disj(sub(), X("X")))
+	default:
+		ms := modalsOver(sub())
+		return ms[rng.Intn(len(ms))]
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestGroupNormalization(t *testing.T) {
@@ -156,6 +157,7 @@ func TestParseErrors(t *testing.T) {
 		fmt.Sprintf("E^%d m", MaxEPower+1),                       // k must be <= MaxEPower
 		fmt.Sprintf("E^9 E^%d m", MaxEPower-8),                   // so must the sum of the powers,
 		strings.Repeat(fmt.Sprintf("E^%d ", MaxEPower), 150)+"m", // over the whole formula
+		strings.Repeat("K0 ", MaxDepth)+"m",                      // nested past MaxDepth
 	)
 	for _, in := range bad {
 		if f, err := Parse(in); err == nil {
@@ -173,7 +175,65 @@ func TestParseEPowerBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := Conj(EK(nil, MaxEPower, P("m")), E(nil, P("q"))); !Equal(f, want) {
-		t.Errorf("Parse gave %d nodes, want %d", Size(f), Size(want))
+		t.Errorf("Parse(E^%d E^%d m & E q) = %s, want %s", half, half, f, want)
+	}
+}
+
+// TestParseDepthCap: Parse counts prefix operators (each E of an E^k),
+// binders, parentheses, operands and each <-> or -> towards MaxDepth, and
+// accepts a formula exactly at the cap.
+func TestParseDepthCap(t *testing.T) {
+	within := []string{
+		strings.Repeat("K0 ", MaxDepth-1) + "m",
+		strings.Repeat("K0 ", MaxDepth-1-MaxEPower) + fmt.Sprintf("E^%d m", MaxEPower),
+		strings.Repeat("(", MaxDepth-1) + "m" + strings.Repeat(")", MaxDepth-1),
+		strings.Repeat("m -> ", MaxDepth-1) + "m",
+		strings.Repeat("m <-> ", MaxDepth-1) + "m",
+		strings.Repeat("nu X . ", MaxDepth-1) + "X",
+		strings.Repeat("m & ", 4*MaxDepth) + "m", // a flat conjunction is one level
+	}
+	for _, in := range within {
+		if _, err := Parse(in); err != nil {
+			t.Errorf("Parse(%.40q...) = %v, want success", in, err)
+		}
+	}
+	past := []string{
+		strings.Repeat("K0 ", MaxDepth) + "m",
+		strings.Repeat("K0 ", MaxDepth-MaxEPower) + fmt.Sprintf("E^%d m", MaxEPower),
+		strings.Repeat("(", MaxDepth) + "m" + strings.Repeat(")", MaxDepth),
+		strings.Repeat("m -> ", MaxDepth) + "m",
+		strings.Repeat("m <-> ", MaxDepth) + "m",
+		strings.Repeat("nu X . ", MaxDepth) + "X",
+		strings.Repeat("~(m & ", MaxDepth/2) + "m" + strings.Repeat(")", MaxDepth/2),
+	}
+	for _, in := range past {
+		if _, err := Parse(in); err == nil || !strings.Contains(err.Error(), "nested deeper") {
+			t.Errorf("Parse(%.40q...) = %v, want a nesting error", in, err)
+		}
+	}
+}
+
+// TestParseIffChainUnderBinder: the positivity check visits each side of
+// an equivalence once, so a long <-> chain under a binder parses in time
+// linear in its length. The chain in the FuzzParse corpus is this one.
+func TestParseIffChainUnderBinder(t *testing.T) {
+	chain := strings.Repeat("p <-> ", 63)
+	done := make(chan [2]error, 1)
+	go func() {
+		_, errIn := Parse("nu X . " + chain + "X")
+		_, errOut := Parse("nu X . (" + chain + "p) & X")
+		done <- [2]error{errIn, errOut}
+	}()
+	select {
+	case errs := <-done:
+		if errs[0] == nil {
+			t.Error("X under <-> is not positive, but the chain parsed")
+		}
+		if errs[1] != nil {
+			t.Errorf("X outside the chain: %v", errs[1])
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("parsing a 64-term <-> chain under nu did not finish in 10s")
 	}
 }
 
@@ -196,13 +256,14 @@ func TestEKZero(t *testing.T) {
 }
 
 func TestFreeVarsAndPolarity(t *testing.T) {
+	// Key reports a formula closed iff it has no free variables.
 	f := MustParse("nu X . E (m & X)")
-	if fv := FreeVars(f); len(fv) != 0 {
-		t.Errorf("FreeVars(%s) = %v, want none", f, fv)
+	if _, closed := Key(f); !closed {
+		t.Errorf("%s has free variables, want none", f)
 	}
 	body := E(nil, Conj(P("m"), X("X")))
-	if fv := FreeVars(body); !fv["X"] || len(fv) != 1 {
-		t.Errorf("FreeVars(body) = %v, want {X}", fv)
+	if _, closed := Key(body); closed {
+		t.Errorf("%s is closed, want X free", body)
 	}
 	if p := PolarityOf(body, "X"); p != PolarityPositive {
 		t.Errorf("PolarityOf = %v, want positive", p)
@@ -215,6 +276,12 @@ func TestFreeVarsAndPolarity(t *testing.T) {
 	}
 	if p := PolarityOf(Imp(X("X"), P("m")), "X"); p != PolarityNegative {
 		t.Errorf("PolarityOf(X -> m) = %v, want negative", p)
+	}
+	if p := PolarityOf(Equiv(P("m"), K(0, X("X"))), "X"); p != PolarityMixed {
+		t.Errorf("PolarityOf(m <-> K0 X) = %v, want mixed", p)
+	}
+	if p := PolarityOf(Equiv(P("m"), P("q")), "X"); p != PolarityNone {
+		t.Errorf("PolarityOf(m <-> q) = %v, want none", p)
 	}
 	if p := PolarityOf(P("m"), "X"); p != PolarityNone {
 		t.Errorf("PolarityOf(m) = %v, want none", p)
@@ -241,43 +308,6 @@ func TestSubstitute(t *testing.T) {
 	want2 := Conj(P("m"), GFP("X", X("X")))
 	if !Equal(got, want2) {
 		t.Errorf("Substitute = %s, want %s", got, want2)
-	}
-}
-
-func TestSizeDepthModalDepth(t *testing.T) {
-	f := MustParse("K0 K1 (m & K0 m)")
-	if got := ModalDepth(f); got != 3 {
-		t.Errorf("ModalDepth = %d, want 3", got)
-	}
-	if got := ModalDepth(P("m")); got != 0 {
-		t.Errorf("ModalDepth(m) = %d, want 0", got)
-	}
-	if got := ModalDepth(MustParse("E E E m")); got != 3 {
-		t.Errorf("ModalDepth(E^3 m) = %d, want 3", got)
-	}
-	if Size(P("m")) != 1 || Depth(P("m")) != 1 {
-		t.Error("Size/Depth of atom should be 1")
-	}
-	g := Conj(P("a"), Neg(P("b")))
-	if Size(g) != 4 {
-		t.Errorf("Size = %d, want 4", Size(g))
-	}
-	if Depth(g) != 3 {
-		t.Errorf("Depth = %d, want 3", Depth(g))
-	}
-}
-
-func TestPropsAndAgents(t *testing.T) {
-	f := MustParse("K0 m & E{1,2} (p -> q) & C sent")
-	props := Props(f)
-	for _, name := range []string{"m", "p", "q", "sent"} {
-		if !props[name] {
-			t.Errorf("Props missing %q", name)
-		}
-	}
-	ag := Agents(f)
-	if !ag[0] || !ag[1] || !ag[2] || len(ag) != 3 {
-		t.Errorf("Agents = %v, want {0,1,2}", ag)
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 
 // Parse parses a formula in the concrete syntax documented in print.go.
 // It returns an error describing the first syntax problem encountered, and
-// rejects formulas violating the positivity restriction on fixed points.
+// rejects formulas nested deeper than MaxDepth or violating the positivity
+// restriction on fixed points.
 func Parse(input string) (Formula, error) {
 	p := &parser{src: input}
 	f, err := p.parseFormula(precIff)
@@ -42,10 +43,19 @@ func MustParse(input string) Formula {
 // expands to no more E nodes than a megabyte of plain "E " spells out.
 const MaxEPower = 1 << 9
 
+// MaxDepth bounds how deeply a formula nests. Parse counts the levels open
+// at each point of the input: one per prefix operator or binder (k for an
+// E^k), per pair of parentheses, per operand, and per <-> or -> on the way
+// in. The evaluator builds the structural key of every closed modal
+// subformula, so a chain of n nested operators costs about 1.5·n² key
+// bytes: 1.5 MB at this bound, where E^MaxEPower still parses.
+const MaxDepth = 1 << 10
+
 type parser struct {
 	src    string
 	pos    int
 	powers int // sum of k over the E^k parsed so far
+	depth  int // nesting levels open at pos
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -150,49 +160,82 @@ func (p *parser) bracketInt() (int, error) {
 	return n, nil
 }
 
-// parseFormula parses at the given minimum precedence level.
+// parseFormula parses at the given minimum precedence level. The levels
+// its binary connectives open close again when it returns.
 func (p *parser) parseFormula(minPrec int) (Formula, error) {
+	depth := p.depth
+	f, err := p.parseBinary(minPrec)
+	p.depth = depth
+	return f, err
+}
+
+func (p *parser) parseBinary(minPrec int) (Formula, error) {
 	left, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
 	for {
+		var op string
+		var prec int
 		switch {
 		case minPrec <= precAnd && p.peek("&"):
-			p.accept("&")
-			right, err := p.parseFormula(precAnd + 1)
-			if err != nil {
-				return nil, err
-			}
-			left = Conj(left, right)
+			op, prec = "&", precAnd+1
 		case minPrec <= precOr && !p.peek("|>") && p.peek("|"):
-			p.accept("|")
-			right, err := p.parseFormula(precOr + 1)
-			if err != nil {
-				return nil, err
-			}
-			left = Disj(left, right)
+			op, prec = "|", precOr+1
 		case minPrec <= precIff && p.peek("<->"):
-			p.accept("<->")
-			right, err := p.parseFormula(precIff + 1)
-			if err != nil {
-				return nil, err
-			}
-			left = Iff{L: left, R: right}
+			op, prec = "<->", precIff+1
 		case minPrec <= precImplies && p.peek("->"):
-			p.accept("->")
-			right, err := p.parseFormula(precImplies) // right associative
-			if err != nil {
-				return nil, err
-			}
-			left = Implies{Ant: left, Cons: right}
+			op, prec = "->", precImplies // right associative
 		default:
 			return left, nil
+		}
+		p.accept(op)
+		// Each <-> or -> nests its operands one level deeper; & and | build
+		// flat n-ary nodes.
+		if op == "<->" || op == "->" {
+			if err := p.nest(1); err != nil {
+				return nil, err
+			}
+		}
+		right, err := p.parseFormula(prec)
+		if err != nil {
+			return nil, err
+		}
+		switch op {
+		case "&":
+			left = Conj(left, right)
+		case "|":
+			left = Disj(left, right)
+		case "<->":
+			left = Iff{L: left, R: right}
+		default:
+			left = Implies{Ant: left, Cons: right}
 		}
 	}
 }
 
+// nest opens levels more levels of nesting and fails once the formula
+// nests deeper than MaxDepth. Callers close them by restoring p.depth.
+func (p *parser) nest(levels int) error {
+	if p.depth += levels; p.depth > MaxDepth {
+		return p.errf("formula nested deeper than %d", MaxDepth)
+	}
+	return nil
+}
+
+// parseUnary parses one operand: an atom, a parenthesised formula, or a
+// prefix operator or binder with its operand, one level deeper than its
+// context.
 func (p *parser) parseUnary() (Formula, error) {
+	if err := p.nest(1); err != nil {
+		return nil, err
+	}
+	f, err := p.unary()
+	p.depth--
+	return f, err
+}
+
+func (p *parser) unary() (Formula, error) {
 	p.skipSpace()
 	if p.pos >= len(p.src) {
 		return nil, p.errf("unexpected end of input")
@@ -205,18 +248,10 @@ func (p *parser) parseUnary() (Formula, error) {
 			return nil, err
 		}
 		return Not{F: f}, nil
-	case p.accept("<>"):
-		f, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return Eventually{F: f}, nil
-	case p.accept("[]"):
-		f, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return Always{F: f}, nil
+	case p.accept(ops[OpEventually].spell):
+		return p.modal(OpEventually, 0)
+	case p.accept(ops[OpAlways].spell):
+		return p.modal(OpAlways, 0)
 	case p.accept("("):
 		f, err := p.parseFormula(precIff)
 		if err != nil {
@@ -271,109 +306,19 @@ func (p *parser) parseIdent(id string) (Formula, error) {
 	}
 
 	// K<int>: individual knowledge.
-	if strings.HasPrefix(id, "K") && len(id) > 1 && allDigits(id[1:]) {
+	if strings.HasPrefix(id, ops[OpKnow].spell) && len(id) > 1 && allDigits(id[1:]) {
 		n, err := strconv.Atoi(id[1:])
 		if err != nil {
 			return nil, p.errf("bad agent index in %q", id)
 		}
-		f, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return Know{Agent: Agent(n), F: f}, nil
+		return p.modal(OpKnow, n)
 	}
 
-	// Modal group operators. Note longest-match ordering: Ee/Ev/Et before E,
-	// Ce/Cv/Ct before C.
-	switch id {
-	case "Ee", "Ce":
-		eps, err := p.bracketInt()
-		if err != nil {
-			return nil, err
-		}
-		g, err := p.group()
-		if err != nil {
-			return nil, err
-		}
-		f, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		if id == "Ee" {
-			return EveryEps{G: g, Eps: eps, F: f}, nil
-		}
-		return CommonEps{G: g, Eps: eps, F: f}, nil
-	case "Et", "Ct":
-		ts, err := p.bracketInt()
-		if err != nil {
-			return nil, err
-		}
-		g, err := p.group()
-		if err != nil {
-			return nil, err
-		}
-		f, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		if id == "Et" {
-			return EveryTime{G: g, T: ts, F: f}, nil
-		}
-		return CommonTime{G: g, T: ts, F: f}, nil
-	case "Ev", "Cv":
-		g, err := p.group()
-		if err != nil {
-			return nil, err
-		}
-		f, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		if id == "Ev" {
-			return EveryEv{G: g, F: f}, nil
-		}
-		return CommonEv{G: g, F: f}, nil
-	case "E":
-		// optional ^k exponent
-		k := 1
-		if p.accept("^") {
-			var err error
-			k, err = p.integer()
-			if err != nil {
-				return nil, err
-			}
-			if k < 1 {
-				return nil, p.errf("E^k requires k >= 1")
-			}
-			if p.powers += k; k > MaxEPower || p.powers > MaxEPower {
-				return nil, p.errf("E^k powers sum past %d", MaxEPower)
-			}
-		}
-		g, err := p.group()
-		if err != nil {
-			return nil, err
-		}
-		f, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return EK(g, k, f), nil
-	case "S", "D", "C":
-		g, err := p.group()
-		if err != nil {
-			return nil, err
-		}
-		f, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		switch id {
-		case "S":
-			return Someone{G: g, F: f}, nil
-		case "D":
-			return Dist{G: g, F: f}, nil
-		default:
-			return Common{G: g, F: f}, nil
+	// Group operators: the identifier is the whole spelling, so Ee, Ev and
+	// Et never match E.
+	for op := OpSomeone; op <= OpCommonTime; op++ {
+		if id == ops[op].spell {
+			return p.modal(op, 0)
 		}
 	}
 
@@ -383,6 +328,49 @@ func (p *parser) parseIdent(id string) (Formula, error) {
 		return Var{Name: id}, nil
 	}
 	return Prop{Name: id}, nil
+}
+
+// modal parses the rest of a Modal node whose operator has been read (n is
+// K's agent): the bracketed ε or T, the optional group and the operand. E
+// may carry an exponent, E^k, which expands to k nested E nodes and opens
+// k levels of nesting.
+func (p *parser) modal(op Op, n int) (Formula, error) {
+	k := 1
+	if op == OpEveryone && p.accept("^") {
+		var err error
+		k, err = p.integer()
+		if err != nil {
+			return nil, err
+		}
+		if k < 1 {
+			return nil, p.errf("E^k requires k >= 1")
+		}
+		if p.powers += k; k > MaxEPower || p.powers > MaxEPower {
+			return nil, p.errf("E^k powers sum past %d", MaxEPower)
+		}
+	}
+	if ops[op].param == paramBracket {
+		var err error
+		if n, err = p.bracketInt(); err != nil {
+			return nil, err
+		}
+	}
+	var g Group
+	if ops[op].group {
+		var err error
+		if g, err = p.group(); err != nil {
+			return nil, err
+		}
+	}
+	if err := p.nest(k - 1); err != nil {
+		return nil, err
+	}
+	f, err := p.parseUnary()
+	p.depth -= k - 1
+	if err != nil {
+		return nil, err
+	}
+	return EK(g, k-1, Modal{Op: op, N: n, G: g, F: f}), nil
 }
 
 func allDigits(s string) bool {

@@ -1,7 +1,6 @@
 package logic
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -19,8 +18,7 @@ import (
 //	K1 phi           K_1 phi (agent index follows K)
 //	S{0,2} phi       S_G phi; omit {..} for "all agents": S phi
 //	E{0,2} phi       E_G phi
-//	E^3{0,2} phi     E^k_G phi (expanded to nested E; the k in one formula
-//	                 sum to at most MaxEPower)
+//	E^3{0,2} phi     E^k_G phi (expanded to k nested E)
 //	D{0,2} phi       D_G phi
 //	C{0,2} phi       C_G phi
 //	Ee[2]{0,1} phi   E^eps_G phi with eps = 2 ticks
@@ -32,6 +30,10 @@ import (
 //	[] phi           always (temporal)
 //	nu X . phi       greatest fixed point
 //	mu X . phi       least fixed point
+//
+// The operators' spellings come from the table in ast.go. The k of the E^k
+// in one formula sum to at most MaxEPower, and no formula nests deeper than
+// MaxDepth levels (each E of an E^k is one).
 
 // precedence levels, loosest first
 const (
@@ -82,41 +84,22 @@ func (f Implies) String() string {
 func (f Iff) String() string {
 	return paren(f.L, precIff+1) + " <-> " + paren(f.R, precIff+1)
 }
-func (f Know) String() string { return fmt.Sprintf("K%d %s", f.Agent, paren(f.F, precUnary)) }
-func (f Someone) String() string {
-	return "S" + groupString(f.G) + " " + paren(f.F, precUnary)
+func (f Modal) String() string {
+	op := &ops[f.Op]
+	var n, g string
+	switch op.param {
+	case paramAgent:
+		n = strconv.Itoa(f.N)
+	case paramBracket:
+		n = "[" + strconv.Itoa(f.N) + "]"
+	}
+	if op.group {
+		g = groupString(f.G)
+	}
+	return op.spell + n + g + " " + paren(f.F, precUnary)
 }
-func (f Everyone) String() string {
-	return "E" + groupString(f.G) + " " + paren(f.F, precUnary)
-}
-func (f Dist) String() string {
-	return "D" + groupString(f.G) + " " + paren(f.F, precUnary)
-}
-func (f Common) String() string {
-	return "C" + groupString(f.G) + " " + paren(f.F, precUnary)
-}
-func (f EveryEps) String() string {
-	return fmt.Sprintf("Ee[%d]%s %s", f.Eps, groupString(f.G), paren(f.F, precUnary))
-}
-func (f CommonEps) String() string {
-	return fmt.Sprintf("Ce[%d]%s %s", f.Eps, groupString(f.G), paren(f.F, precUnary))
-}
-func (f EveryEv) String() string {
-	return "Ev" + groupString(f.G) + " " + paren(f.F, precUnary)
-}
-func (f CommonEv) String() string {
-	return "Cv" + groupString(f.G) + " " + paren(f.F, precUnary)
-}
-func (f EveryTime) String() string {
-	return fmt.Sprintf("Et[%d]%s %s", f.T, groupString(f.G), paren(f.F, precUnary))
-}
-func (f CommonTime) String() string {
-	return fmt.Sprintf("Ct[%d]%s %s", f.T, groupString(f.G), paren(f.F, precUnary))
-}
-func (f Eventually) String() string { return "<> " + paren(f.F, precUnary) }
-func (f Always) String() string     { return "[] " + paren(f.F, precUnary) }
-func (f Nu) String() string         { return "nu " + f.Var + " . " + f.Body.String() }
-func (f Mu) String() string         { return "mu " + f.Var + " . " + f.Body.String() }
+func (f Nu) String() string { return "nu " + f.Var + " . " + f.Body.String() }
+func (f Mu) String() string { return "mu " + f.Var + " . " + f.Body.String() }
 
 // precOf returns the precedence of the top-level connective of f.
 func precOf(f Formula) int {

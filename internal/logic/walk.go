@@ -46,45 +46,9 @@ func Equal(a, b Formula) bool {
 	case Iff:
 		y, ok := b.(Iff)
 		return ok && Equal(x.L, y.L) && Equal(x.R, y.R)
-	case Know:
-		y, ok := b.(Know)
-		return ok && x.Agent == y.Agent && Equal(x.F, y.F)
-	case Someone:
-		y, ok := b.(Someone)
-		return ok && x.G.Equal(y.G) && Equal(x.F, y.F)
-	case Everyone:
-		y, ok := b.(Everyone)
-		return ok && x.G.Equal(y.G) && Equal(x.F, y.F)
-	case Dist:
-		y, ok := b.(Dist)
-		return ok && x.G.Equal(y.G) && Equal(x.F, y.F)
-	case Common:
-		y, ok := b.(Common)
-		return ok && x.G.Equal(y.G) && Equal(x.F, y.F)
-	case EveryEps:
-		y, ok := b.(EveryEps)
-		return ok && x.G.Equal(y.G) && x.Eps == y.Eps && Equal(x.F, y.F)
-	case CommonEps:
-		y, ok := b.(CommonEps)
-		return ok && x.G.Equal(y.G) && x.Eps == y.Eps && Equal(x.F, y.F)
-	case EveryEv:
-		y, ok := b.(EveryEv)
-		return ok && x.G.Equal(y.G) && Equal(x.F, y.F)
-	case CommonEv:
-		y, ok := b.(CommonEv)
-		return ok && x.G.Equal(y.G) && Equal(x.F, y.F)
-	case EveryTime:
-		y, ok := b.(EveryTime)
-		return ok && x.G.Equal(y.G) && x.T == y.T && Equal(x.F, y.F)
-	case CommonTime:
-		y, ok := b.(CommonTime)
-		return ok && x.G.Equal(y.G) && x.T == y.T && Equal(x.F, y.F)
-	case Eventually:
-		y, ok := b.(Eventually)
-		return ok && Equal(x.F, y.F)
-	case Always:
-		y, ok := b.(Always)
-		return ok && Equal(x.F, y.F)
+	case Modal:
+		y, ok := b.(Modal)
+		return ok && x.Op == y.Op && x.N == y.N && x.G.Equal(y.G) && Equal(x.F, y.F)
 	case Nu:
 		y, ok := b.(Nu)
 		return ok && x.Var == y.Var && Equal(x.Body, y.Body)
@@ -110,31 +74,7 @@ func children(f Formula) []Formula {
 		return []Formula{x.Ant, x.Cons}
 	case Iff:
 		return []Formula{x.L, x.R}
-	case Know:
-		return []Formula{x.F}
-	case Someone:
-		return []Formula{x.F}
-	case Everyone:
-		return []Formula{x.F}
-	case Dist:
-		return []Formula{x.F}
-	case Common:
-		return []Formula{x.F}
-	case EveryEps:
-		return []Formula{x.F}
-	case CommonEps:
-		return []Formula{x.F}
-	case EveryEv:
-		return []Formula{x.F}
-	case CommonEv:
-		return []Formula{x.F}
-	case EveryTime:
-		return []Formula{x.F}
-	case CommonTime:
-		return []Formula{x.F}
-	case Eventually:
-		return []Formula{x.F}
-	case Always:
+	case Modal:
 		return []Formula{x.F}
 	case Nu:
 		return []Formula{x.Body}
@@ -153,133 +93,6 @@ func Walk(f Formula, fn func(Formula) bool) {
 	for _, c := range children(f) {
 		Walk(c, fn)
 	}
-}
-
-// Size returns the number of nodes in the formula tree.
-func Size(f Formula) int {
-	n := 0
-	Walk(f, func(Formula) bool {
-		n++
-		return true
-	})
-	return n
-}
-
-// Depth returns the height of the formula tree; atoms have depth 1.
-func Depth(f Formula) int {
-	max := 0
-	for _, c := range children(f) {
-		if d := Depth(c); d > max {
-			max = d
-		}
-	}
-	return max + 1
-}
-
-// ModalDepth returns the maximum nesting of knowledge operators (K, S, E, D,
-// C and the temporal variants). Fixed-point operators contribute the modal
-// depth of their bodies; propositional connectives contribute nothing.
-func ModalDepth(f Formula) int {
-	modal := 0
-	switch f.(type) {
-	case Know, Someone, Everyone, Dist, Common,
-		EveryEps, CommonEps, EveryEv, CommonEv, EveryTime, CommonTime:
-		modal = 1
-	}
-	max := 0
-	for _, c := range children(f) {
-		if d := ModalDepth(c); d > max {
-			max = d
-		}
-	}
-	return modal + max
-}
-
-// FreeVars returns the set of fixed-point variables occurring free in f.
-func FreeVars(f Formula) map[string]bool {
-	out := make(map[string]bool)
-	freeVars(f, map[string]bool{}, out)
-	return out
-}
-
-func freeVars(f Formula, bound map[string]bool, out map[string]bool) {
-	switch x := f.(type) {
-	case Var:
-		if !bound[x.Name] {
-			out[x.Name] = true
-		}
-	case Nu:
-		inner := cloneBound(bound)
-		inner[x.Var] = true
-		freeVars(x.Body, inner, out)
-	case Mu:
-		inner := cloneBound(bound)
-		inner[x.Var] = true
-		freeVars(x.Body, inner, out)
-	default:
-		for _, c := range children(f) {
-			freeVars(c, bound, out)
-		}
-	}
-}
-
-func cloneBound(m map[string]bool) map[string]bool {
-	c := make(map[string]bool, len(m)+1)
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-// Props returns the set of ground-fact names occurring in f.
-func Props(f Formula) map[string]bool {
-	out := make(map[string]bool)
-	Walk(f, func(g Formula) bool {
-		if p, ok := g.(Prop); ok {
-			out[p.Name] = true
-		}
-		return true
-	})
-	return out
-}
-
-// Agents returns the set of agents named explicitly in f (via K or explicit
-// groups). It does not expand nil ("all agents") groups.
-func Agents(f Formula) map[Agent]bool {
-	out := make(map[Agent]bool)
-	addGroup := func(g Group) {
-		for _, a := range g {
-			out[a] = true
-		}
-	}
-	Walk(f, func(g Formula) bool {
-		switch x := g.(type) {
-		case Know:
-			out[x.Agent] = true
-		case Someone:
-			addGroup(x.G)
-		case Everyone:
-			addGroup(x.G)
-		case Dist:
-			addGroup(x.G)
-		case Common:
-			addGroup(x.G)
-		case EveryEps:
-			addGroup(x.G)
-		case CommonEps:
-			addGroup(x.G)
-		case EveryEv:
-			addGroup(x.G)
-		case CommonEv:
-			addGroup(x.G)
-		case EveryTime:
-			addGroup(x.G)
-		case CommonTime:
-			addGroup(x.G)
-		}
-		return true
-	})
-	return out
 }
 
 // Polarity classifies occurrences of a variable.
@@ -336,10 +149,12 @@ func PolarityOf(f Formula, x string) Polarity {
 	case Implies:
 		return combinePolarity(flipPolarity(PolarityOf(n.Ant, x)), PolarityOf(n.Cons, x))
 	case Iff:
-		// X appears on both sides of an equivalence with unknown sign.
-		l := combinePolarity(PolarityOf(n.L, x), flipPolarity(PolarityOf(n.L, x)))
-		r := combinePolarity(PolarityOf(n.R, x), flipPolarity(PolarityOf(n.R, x)))
-		return combinePolarity(l, r)
+		// l ≡ r is (l ⊃ r) ∧ (r ⊃ l): every occurrence of X in it appears
+		// with both signs. Each side is scanned once.
+		if combinePolarity(PolarityOf(n.L, x), PolarityOf(n.R, x)) != PolarityNone {
+			return PolarityMixed
+		}
+		return PolarityNone
 	case Nu:
 		if n.Var == x {
 			return PolarityNone // shadowed
@@ -412,32 +227,9 @@ func Substitute(f Formula, x string, repl Formula) Formula {
 		return Implies{Ant: Substitute(n.Ant, x, repl), Cons: Substitute(n.Cons, x, repl)}
 	case Iff:
 		return Iff{L: Substitute(n.L, x, repl), R: Substitute(n.R, x, repl)}
-	case Know:
-		return Know{Agent: n.Agent, F: Substitute(n.F, x, repl)}
-	case Someone:
-		return Someone{G: n.G, F: Substitute(n.F, x, repl)}
-	case Everyone:
-		return Everyone{G: n.G, F: Substitute(n.F, x, repl)}
-	case Dist:
-		return Dist{G: n.G, F: Substitute(n.F, x, repl)}
-	case Common:
-		return Common{G: n.G, F: Substitute(n.F, x, repl)}
-	case EveryEps:
-		return EveryEps{G: n.G, Eps: n.Eps, F: Substitute(n.F, x, repl)}
-	case CommonEps:
-		return CommonEps{G: n.G, Eps: n.Eps, F: Substitute(n.F, x, repl)}
-	case EveryEv:
-		return EveryEv{G: n.G, F: Substitute(n.F, x, repl)}
-	case CommonEv:
-		return CommonEv{G: n.G, F: Substitute(n.F, x, repl)}
-	case EveryTime:
-		return EveryTime{G: n.G, T: n.T, F: Substitute(n.F, x, repl)}
-	case CommonTime:
-		return CommonTime{G: n.G, T: n.T, F: Substitute(n.F, x, repl)}
-	case Eventually:
-		return Eventually{F: Substitute(n.F, x, repl)}
-	case Always:
-		return Always{F: Substitute(n.F, x, repl)}
+	case Modal:
+		n.F = Substitute(n.F, x, repl)
+		return n
 	case Nu:
 		if n.Var == x {
 			return f // shadowed

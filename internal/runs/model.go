@@ -120,95 +120,38 @@ func (pm *PointModel) clockReading(ri, p int, t Time) (int, bool) {
 // EvalTemporal implements kripke.TemporalSemantics for the run-based
 // operators. rec evaluates subformulas in the current environment.
 func (pm *PointModel) EvalTemporal(m *kripke.Model, f logic.Formula, rec func(logic.Formula) (*bitset.Set, error)) (*bitset.Set, error) {
-	switch n := f.(type) {
-	case logic.Eventually:
-		s, err := rec(n.F)
-		if err != nil {
+	n, ok := f.(logic.Modal)
+	if !ok || !n.Op.Temporal() {
+		return nil, fmt.Errorf("runs: unsupported temporal formula %s", f)
+	}
+	var agents []int
+	if n.Op.Grouped() {
+		var err error
+		if agents, err = m.GroupAgents(n.G); err != nil {
 			return nil, err
 		}
+	}
+	s, err := rec(n.F)
+	if err != nil {
+		return nil, err
+	}
+	switch n.Op {
+	case logic.OpEventually:
 		return pm.suffixScan(s, false), nil
-
-	case logic.Always:
-		s, err := rec(n.F)
-		if err != nil {
-			return nil, err
-		}
+	case logic.OpAlways:
 		return pm.suffixScan(s, true), nil
-
-	case logic.EveryEps:
-		agents, err := m.GroupAgents(n.G)
-		if err != nil {
-			return nil, err
-		}
-		s, err := rec(n.F)
-		if err != nil {
-			return nil, err
-		}
-		return pm.everyEpsSet(agents, n.Eps, s), nil
-
-	case logic.CommonEps:
-		agents, err := m.GroupAgents(n.G)
-		if err != nil {
-			return nil, err
-		}
-		s, err := rec(n.F)
-		if err != nil {
-			return nil, err
-		}
-		return pm.gfp(s, func(x *bitset.Set) *bitset.Set {
-			return pm.everyEpsSet(agents, n.Eps, x)
-		})
-
-	case logic.EveryEv:
-		agents, err := m.GroupAgents(n.G)
-		if err != nil {
-			return nil, err
-		}
-		s, err := rec(n.F)
-		if err != nil {
-			return nil, err
-		}
+	case logic.OpEveryEps:
+		return pm.everyEpsSet(agents, n.N, s), nil
+	case logic.OpCommonEps:
+		return pm.gfp(s, func(x *bitset.Set) *bitset.Set { return pm.everyEpsSet(agents, n.N, x) })
+	case logic.OpEveryEv:
 		return pm.everyEvSet(agents, s), nil
-
-	case logic.CommonEv:
-		agents, err := m.GroupAgents(n.G)
-		if err != nil {
-			return nil, err
-		}
-		s, err := rec(n.F)
-		if err != nil {
-			return nil, err
-		}
-		return pm.gfp(s, func(x *bitset.Set) *bitset.Set {
-			return pm.everyEvSet(agents, x)
-		})
-
-	case logic.EveryTime:
-		agents, err := m.GroupAgents(n.G)
-		if err != nil {
-			return nil, err
-		}
-		s, err := rec(n.F)
-		if err != nil {
-			return nil, err
-		}
-		return pm.everyTimeSet(agents, n.T, s), nil
-
-	case logic.CommonTime:
-		agents, err := m.GroupAgents(n.G)
-		if err != nil {
-			return nil, err
-		}
-		s, err := rec(n.F)
-		if err != nil {
-			return nil, err
-		}
-		return pm.gfp(s, func(x *bitset.Set) *bitset.Set {
-			return pm.everyTimeSet(agents, n.T, x)
-		})
-
-	default:
-		return nil, fmt.Errorf("runs: unsupported temporal formula %T", f)
+	case logic.OpCommonEv:
+		return pm.gfp(s, func(x *bitset.Set) *bitset.Set { return pm.everyEvSet(agents, x) })
+	case logic.OpEveryTime:
+		return pm.everyTimeSet(agents, n.N, s), nil
+	default: // OpCommonTime
+		return pm.gfp(s, func(x *bitset.Set) *bitset.Set { return pm.everyTimeSet(agents, n.N, x) })
 	}
 }
 

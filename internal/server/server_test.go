@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -313,6 +314,15 @@ func TestBadRequests(t *testing.T) {
 	}
 	if code, body = do(t, ts, "POST", "/v1/sessions/"+sid+"/eval", EvalRequest{Formulas: big}, ""); code != http.StatusBadRequest {
 		t.Errorf("oversized batch: status %d: %s", code, body)
+	}
+	// A formula nested past logic.MaxDepth is refused by the parser, before
+	// the evaluator builds a key per level.
+	deep := strings.Repeat("K0 ", logic.MaxDepth) + "muddy0"
+	if code, body = do(t, ts, "POST", "/v1/sessions/"+sid+"/eval", EvalRequest{Formulas: []string{deep}}, ""); code != http.StatusBadRequest || !strings.Contains(string(body), "nested deeper") {
+		t.Errorf("too-deep eval formula: status %d: %s", code, body)
+	}
+	if code, body = do(t, ts, "POST", "/v1/sessions/"+sid+"/announce", AnnounceRequest{Formula: deep}, ""); code != http.StatusBadRequest || !strings.Contains(string(body), "nested deeper") {
+		t.Errorf("too-deep announcement: status %d: %s", code, body)
 	}
 	// Semantic failure: agent out of range is a 422 from the evaluator.
 	if code, body = do(t, ts, "POST", "/v1/sessions/"+sid+"/eval", EvalRequest{Formulas: []string{"K7 muddy0"}}, ""); code != http.StatusUnprocessableEntity {
