@@ -306,6 +306,32 @@ func BenchmarkAblationPointModelBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkTemporalCommon evaluates C^ε, C^⋄ and C^T on a scaled R2–D2
+// chain (64 runs of 41 points). Each is a greatest fixed point over the
+// point model's run/time structure, and Model.Eval keeps no memo across
+// calls, so every op runs the whole iteration.
+func BenchmarkTemporalCommon(b *testing.B) {
+	sys := core.R2D2Chain(32, 40)
+	pm := sys.Model(repro.CompleteHistoryView, repro.Interpretation{
+		"sent": repro.StablyTrue(repro.SentBy("m")),
+	})
+	for _, c := range []struct{ name, src string }{
+		{"eps", "Ce[1] sent"},
+		{"dia", "Cv sent"},
+		{"T", "Ct[3] sent"},
+	} {
+		f := logic.MustParse(c.src)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := pm.Eval(f); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // Ablation: the parallel batch-evaluation engine against the serial loop
 // on the muddy-round workload — n per-child know-sets plus group queries
 // against one shared model. The serial arm is the engine every caller had

@@ -1,6 +1,7 @@
-// Command hmrepro runs the reproduction experiments (E1..E13 of DESIGN.md)
-// and prints their reports. With -list it enumerates the experiments; with
-// -run ID it executes a single one. The full suite fans the independent
+// Command hmrepro runs the reproduction experiments (E1–E17, indexed by
+// README's "Paper section → package map") and prints their reports. With
+// -list it enumerates the experiments; with -run ID it executes a single
+// one. The full suite fans the independent
 // experiments out across one worker per core (-parallel=0 forces the
 // serial loop); reports print in experiment order either way.
 //
@@ -14,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -21,13 +23,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "hmrepro:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("hmrepro", flag.ContinueOnError)
 	list := fs.Bool("list", false, "list experiments and exit")
 	only := fs.String("run", "", "run only the experiment with this id (e.g. E7)")
@@ -40,7 +42,7 @@ func run(args []string) error {
 	exps := core.All()
 	if *list {
 		for _, e := range exps {
-			fmt.Printf("%-5s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-5s %s\n", e.ID, e.Title)
 		}
 		return nil
 	}
@@ -56,8 +58,7 @@ func run(args []string) error {
 			if rep == nil {
 				continue
 			}
-			fmt.Print(rep)
-			fmt.Println()
+			fmt.Fprintln(stdout, rep)
 			if !rep.Pass {
 				failures++
 			}
@@ -76,8 +77,7 @@ func run(args []string) error {
 			if err != nil {
 				return fmt.Errorf("%s: %w", e.ID, err)
 			}
-			fmt.Print(rep)
-			fmt.Println()
+			fmt.Fprintln(stdout, rep)
 			if !rep.Pass {
 				failures++
 			}
