@@ -1,6 +1,7 @@
 // Benchmarks regenerating every experiment of the reproduction (one per
-// table/series in DESIGN.md), plus ablation benchmarks for the design
-// choices the library makes. Run with:
+// experiment E1–E17; README's "Paper section → package map" indexes them),
+// plus ablation benchmarks for the design choices the library makes. Run
+// with:
 //
 //	go test -bench=. -benchmem .
 package repro_test

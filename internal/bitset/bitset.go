@@ -68,30 +68,29 @@ func (s *Set) Remove(i int) {
 	s.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
 }
 
+// AddRange inserts every element in the half-open interval [lo, hi) into
+// the set, whole words at a time. Out-of-range portions are ignored.
+func (s *Set) AddRange(lo, hi int) { s.setRange(lo, hi, true) }
+
 // RemoveRange deletes every element in the half-open interval [lo, hi)
 // from the set, whole words at a time. Out-of-range portions are ignored.
-func (s *Set) RemoveRange(lo, hi int) {
-	if lo < 0 {
-		lo = 0
+func (s *Set) RemoveRange(lo, hi int) { s.setRange(lo, hi, false) }
+
+func (s *Set) setRange(lo, hi int, add bool) {
+	lo, hi = max(lo, 0), min(hi, s.n)
+	for lo < hi {
+		wi := lo / wordBits
+		m := ^uint64(0) << (uint(lo) % wordBits)
+		if end := (wi + 1) * wordBits; hi < end {
+			m &= ^uint64(0) >> (uint(end - hi))
+		}
+		if add {
+			s.words[wi] |= m
+		} else {
+			s.words[wi] &^= m
+		}
+		lo = (wi + 1) * wordBits
 	}
-	if hi > s.n {
-		hi = s.n
-	}
-	if lo >= hi {
-		return
-	}
-	lw, hw := lo/wordBits, (hi-1)/wordBits
-	loMask := ^uint64(0) << (uint(lo) % wordBits)
-	hiMask := ^uint64(0) >> (wordBits - 1 - uint(hi-1)%wordBits)
-	if lw == hw {
-		s.words[lw] &^= loMask & hiMask
-		return
-	}
-	s.words[lw] &^= loMask
-	for wi := lw + 1; wi < hw; wi++ {
-		s.words[wi] = 0
-	}
-	s.words[hw] &^= hiMask
 }
 
 // Fill adds every element of the universe to the set.
@@ -267,23 +266,23 @@ func (s *Set) Elements() []int {
 
 // Next returns the smallest element >= i, or -1 if there is none.
 func (s *Set) Next(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= s.n {
-		return -1
-	}
-	wi := i / wordBits
-	w := s.words[wi] >> (uint(i) % wordBits)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(s.words); wi++ {
-		if s.words[wi] != 0 {
-			return wi*wordBits + bits.TrailingZeros64(s.words[wi])
-		}
+	if n := s.NextBefore(i, s.n); n < s.n {
+		return n
 	}
 	return -1
+}
+
+// NextBefore returns the smallest element in [i, hi), or hi if there is
+// none. It reads whole words and stops at hi, so a scan confined to a
+// range costs that range's words, however sparse the rest of the set.
+func (s *Set) NextBefore(i, hi int) int {
+	i = max(i, 0)
+	for end := min(hi, s.n); i < end; i = (i/wordBits + 1) * wordBits {
+		if w := s.words[i/wordBits] >> (uint(i) % wordBits); w != 0 {
+			return min(i+bits.TrailingZeros64(w), hi)
+		}
+	}
+	return hi
 }
 
 // NextSet returns the smallest element >= i together with true, or (0,

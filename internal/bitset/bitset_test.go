@@ -222,6 +222,16 @@ func TestNext(t *testing.T) {
 			t.Errorf("Next(%d) = %d, want %d", tt.from, got, tt.want)
 		}
 	}
+	// NextBefore stops at its bound, and reports the bound when the range
+	// holds no element.
+	bounded := []struct{ from, hi, want int }{
+		{0, 5, 5}, {0, 6, 5}, {6, 64, 64}, {6, 65, 64}, {65, 150, 150}, {65, 300, 150}, {151, 300, 300}, {70, 70, 70},
+	}
+	for _, tt := range bounded {
+		if got := s.NextBefore(tt.from, tt.hi); got != tt.want {
+			t.Errorf("NextBefore(%d, %d) = %d, want %d", tt.from, tt.hi, got, tt.want)
+		}
+	}
 }
 
 func TestString(t *testing.T) {
@@ -371,6 +381,17 @@ func TestRemoveRange(t *testing.T) {
 		}
 		if got.Count() != want.Count() {
 			t.Errorf("RemoveRange(n=%d, %d, %d): count %d, want %d", tc.n, tc.lo, tc.hi, got.Count(), want.Count())
+		}
+		// AddRange restores exactly the removed interval.
+		got.AddRange(tc.lo, tc.hi)
+		if !got.IsFull() {
+			t.Errorf("AddRange(n=%d, %d, %d) after RemoveRange = %s, want full", tc.n, tc.lo, tc.hi, got)
+		}
+		added := New(tc.n)
+		added.AddRange(tc.lo, tc.hi)
+		want.Not()
+		if !added.Equal(want) || added.Count() != want.Count() {
+			t.Errorf("AddRange(n=%d, %d, %d) = %s, want %s", tc.n, tc.lo, tc.hi, added, want)
 		}
 	}
 }

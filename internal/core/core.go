@@ -1,10 +1,11 @@
 // Package core orchestrates the reproduction of Halpern & Moses,
 // "Knowledge and Common Knowledge in a Distributed Environment": it exposes
 // one driver per experiment in the paper's evaluation (the worked examples
-// and numbered theorems; see DESIGN.md for the index), each regenerating
-// the corresponding table, series or machine-checked claim on top of the
-// substrate packages (logic, kripke, runs, protocol, temporal, imprecision,
-// muddy, attack, consistency, fixpoint).
+// and numbered theorems; README's "Paper section → package map" indexes
+// them), each regenerating the corresponding table, series or
+// machine-checked claim on top of the substrate packages (logic, kripke,
+// runs, protocol, temporal, imprecision, muddy, attack, consistency,
+// fixpoint).
 //
 // Every driver returns a Report whose Lines are the rows of the regenerated
 // table and whose Pass field records whether the paper's claims held.
@@ -20,7 +21,7 @@ import (
 
 // Report is the outcome of one experiment.
 type Report struct {
-	// ID is the experiment identifier from DESIGN.md (E1..E13).
+	// ID is the experiment identifier (E1–E17).
 	ID string
 	// Title summarizes the paper claim being reproduced.
 	Title string

@@ -40,11 +40,12 @@ func ExampleFuncOf() {
 	// C p by reachability components:      {}
 }
 
-// ExampleGFPWorklist computes the same fixed point by chaotic iteration:
-// kripke.Model.SupportStep presents X ↦ E(p ∧ X) in support form, and the
-// worklist propagates only the worlds that left the approximant — same
-// result, same round count, linear instead of quadratic total work.
-func ExampleGFPWorklist() {
+// ExampleGFP computes the same fixed point with the evaluator's own
+// chaotic iteration: Model.CommonKnowledgeByIteration evaluates
+// νX.E(p ∧ X) by propagating only the worlds that left the approximant —
+// same result, same round count as the downward iteration above, linear
+// instead of quadratic total work.
+func ExampleGFP() {
 	n := 6
 	m := kripke.NewModel(n, 2)
 	for w := 0; w < n-1; w++ {
@@ -54,11 +55,10 @@ func ExampleGFPWorklist() {
 		m.Indistinguishable(w%2, w, w+1)
 	}
 
-	first, step, err := m.SupportStep(nil, logic.P("p"))
+	gfp, rounds, err := m.CommonKnowledgeByIteration(nil, logic.P("p"))
 	if err != nil {
 		panic(err)
 	}
-	gfp, rounds := fixpoint.GFPWorklist(first, step)
 	fmt.Printf("worklist gfp after %d rounds: %s\n", rounds, gfp)
 	// Output:
 	// worklist gfp after 5 rounds: {}

@@ -55,44 +55,6 @@ func GFP(f SetFunc, n int) (*bitset.Set, int, error) {
 	return nil, 0, fmt.Errorf("fixpoint: no convergence after %d iterations", n+1)
 }
 
-// DeltaFunc is the chaotic-iteration presentation of a deflationary
-// monotone operator F: given the current approximant acc and the set of
-// worlds removed from it since the previous call, it removes from acc (in
-// place) every world whose F-support intersects removed, writes the worlds
-// it newly removed into next (which the caller has cleared), and reports
-// whether it removed anything. kripke.Model.SupportStep builds one for the
-// operators X ↦ op_G(φ ∧ X) of the common-knowledge characterization.
-type DeltaFunc func(acc, removed, next *bitset.Set) bool
-
-// GFPWorklist computes the greatest fixed point of the operator presented
-// by (first, step) via worklist/chaotic iteration: acc starts at
-// first = F(full universe), the initial frontier is the complement of acc,
-// and each round propagates only the frontier — the worlds that left the
-// approximant — instead of re-applying F to the whole set. Worlds whose
-// support classes already failed are no-ops inside step, so the total work
-// is proportional to the model, not to iterations × model.
-//
-// It returns the fixed point (first, mutated in place) and the round count,
-// which for a deflationary F equals the Knaster–Tarski iteration count that
-// GFP would report.
-func GFPWorklist(first *bitset.Set, step DeltaFunc) (*bitset.Set, int) {
-	acc := first
-	removed := bitset.Not(acc)
-	if removed.IsEmpty() {
-		return acc, 0 // F(full) = full: the universe is already closed
-	}
-	next := bitset.New(acc.Cap())
-	k := 1
-	for {
-		next.Clear()
-		if !step(acc, removed, next) {
-			return acc, k
-		}
-		k++
-		removed, next = next, removed
-	}
-}
-
 // LFP computes the least fixed point of f by upward iteration from the
 // empty set.
 func LFP(f SetFunc, n int) (*bitset.Set, int, error) {
@@ -206,14 +168,16 @@ func TowerVsGFP(m *kripke.Model, op func(logic.Formula) logic.Formula, phi logic
 		}
 		tower.And(s)
 	}
+	phiSet, err := m.Eval(phi)
+	if err != nil {
+		return nil, nil, err
+	}
+	in := bitset.New(m.NumWorlds())
 	f := func(a *bitset.Set) (*bitset.Set, error) {
-		phiSet, err := m.Eval(phi)
-		if err != nil {
-			return nil, err
-		}
-		phiSet.And(a)
+		in.Copy(phiSet)
+		in.And(a)
 		// op applied to an arbitrary set: encode via a fresh variable.
-		return m.EvalEnv(op(logic.X("__t")), kripke.Env{"__t": phiSet})
+		return m.EvalEnv(op(logic.X("__t")), kripke.Env{"__t": in})
 	}
 	gfp, _, err = GFP(f, m.NumWorlds())
 	if err != nil {

@@ -217,6 +217,15 @@ func TestEventualTowerExceedsGFP(t *testing.T) {
 	if !gfp.IsEmpty() {
 		t.Errorf("C^⋄ intent should be empty here, got %s", gfp)
 	}
+	// The evaluator's own C^⋄ (its fixpoint loop) agrees with this loop
+	// outside it.
+	direct, err := pm.Eval(logic.Cev(nil, logic.P("intent")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !direct.Equal(gfp) {
+		t.Errorf("Eval(C^⋄ intent) = %s, TowerVsGFP gfp = %s", direct, gfp)
+	}
 }
 
 func TestGFPNonConvergenceReported(t *testing.T) {

@@ -9,10 +9,11 @@ import (
 	"repro/internal/logic"
 )
 
-// TestQuickGFPWorklistAgrees: chaotic iteration over the kripke support
-// stepper must compute the same fixed point, in the same number of rounds,
-// as the generic downward iteration of the same operator — and both must
-// equal C_G φ.
+// TestQuickGFPWorklistAgrees: the evaluator's chaotic iteration of
+// νX.E(φ ∧ X) (CommonKnowledgeByIteration, which takes the worklist path)
+// must compute the same fixed point, in the same number of rounds, as the
+// generic downward iteration of the same operator outside the evaluator —
+// and both must equal C_G φ.
 func TestQuickGFPWorklistAgrees(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -31,11 +32,10 @@ func TestQuickGFPWorklistAgrees(t *testing.T) {
 		}
 		phi := logic.P("p")
 
-		first, step, err := m.SupportStep(nil, phi)
+		wl, wlRounds, err := m.CommonKnowledgeByIteration(nil, phi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wl, wlRounds := GFPWorklist(first, step)
 
 		fn := FuncOf(m, logic.E(nil, logic.Conj(phi, logic.X("X"))), "X", nil)
 		gfp, gfpIters, err := GFP(fn, worlds)

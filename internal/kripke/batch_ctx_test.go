@@ -74,33 +74,34 @@ func TestEvalBatchCtxPreCancelled(t *testing.T) {
 // and cancels a context on the first one — a deterministic probe for how
 // much work a batch does after its caller disappears mid-flight.
 type cancellingTemporal struct {
-	worlds int
 	evals  atomic.Int64
 	cancel context.CancelFunc
 }
 
-func (c *cancellingTemporal) EvalTemporal(m *Model, f logic.Formula, rec func(logic.Formula) (*bitset.Set, error)) (*bitset.Set, error) {
+func (c *cancellingTemporal) EvalTemporal(dst *bitset.Set, _ logic.Op, _ int, _ []int, _ []*bitset.Set) {
 	if c.evals.Add(1) == 1 {
 		c.cancel()
 	}
-	return bitset.New(c.worlds), nil
+	dst.Clear()
 }
 
 // cancelProbeModel builds a model whose temporal hook cancels the given
 // context on the first temporal evaluation, plus a batch of nf distinct
-// temporal formulas (distinct, so the shared memo cannot absorb them: each
-// one the engine actually picks up hits the hook exactly once).
+// temporal formulas (distinct, so the shared memo cannot absorb them). Each
+// is an E^⋄, which calls the hook once, so each formula the engine
+// actually picks up counts exactly once; a C^⋄ would call it once per
+// fixed-point iteration.
 func cancelProbeModel(nf int, cancel context.CancelFunc) (*Model, *cancellingTemporal, []logic.Formula) {
 	const worlds = 32
 	m := NewModel(worlds, 2)
 	for w := 0; w < worlds; w++ {
 		m.SetName(w, "w"+strconv.Itoa(w))
 	}
-	hook := &cancellingTemporal{worlds: worlds, cancel: cancel}
+	hook := &cancellingTemporal{cancel: cancel}
 	m.Temporal = hook
 	fs := make([]logic.Formula, nf)
 	for i := range fs {
-		fs[i] = logic.Cev(nil, logic.P(fmt.Sprintf("p%d", i)))
+		fs[i] = logic.Eev(nil, logic.P(fmt.Sprintf("p%d", i)))
 	}
 	return m, hook, fs
 }

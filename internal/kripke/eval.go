@@ -13,6 +13,27 @@ import (
 // knowledge variants) on a model without temporal structure.
 var ErrTemporal = errors.New("kripke: temporal operator requires a model with run/time structure")
 
+// temporalCommonBase maps C^ε, C^⋄ and C^T to the E^x whose greatest fixed
+// point each is (§11–12): C^x_G φ = νX.E^x_G(φ ∧ X). The evaluator computes
+// them through its own fixpoint loop, so temporal hooks supply only E^x.
+var temporalCommonBase = map[logic.Op]logic.Op{
+	logic.OpCommonEps:  logic.OpEveryEps,
+	logic.OpCommonEv:   logic.OpEveryEv,
+	logic.OpCommonTime: logic.OpEveryTime,
+}
+
+// The variables of that fixed point start with '$', which the parser never
+// produces, so they cannot capture a variable of the user's formula.
+const (
+	temporalCommonVar = "$X"
+	temporalCommonPhi = "$Phi"
+)
+
+// temporalCommonArg is Φ ∧ X, the operand of E^x in that fixed point.
+var temporalCommonArg logic.Formula = logic.And{Fs: []logic.Formula{
+	logic.Var{Name: temporalCommonPhi}, logic.Var{Name: temporalCommonVar},
+}}
+
 // Env binds fixed-point variables to world sets during evaluation. The
 // evaluator reads the bound sets without copying; callers must not mutate
 // them while an evaluation is in flight.
@@ -71,6 +92,8 @@ type evaluator struct {
 	// across the whole chaotic iteration so each class is removed once.
 	wparts  []*partition
 	wstamps []kernelScratch
+
+	tsets []*bitset.Set // the input sets of the current temporal hook call
 
 	empty *bitset.Set // canonical shared ∅ (never mutated)
 	full  *bitset.Set // canonical shared universe (never mutated)
@@ -406,15 +429,15 @@ func (ev *evaluator) evalCompound(f logic.Formula, env *binding) (*bitset.Set, b
 		return l, true, nil
 
 	case logic.Modal:
-		if n.Op.Temporal() {
-			return ev.evalTemporal(f, env)
+		if n.Op.Temporal() && ev.m.Temporal == nil {
+			return nil, false, fmt.Errorf("%w: %s", ErrTemporal, f)
 		}
 		var agents []int
 		if n.Op == logic.OpKnow {
 			if n.N < 0 || n.N >= ev.m.numAgents {
 				return nil, false, fmt.Errorf("kripke: agent %d out of range [0,%d)", n.N, ev.m.numAgents)
 			}
-		} else {
+		} else if n.Op.Grouped() {
 			var err error
 			if agents, err = ev.resolveAgents(n.G); err != nil {
 				return nil, false, err
@@ -423,6 +446,15 @@ func (ev *evaluator) evalCompound(f logic.Formula, env *binding) (*bitset.Set, b
 		phi, owned, err := ev.eval(n.F, env)
 		if err != nil {
 			return nil, false, err
+		}
+		if every, ok := temporalCommonBase[n.Op]; ok {
+			// C^x_G φ is νX.E^x_G(Φ ∧ X), with Φ bound to φ's denotation
+			// so an open φ is not evaluated again on every step.
+			body := logic.Modal{Op: every, N: n.N, G: n.G, F: temporalCommonArg}
+			bound := &binding{name: temporalCommonPhi, set: phi, prev: env}
+			s, sOwned, err := ev.fixpoint(temporalCommonVar, body, bound, true)
+			ev.releaseIf(phi, owned)
+			return s, sOwned, err
 		}
 		if len(agents) == 0 && (n.Op == logic.OpDist || n.Op == logic.OpCommon) {
 			return phi, owned, nil // D_∅ φ and C_∅ φ are φ
@@ -445,6 +477,20 @@ func (ev *evaluator) evalCompound(f logic.Formula, env *binding) (*bitset.Set, b
 			ev.m.jointPartition(ev.t, agents, ev.keyScratch()).knowInto(dst, phi, &ev.ks)
 		case logic.OpCommon:
 			ev.m.reachPartition(ev.t, agents, ev.keyScratch()).knowInto(dst, phi, &ev.ks)
+		case logic.OpEventually, logic.OpAlways:
+			ev.tsets = append(ev.tsets[:0], phi)
+			ev.m.Temporal.EvalTemporal(dst, n.Op, n.N, nil, ev.tsets)
+		default: // E^ε, E^⋄, E^T: the hook combines each member's K_a φ
+			ev.tsets = ev.tsets[:0]
+			for _, a := range agents {
+				k := ev.alloc()
+				ev.m.part(ev.t, a).knowInto(k, phi, &ev.ks)
+				ev.tsets = append(ev.tsets, k)
+			}
+			ev.m.Temporal.EvalTemporal(dst, n.Op, n.N, agents, ev.tsets)
+			for _, k := range ev.tsets {
+				ev.release(k)
+			}
 		}
 		ev.releaseIf(phi, owned)
 		return dst, true, nil
@@ -458,31 +504,6 @@ func (ev *evaluator) evalCompound(f logic.Formula, env *binding) (*bitset.Set, b
 	default:
 		return nil, false, fmt.Errorf("kripke: unsupported formula %T", f)
 	}
-}
-
-// evalTemporal hands a run-based operator to the model's temporal
-// semantics, which evaluates its operand through the evaluator.
-func (ev *evaluator) evalTemporal(f logic.Formula, env *binding) (*bitset.Set, bool, error) {
-	if ev.m.Temporal == nil {
-		return nil, false, fmt.Errorf("%w: %s", ErrTemporal, f)
-	}
-	rec := func(sub logic.Formula) (*bitset.Set, error) {
-		s, owned, err := ev.eval(sub, env)
-		if err != nil {
-			return nil, err
-		}
-		if !owned {
-			// The temporal semantics may mutate or retain the set;
-			// hand it an independent copy of shared state.
-			return s.Clone(), nil
-		}
-		return s, nil
-	}
-	s, err := ev.m.Temporal.EvalTemporal(ev.m, f, rec)
-	if err != nil {
-		return nil, false, err
-	}
-	return s, true, nil
 }
 
 // fixpoint computes νX.body (greatest = true) or μX.body (least). Greatest

@@ -153,9 +153,10 @@ type Model struct {
 	// state) across Eval calls.
 	evalPool sync.Pool
 
-	// Temporal, if non-nil, evaluates the run-based operators of Sections
-	// 11–12 (E^ε, E^⋄, E^T and their C variants) and the linear-time ◇/□.
-	// Plain Kripke models reject those operators.
+	// Temporal, if non-nil, supplies the run-based operators of Sections
+	// 11–12 (E^ε, E^⋄, E^T, from which the evaluator builds their C
+	// variants) and the linear-time ◇/□. Plain Kripke models reject those
+	// operators.
 	Temporal TemporalSemantics
 }
 
@@ -214,11 +215,15 @@ type partFlight struct {
 	p    *partition
 }
 
-// TemporalSemantics evaluates temporal operators over a model whose worlds
-// carry run/time structure. rec evaluates subformulas in the same model
-// (with the current fixed-point environment in scope).
+// TemporalSemantics supplies the run-based operators over a model whose
+// worlds carry run/time structure. The evaluator resolves the operator's
+// group and evaluates its operand φ; the hook only maps sets to a set,
+// written into dst (an evaluator scratch set in an unspecified state). For
+// ◇ and □, in holds φ. For E^ε, E^⋄ and E^T, n is ε or T and in[i] is
+// K_{agents[i]} φ. The inputs are read-only. C^ε, C^⋄ and C^T never reach
+// the hook: the evaluator computes them as νX.E^x_G(φ ∧ X).
 type TemporalSemantics interface {
-	EvalTemporal(m *Model, f logic.Formula, rec func(sub logic.Formula) (*bitset.Set, error)) (*bitset.Set, error)
+	EvalTemporal(dst *bitset.Set, op logic.Op, n int, agents []int, in []*bitset.Set)
 }
 
 // NewModel returns a model with numWorlds worlds and numAgents agents in

@@ -103,8 +103,8 @@ func TestQuotientForEvalGates(t *testing.T) {
 
 type stubTemporal struct{}
 
-func (stubTemporal) EvalTemporal(m *Model, f logic.Formula, rec func(logic.Formula) (*bitset.Set, error)) (*bitset.Set, error) {
-	return bitset.New(m.NumWorlds()), nil
+func (stubTemporal) EvalTemporal(dst *bitset.Set, _ logic.Op, _ int, _ []int, _ []*bitset.Set) {
+	dst.Clear()
 }
 
 // TestQuotientForEvalEpistemic: detaching the temporal hook lets the

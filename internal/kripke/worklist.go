@@ -222,59 +222,3 @@ func (ev *evaluator) fixpointWorklist(parts []*partition, phiSet *bitset.Set) *b
 	ev.release(next)
 	return acc
 }
-
-// SupportStep exposes the worklist machinery for external fixed-point
-// drivers (the fixpoint package's GFPWorklist): it presents the operator
-// X ↦ E_G(φ ∧ X) — whose greatest fixed point is C_G φ — in support form.
-// first is the initial approximant E_G(φ); step removes from acc every
-// world one of whose G-view classes intersects removed, writes the worlds
-// it newly removed into next (pre-cleared by the caller), and reports
-// whether acc changed. The step closure carries per-class stamps that
-// persist across calls, so over a whole iteration each class is removed at
-// most once per agent; it is single-use and not safe for concurrent use.
-func (m *Model) SupportStep(g logic.Group, phi logic.Formula) (first *bitset.Set, step func(acc, removed, next *bitset.Set) bool, err error) {
-	agents, err := m.resolveGroup(g)
-	if err != nil {
-		return nil, nil, err
-	}
-	phiSet, err := m.Eval(phi)
-	if err != nil {
-		return nil, nil, err
-	}
-	t := m.tables()
-	m.ensureParts(t, agents)
-	parts := make([]*partition, len(agents))
-	stamps := make([]kernelScratch, len(agents))
-	var ks kernelScratch
-	first = bitset.NewFull(m.numWorlds)
-	for i, a := range agents {
-		parts[i] = t.parts[a].Load()
-		stamps[i].ensure(parts[i].n)
-		stamps[i].bump()
-		parts[i].andKnowInto(first, phiSet, &ks)
-	}
-	step = func(acc, removed, next *bitset.Set) bool {
-		aw, nw := acc.Words(), next.Words()
-		changed := false
-		for pi, p := range parts {
-			st := &stamps[pi]
-			epoch, stamp := st.epoch, st.stamp
-			removed.ForEach(func(v int) bool {
-				id := p.ids[v]
-				if stamp[id] != epoch {
-					stamp[id] = epoch
-					for j := p.off[id]; j < p.off[id+1]; j++ {
-						if rm := aw[p.idx[j]] & p.bits[j]; rm != 0 {
-							aw[p.idx[j]] &^= rm
-							nw[p.idx[j]] |= rm
-							changed = true
-						}
-					}
-				}
-				return true
-			})
-		}
-		return changed
-	}
-	return first, step, nil
-}

@@ -103,236 +103,110 @@ func (pm *PointModel) HoldsAt(f logic.Formula, runName string, t Time) (bool, er
 	return pm.Holds(f, w)
 }
 
-// clockReading returns the effective clock reading of processor p at (ri, t):
-// the run's clock if it has one, and real time otherwise (a system without
-// clocks but with an external timestamped operator E^T reads real time).
-func (pm *PointModel) clockReading(ri, p int, t Time) (int, bool) {
+// EvalTemporal implements kripke.TemporalSemantics for ◇, □, E^ε, E^⋄
+// and E^T (the kripke evaluator builds C^ε, C^⋄ and C^T from them as
+// greatest fixed points). Worlds are run-major, w = ri·span + t, so each
+// run is the contiguous bit range [ri·span, (ri+1)·span) and every
+// operator works run by run on that range.
+func (pm *PointModel) EvalTemporal(dst *bitset.Set, op logic.Op, n int, agents []int, in []*bitset.Set) {
+	dst.Clear()
+	span := int(pm.Sys.Horizon) + 1
+	for ri := range pm.Sys.Runs {
+		lo, hi := ri*span, (ri+1)*span
+		switch op {
+		case logic.OpEventually, logic.OpAlways:
+			suffixScan(dst, in[0], lo, hi, op == logic.OpAlways)
+		case logic.OpEveryEps:
+			everyEps(dst, in, n, lo, hi)
+		case logic.OpEveryEv:
+			// E^⋄_G φ: every member knows φ at some point of the run,
+			// uniformly across the run (ti ranges over the whole run).
+			all := true
+			for _, k := range in {
+				all = all && k.NextBefore(lo, hi) < hi
+			}
+			if all {
+				dst.AddRange(lo, hi)
+			}
+		case logic.OpEveryTime:
+			// E^T_G φ: every member knows φ at the first point of the run
+			// where its clock reads at least T (and reaches T within the
+			// horizon); uniform across the run like E^⋄.
+			all := true
+			for i, k := range in {
+				at := pm.clockReaches(ri, agents[i], n)
+				all = all && at < span && k.Contains(lo+at)
+			}
+			if all {
+				dst.AddRange(lo, hi)
+			}
+		}
+	}
+}
+
+// suffixScan adds ◇φ (all = false) or □φ (all = true) over the run [lo, hi)
+// to dst by scanning the run backwards.
+func suffixScan(dst, phi *bitset.Set, lo, hi int, all bool) {
+	acc := all // identity for AND is true, for OR is false
+	for w := hi - 1; w >= lo; w-- {
+		if all {
+			acc = acc && phi.Contains(w)
+		} else {
+			acc = acc || phi.Contains(w)
+		}
+		if acc {
+			dst.Add(w)
+		}
+	}
+}
+
+// everyEps adds E^ε_G φ over the run [lo, hi) to dst: a point t qualifies
+// iff some window [s, s+ε] with t-ε <= s <= t, clipped to the run (so near
+// the horizon E^ε errs toward false), holds for each member a point where
+// it knows φ. The windows slide from one member's next known point to the
+// next, so the scan costs the known points, not the run's length.
+func everyEps(dst *bitset.Set, know []*bitset.Set, eps, lo, hi int) {
+	if eps < 0 {
+		return // no window has negative length
+	}
+	eps = min(eps, hi-lo-1) // a longer window is clipped to the run anyway
+	for s := lo; s < hi; {
+		// first and last of the members' next known points from s.
+		first, last := hi, s
+		for _, k := range know {
+			next := k.NextBefore(s, hi)
+			first, last = min(first, next), max(last, next)
+		}
+		switch {
+		case last >= hi:
+			return // some member never knows φ again in this run
+		case last > s+eps:
+			s = last - eps // no window reaches every member before that start
+		default:
+			// Each window start in [s, first] sees the same next points,
+			// all within ε: every point those windows cover qualifies.
+			dst.AddRange(s, min(first+eps+1, hi))
+			s = first + 1
+		}
+	}
+}
+
+// clockReaches returns the first time of run ri at which processor p's
+// clock reads at least ts, or Horizon+1 if it never does within the
+// horizon. A processor without a clock reads real time once awake (a
+// system without clocks but with an external timestamped operator E^T).
+func (pm *PointModel) clockReaches(ri, p, ts int) int {
 	r := pm.Sys.Runs[ri]
-	if r.HasClock(p) {
-		return r.ClockReading(p, t)
-	}
-	if t < r.Wake[p] {
-		return 0, false
-	}
-	return int(t), true
-}
-
-// EvalTemporal implements kripke.TemporalSemantics for the run-based
-// operators. rec evaluates subformulas in the current environment.
-func (pm *PointModel) EvalTemporal(m *kripke.Model, f logic.Formula, rec func(logic.Formula) (*bitset.Set, error)) (*bitset.Set, error) {
-	n, ok := f.(logic.Modal)
-	if !ok || !n.Op.Temporal() {
-		return nil, fmt.Errorf("runs: unsupported temporal formula %s", f)
-	}
-	var agents []int
-	if n.Op.Grouped() {
-		var err error
-		if agents, err = m.GroupAgents(n.G); err != nil {
-			return nil, err
+	for t := Time(0); t <= pm.Sys.Horizon; t++ {
+		reading, ok := int(t), t >= r.Wake[p]
+		if r.HasClock(p) {
+			reading, ok = r.ClockReading(p, t)
+		}
+		if ok && reading >= ts {
+			return int(t)
 		}
 	}
-	s, err := rec(n.F)
-	if err != nil {
-		return nil, err
-	}
-	switch n.Op {
-	case logic.OpEventually:
-		return pm.suffixScan(s, false), nil
-	case logic.OpAlways:
-		return pm.suffixScan(s, true), nil
-	case logic.OpEveryEps:
-		return pm.everyEpsSet(agents, n.N, s), nil
-	case logic.OpCommonEps:
-		return pm.gfp(s, func(x *bitset.Set) *bitset.Set { return pm.everyEpsSet(agents, n.N, x) })
-	case logic.OpEveryEv:
-		return pm.everyEvSet(agents, s), nil
-	case logic.OpCommonEv:
-		return pm.gfp(s, func(x *bitset.Set) *bitset.Set { return pm.everyEvSet(agents, x) })
-	case logic.OpEveryTime:
-		return pm.everyTimeSet(agents, n.N, s), nil
-	default: // OpCommonTime
-		return pm.gfp(s, func(x *bitset.Set) *bitset.Set { return pm.everyTimeSet(agents, n.N, x) })
-	}
-}
-
-// gfp computes the greatest fixed point of X ↦ step(phi ∧ X), the shape
-// shared by C^ε, C^⋄ and C^T (Sections 11–12 and Appendix A). This is the
-// temporal sibling of the kripke worklist shape check νX.op_G(φ ∧ X): the
-// timeline steps have no support form to iterate incrementally (their
-// "support" is the per-run suffix structure), but the invariant parts of
-// the loop are hoisted all the same — the conjunction φ ∧ X runs in a
-// reused scratch set instead of allocating per iteration, and the
-// know-timelines behind step are memoized on the step's input: step is a
-// pure function of φ ∧ X, so when that set repeats — always the case on
-// the convergence-confirming iteration, since X_{k+1} = step(φ ∧ X_k) —
-// the previous output is the fixed point and the whole per-agent
-// know-timeline recomputation is skipped.
-func (pm *PointModel) gfp(phi *bitset.Set, step func(*bitset.Set) *bitset.Set) (*bitset.Set, error) {
-	W := pm.NumWorlds()
-	cur := bitset.NewFull(W)
-	x := bitset.New(W)    // reused scratch for φ ∧ X
-	prev := bitset.New(W) // step input of the previous iteration
-	for i := 0; i <= W+1; i++ {
-		x.Copy(phi)
-		x.And(cur)
-		if i > 0 && x.Equal(prev) {
-			// step(x) would recompute the previous iteration's output,
-			// which is cur: the fixed point is confirmed without another
-			// pass over the know-timelines.
-			return cur, nil
-		}
-		prev.Copy(x)
-		next := step(x)
-		if next.Equal(cur) {
-			return cur, nil
-		}
-		cur = next
-	}
-	return nil, fmt.Errorf("runs: temporal fixed point did not converge")
-}
-
-// suffixScan computes ◇φ (conj=false) or □φ (conj=true) by scanning each
-// run backwards.
-func (pm *PointModel) suffixScan(phi *bitset.Set, conj bool) *bitset.Set {
-	out := bitset.New(pm.NumWorlds())
-	span := int(pm.Sys.Horizon) + 1
-	for ri := range pm.Sys.Runs {
-		acc := conj // identity for AND is true, for OR is false
-		for t := span - 1; t >= 0; t-- {
-			w := ri*span + t
-			if conj {
-				acc = acc && phi.Contains(w)
-			} else {
-				acc = acc || phi.Contains(w)
-			}
-			if acc {
-				out.Add(w)
-			}
-		}
-	}
-	return out
-}
-
-// knowTimelines computes, for each agent in agents and each run, the
-// timeline of K_a φ truth values.
-func (pm *PointModel) knowTimelines(agents []int, phi *bitset.Set) map[int]*bitset.Set {
-	out := make(map[int]*bitset.Set, len(agents))
-	for _, a := range agents {
-		out[a] = pm.KnowSet(a, phi)
-	}
-	return out
-}
-
-// everyEpsSet computes E^ε_G φ: the point (r, t) is in the result iff there
-// is an interval [t', t'+ε] containing t such that every agent in agents
-// knows φ at some point of the interval (clipped to the horizon; see
-// package comment on finite-horizon conservatism).
-func (pm *PointModel) everyEpsSet(agents []int, eps int, phi *bitset.Set) *bitset.Set {
-	know := pm.knowTimelines(agents, phi)
-	out := bitset.New(pm.NumWorlds())
-	span := int(pm.Sys.Horizon) + 1
-	for ri := range pm.Sys.Runs {
-		// okStart[t'] = every agent knows φ somewhere in [t', min(t'+eps, H)].
-		okStart := make([]bool, span)
-		for start := 0; start < span; start++ {
-			end := start + eps
-			if end > span-1 {
-				end = span - 1
-			}
-			ok := true
-			for _, a := range agents {
-				found := false
-				for t := start; t <= end; t++ {
-					if know[a].Contains(ri*span + t) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					ok = false
-					break
-				}
-			}
-			okStart[start] = ok
-		}
-		for t := 0; t < span; t++ {
-			// (r,t) qualifies if some interval starting in [t-eps, t] works.
-			lo := t - eps
-			if lo < 0 {
-				lo = 0
-			}
-			for start := lo; start <= t; start++ {
-				if okStart[start] {
-					out.Add(ri*span + t)
-					break
-				}
-			}
-		}
-	}
-	return out
-}
-
-// everyEvSet computes E^⋄_G φ: (r, t) is in the result iff every agent in
-// agents knows φ at some point of run r. The result is uniform across the
-// run, as in the paper's definition (ti ranges over the whole run).
-func (pm *PointModel) everyEvSet(agents []int, phi *bitset.Set) *bitset.Set {
-	know := pm.knowTimelines(agents, phi)
-	out := bitset.New(pm.NumWorlds())
-	span := int(pm.Sys.Horizon) + 1
-	for ri := range pm.Sys.Runs {
-		ok := true
-		for _, a := range agents {
-			found := false
-			for t := 0; t < span; t++ {
-				if know[a].Contains(ri*span + t) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			for t := 0; t < span; t++ {
-				out.Add(ri*span + t)
-			}
-		}
-	}
-	return out
-}
-
-// everyTimeSet computes E^T_G φ: (r, t) is in the result iff every agent in
-// agents knows φ at the first point of run r where its clock reads at least
-// T (and actually reaches T within the horizon). Like E^⋄, the truth value
-// is uniform across the run. Processors without clocks read real time.
-func (pm *PointModel) everyTimeSet(agents []int, ts int, phi *bitset.Set) *bitset.Set {
-	know := pm.knowTimelines(agents, phi)
-	out := bitset.New(pm.NumWorlds())
-	span := int(pm.Sys.Horizon) + 1
-	for ri := range pm.Sys.Runs {
-		ok := true
-		for _, a := range agents {
-			at := -1
-			for t := 0; t < span; t++ {
-				if reading, defined := pm.clockReading(ri, a, Time(t)); defined && reading >= ts {
-					at = t
-					break
-				}
-			}
-			if at < 0 || !know[a].Contains(ri*span+at) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			for t := 0; t < span; t++ {
-				out.Add(ri*span + t)
-			}
-		}
-	}
-	return out
+	return int(pm.Sys.Horizon) + 1
 }
 
 // CheckLemma3 verifies Lemma 3 of the paper on this model: for every agent

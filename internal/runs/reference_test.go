@@ -2,6 +2,7 @@ package runs
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -336,6 +337,17 @@ func TestTemporalOperatorsMatchReference(t *testing.T) {
 							seed, len(sys.Runs), sys.Horizon, f, ri, tt, got.Contains(w), want)
 					}
 				}
+			}
+		}
+		// An ε past the horizon is clipped to the run: it must not
+		// overflow, and it means the same as ε = horizon.
+		huge, err := pm.Eval(logic.Ceps(nil, math.MaxInt, logic.P("p")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w, want := range rm.eval(logic.Ceps(nil, int(sys.Horizon), logic.P("p"))) {
+			if huge.Contains(w) != want {
+				t.Fatalf("seed %d: Ce[MaxInt] p at world %d = %v, reference for Ce[%d] %v", seed, w, !want, sys.Horizon, want)
 			}
 		}
 	}

@@ -3,10 +3,11 @@
 // possible runs, a point is a pair (run, time), and knowledge is ascribed to
 // processors through view functions over points.
 //
-// Time is discrete (the paper's results carry over unchanged; see DESIGN.md)
-// and runs are observed up to a finite horizon. A run records, for each
-// processor, its initial state, wake-up time, optional clock readings, and
-// the message events it sends and receives. The package derives local
+// Time is discrete (the paper's results carry over unchanged; README's
+// "Paper section → package map" lists where each is reproduced) and runs
+// are observed up to a finite horizon. A run records, for each processor,
+// its initial state, wake-up time, optional clock readings, and the
+// message events it sends and receives. The package derives local
 // histories h(p, r, t) exactly as in Section 5: the initial state plus the
 // sequence of messages sent and received before time t, with clock stamps if
 // and only if the processor has a clock, plus the current clock reading.
@@ -14,7 +15,9 @@
 // A System (a set of runs) together with a view function and a ground-fact
 // interpretation π induces a finite Kripke model over points, on which the
 // kripke package evaluates the full language, including the temporal
-// operators of Sections 11–12, whose semantics this package supplies.
+// operators of Sections 11–12. This package supplies their run-based
+// steps — E^ε, E^⋄, E^T, ◇ and □ — as a set-level hook; the kripke
+// evaluator builds C^ε, C^⋄ and C^T from them as greatest fixed points.
 package runs
 
 import (

@@ -45,8 +45,8 @@
 //
 // Every worked example and numbered theorem of the paper is regenerated by
 // a driver in Experiments / RunExperiments (muddy children, coordinated
-// attack, Theorems 5–12, Appendix A and B); see DESIGN.md for the index
-// and EXPERIMENTS.md for paper-vs-measured results.
+// attack, Theorems 5–12, Appendix A and B); README's "Paper section →
+// package map" indexes them, and cmd/hmrepro prints every report.
 package repro
 
 import (
@@ -261,7 +261,7 @@ var (
 	BitTransmission = kbp.BitTransmission
 )
 
-// Experiments returns the paper-reproduction experiments (E1..E13).
+// Experiments returns the paper-reproduction experiments (E1–E17).
 func Experiments() []Experiment { return core.All() }
 
 // RunExperiments executes every experiment and returns the reports.
