@@ -232,8 +232,8 @@ func BenchmarkAblationChainedRestrict(b *testing.B) {
 			q, blk := m.Minimize()
 			for s := 0; s < steps; s++ {
 				// Announce away the far end of the chain.
-				keep := bitset.NewFull(m.NumWorlds())
-				keep.RemoveRange(m.NumWorlds()-copies, m.NumWorlds())
+				keep := bitset.New(m.NumWorlds())
+				keep.AddRange(0, m.NumWorlds()-copies)
 				if incremental {
 					m = m.RestrictWithQuotient(keep, blk)
 				} else {

@@ -70,13 +70,7 @@ func (s *Set) Remove(i int) {
 
 // AddRange inserts every element in the half-open interval [lo, hi) into
 // the set, whole words at a time. Out-of-range portions are ignored.
-func (s *Set) AddRange(lo, hi int) { s.setRange(lo, hi, true) }
-
-// RemoveRange deletes every element in the half-open interval [lo, hi)
-// from the set, whole words at a time. Out-of-range portions are ignored.
-func (s *Set) RemoveRange(lo, hi int) { s.setRange(lo, hi, false) }
-
-func (s *Set) setRange(lo, hi int, add bool) {
+func (s *Set) AddRange(lo, hi int) {
 	lo, hi = max(lo, 0), min(hi, s.n)
 	for lo < hi {
 		wi := lo / wordBits
@@ -84,11 +78,7 @@ func (s *Set) setRange(lo, hi int, add bool) {
 		if end := (wi + 1) * wordBits; hi < end {
 			m &= ^uint64(0) >> (uint(end - hi))
 		}
-		if add {
-			s.words[wi] |= m
-		} else {
-			s.words[wi] &^= m
-		}
+		s.words[wi] |= m
 		lo = (wi + 1) * wordBits
 	}
 }

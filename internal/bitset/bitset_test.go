@@ -351,11 +351,11 @@ func BenchmarkCount(b *testing.B) {
 	}
 }
 
-// TestRemoveRange checks the word-level range removal against a per-bit
+// TestAddRange checks the word-level range insertion against a per-bit
 // reference across word boundaries: unaligned ends, single-word spans,
 // word-aligned ends (hi%64 == 0), whole-universe spans, empty and
-// out-of-range intervals.
-func TestRemoveRange(t *testing.T) {
+// out-of-range intervals, into an empty set and around existing members.
+func TestAddRange(t *testing.T) {
 	cases := []struct{ n, lo, hi int }{
 		{10, 2, 7},     // single word, interior
 		{64, 0, 64},    // exactly one full word
@@ -370,28 +370,21 @@ func TestRemoveRange(t *testing.T) {
 		{130, 1, 129},   // spans three words, both ends unaligned
 	}
 	for _, tc := range cases {
-		got := NewFull(tc.n)
-		got.RemoveRange(tc.lo, tc.hi)
-		want := NewFull(tc.n)
-		for i := tc.lo; i < tc.hi; i++ {
-			want.Remove(i)
-		}
-		if !got.Equal(want) {
-			t.Errorf("RemoveRange(n=%d, %d, %d) = %s, want %s", tc.n, tc.lo, tc.hi, got, want)
-		}
-		if got.Count() != want.Count() {
-			t.Errorf("RemoveRange(n=%d, %d, %d): count %d, want %d", tc.n, tc.lo, tc.hi, got.Count(), want.Count())
-		}
-		// AddRange restores exactly the removed interval.
-		got.AddRange(tc.lo, tc.hi)
-		if !got.IsFull() {
-			t.Errorf("AddRange(n=%d, %d, %d) after RemoveRange = %s, want full", tc.n, tc.lo, tc.hi, got)
-		}
 		added := New(tc.n)
 		added.AddRange(tc.lo, tc.hi)
-		want.Not()
+		want := New(tc.n)
+		for i := tc.lo; i < tc.hi; i++ {
+			want.Add(i)
+		}
 		if !added.Equal(want) || added.Count() != want.Count() {
 			t.Errorf("AddRange(n=%d, %d, %d) = %s, want %s", tc.n, tc.lo, tc.hi, added, want)
+		}
+		// Around the interval's complement, AddRange fills exactly the gap.
+		got := want.Clone()
+		got.Not()
+		got.AddRange(tc.lo, tc.hi)
+		if !got.IsFull() {
+			t.Errorf("AddRange(n=%d, %d, %d) over the complement = %s, want full", tc.n, tc.lo, tc.hi, got)
 		}
 	}
 }

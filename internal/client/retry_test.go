@@ -315,8 +315,8 @@ func TestShortContentLengthIsRetried(t *testing.T) {
 }
 
 // BenchmarkReadBody reads a Content-Length-framed eval body over loopback
-// HTTP, at the size of a muddy:12 tower batch with world lists (16
-// verdicts of 1024 worlds, about 78 KB) and of one without: readBody's
+// HTTP, at the size of a muddy:12 tower batch with world sets (16
+// verdicts of 1024 of 4096 worlds, about 12 KB) and of one without: readBody's
 // buffer sized from the header against io.ReadAll's growing one.
 func BenchmarkReadBody(b *testing.B) {
 	for _, worlds := range []int{0, 1024} {

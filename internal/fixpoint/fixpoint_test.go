@@ -226,6 +226,36 @@ func TestEventualTowerExceedsGFP(t *testing.T) {
 	if !direct.Equal(gfp) {
 		t.Errorf("Eval(C^⋄ intent) = %s, TowerVsGFP gfp = %s", direct, gfp)
 	}
+
+	// Over a reliable channel the same handshake always delivers m1, so
+	// the responder eventually learns the intent in the "go" run: C^⋄
+	// intent holds at every point of that run and nowhere else. Both
+	// fixed-point loops must find exactly that set, so an E^⋄ that drops
+	// a point fails here even though both loops share it.
+	sys, err = protocol.Generate(protos, protocol.Reliable{Delay: 1}, cfgs, 10,
+		protocol.Options{MaxMessagesPerRun: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm = sys.Model(runs.CompleteHistoryView, runs.Interpretation{
+		"intent": func(r *runs.Run, _ runs.Time) bool { return r.Init[0] == "go" },
+	})
+	want, err := pm.Eval(logic.P("intent"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.IsEmpty() || want.IsFull() {
+		t.Fatalf("intent holds at %s of %d points: want exactly the go run's", want, pm.NumWorlds())
+	}
+	if _, gfp, err = TowerVsGFP(pm.Model, op, logic.P("intent"), 3); err != nil {
+		t.Fatal(err)
+	}
+	if direct, err = pm.Eval(logic.Cev(nil, logic.P("intent"))); err != nil {
+		t.Fatal(err)
+	}
+	if !gfp.Equal(want) || !direct.Equal(want) {
+		t.Errorf("reliable channel: TowerVsGFP gfp = %s, Eval(C^⋄ intent) = %s, want the go run %s", gfp, direct, want)
+	}
 }
 
 func TestGFPNonConvergenceReported(t *testing.T) {

@@ -95,6 +95,8 @@ type evaluator struct {
 
 	tsets []*bitset.Set // the input sets of the current temporal hook call
 
+	agents []int // arena of the explicit groups being evaluated (resolveAgents)
+
 	empty *bitset.Set // canonical shared ∅ (never mutated)
 	full  *bitset.Set // canonical shared universe (never mutated)
 
@@ -191,23 +193,38 @@ func (m *Model) resolveGroup(g logic.Group) ([]int, error) {
 		}
 		return all, nil
 	}
-	out := make([]int, 0, len(g))
-	for _, a := range g {
-		if int(a) < 0 || int(a) >= m.numAgents {
-			return nil, fmt.Errorf("kripke: agent %d out of range [0,%d)", a, m.numAgents)
-		}
-		out = append(out, int(a))
-	}
-	return out, nil
+	return m.appendGroup(make([]int, 0, len(g)), g)
 }
 
-// resolveAgents is resolveGroup without the nil-group allocation: the full
-// agent set resolves to the index slice prebuilt with the derived tables.
+// appendGroup appends the agents of the explicit group g to dst,
+// validating them against the model. On an error it returns dst with the
+// agents before the bad one appended.
+func (m *Model) appendGroup(dst []int, g logic.Group) ([]int, error) {
+	for _, a := range g {
+		if int(a) < 0 || int(a) >= m.numAgents {
+			return dst, fmt.Errorf("kripke: agent %d out of range [0,%d)", a, m.numAgents)
+		}
+		dst = append(dst, int(a))
+	}
+	return dst, nil
+}
+
+// resolveAgents is resolveGroup without allocating: the full agent set
+// resolves to the index slice prebuilt with the derived tables, and an
+// explicit group is appended to the evaluator's agent arena. The caller
+// truncates ev.agents back to its length before the call once it is done
+// with the slice; a nested grouped operator resolved meanwhile appends
+// past it (or into a regrown arena), so it cannot clobber it.
 func (ev *evaluator) resolveAgents(g logic.Group) ([]int, error) {
 	if g == nil {
 		return ev.t.allAgents, nil
 	}
-	return ev.m.resolveGroup(g)
+	start := len(ev.agents)
+	var err error
+	if ev.agents, err = ev.m.appendGroup(ev.agents, g); err != nil {
+		return nil, err
+	}
+	return ev.agents[start:len(ev.agents):len(ev.agents)], nil
 }
 
 // Eval returns the set of worlds at which f holds. The formula must be
@@ -429,71 +446,10 @@ func (ev *evaluator) evalCompound(f logic.Formula, env *binding) (*bitset.Set, b
 		return l, true, nil
 
 	case logic.Modal:
-		if n.Op.Temporal() && ev.m.Temporal == nil {
-			return nil, false, fmt.Errorf("%w: %s", ErrTemporal, f)
-		}
-		var agents []int
-		if n.Op == logic.OpKnow {
-			if n.N < 0 || n.N >= ev.m.numAgents {
-				return nil, false, fmt.Errorf("kripke: agent %d out of range [0,%d)", n.N, ev.m.numAgents)
-			}
-		} else if n.Op.Grouped() {
-			var err error
-			if agents, err = ev.resolveAgents(n.G); err != nil {
-				return nil, false, err
-			}
-		}
-		phi, owned, err := ev.eval(n.F, env)
-		if err != nil {
-			return nil, false, err
-		}
-		if every, ok := temporalCommonBase[n.Op]; ok {
-			// C^x_G φ is νX.E^x_G(Φ ∧ X), with Φ bound to φ's denotation
-			// so an open φ is not evaluated again on every step.
-			body := logic.Modal{Op: every, N: n.N, G: n.G, F: temporalCommonArg}
-			bound := &binding{name: temporalCommonPhi, set: phi, prev: env}
-			s, sOwned, err := ev.fixpoint(temporalCommonVar, body, bound, true)
-			ev.releaseIf(phi, owned)
-			return s, sOwned, err
-		}
-		if len(agents) == 0 && (n.Op == logic.OpDist || n.Op == logic.OpCommon) {
-			return phi, owned, nil // D_∅ φ and C_∅ φ are φ
-		}
-		dst := ev.alloc()
-		switch n.Op {
-		case logic.OpKnow:
-			ev.m.part(ev.t, n.N).knowInto(dst, phi, &ev.ks)
-		case logic.OpSomeone:
-			dst.Clear()
-			tmp := ev.alloc()
-			for _, a := range agents {
-				ev.m.part(ev.t, a).knowInto(tmp, phi, &ev.ks)
-				dst.Or(tmp)
-			}
-			ev.release(tmp)
-		case logic.OpEveryone:
-			ev.m.everyoneInto(ev.t, agents, dst, phi, &ev.ks)
-		case logic.OpDist:
-			ev.m.jointPartition(ev.t, agents, ev.keyScratch()).knowInto(dst, phi, &ev.ks)
-		case logic.OpCommon:
-			ev.m.reachPartition(ev.t, agents, ev.keyScratch()).knowInto(dst, phi, &ev.ks)
-		case logic.OpEventually, logic.OpAlways:
-			ev.tsets = append(ev.tsets[:0], phi)
-			ev.m.Temporal.EvalTemporal(dst, n.Op, n.N, nil, ev.tsets)
-		default: // E^ε, E^⋄, E^T: the hook combines each member's K_a φ
-			ev.tsets = ev.tsets[:0]
-			for _, a := range agents {
-				k := ev.alloc()
-				ev.m.part(ev.t, a).knowInto(k, phi, &ev.ks)
-				ev.tsets = append(ev.tsets, k)
-			}
-			ev.m.Temporal.EvalTemporal(dst, n.Op, n.N, agents, ev.tsets)
-			for _, k := range ev.tsets {
-				ev.release(k)
-			}
-		}
-		ev.releaseIf(phi, owned)
-		return dst, true, nil
+		mark := len(ev.agents)
+		s, owned, err := ev.evalModal(n, env)
+		ev.agents = ev.agents[:mark]
+		return s, owned, err
 
 	case logic.Nu:
 		return ev.fixpoint(n.Var, n.Body, env, true)
@@ -504,6 +460,76 @@ func (ev *evaluator) evalCompound(f logic.Formula, env *binding) (*bitset.Set, b
 	default:
 		return nil, false, fmt.Errorf("kripke: unsupported formula %T", f)
 	}
+}
+
+// evalModal evaluates a modal operator. Its explicit group, if any, is
+// resolved into the agent arena, which the caller truncates.
+func (ev *evaluator) evalModal(n logic.Modal, env *binding) (*bitset.Set, bool, error) {
+	if n.Op.Temporal() && ev.m.Temporal == nil {
+		return nil, false, fmt.Errorf("%w: %s", ErrTemporal, n)
+	}
+	var agents []int
+	if n.Op == logic.OpKnow {
+		if n.N < 0 || n.N >= ev.m.numAgents {
+			return nil, false, fmt.Errorf("kripke: agent %d out of range [0,%d)", n.N, ev.m.numAgents)
+		}
+	} else if n.Op.Grouped() {
+		var err error
+		if agents, err = ev.resolveAgents(n.G); err != nil {
+			return nil, false, err
+		}
+	}
+	phi, owned, err := ev.eval(n.F, env)
+	if err != nil {
+		return nil, false, err
+	}
+	if every, ok := temporalCommonBase[n.Op]; ok {
+		// C^x_G φ is νX.E^x_G(Φ ∧ X), with Φ bound to φ's denotation
+		// so an open φ is not evaluated again on every step.
+		body := logic.Modal{Op: every, N: n.N, G: n.G, F: temporalCommonArg}
+		bound := &binding{name: temporalCommonPhi, set: phi, prev: env}
+		s, sOwned, err := ev.fixpoint(temporalCommonVar, body, bound, true)
+		ev.releaseIf(phi, owned)
+		return s, sOwned, err
+	}
+	if len(agents) == 0 && (n.Op == logic.OpDist || n.Op == logic.OpCommon) {
+		return phi, owned, nil // D_∅ φ and C_∅ φ are φ
+	}
+	dst := ev.alloc()
+	switch n.Op {
+	case logic.OpKnow:
+		ev.m.part(ev.t, n.N).knowInto(dst, phi, &ev.ks)
+	case logic.OpSomeone:
+		dst.Clear()
+		tmp := ev.alloc()
+		for _, a := range agents {
+			ev.m.part(ev.t, a).knowInto(tmp, phi, &ev.ks)
+			dst.Or(tmp)
+		}
+		ev.release(tmp)
+	case logic.OpEveryone:
+		ev.m.everyoneInto(ev.t, agents, dst, phi, &ev.ks)
+	case logic.OpDist:
+		ev.m.jointPartition(ev.t, agents, ev.keyScratch()).knowInto(dst, phi, &ev.ks)
+	case logic.OpCommon:
+		ev.m.reachPartition(ev.t, agents, ev.keyScratch()).knowInto(dst, phi, &ev.ks)
+	case logic.OpEventually, logic.OpAlways:
+		ev.tsets = append(ev.tsets[:0], phi)
+		ev.m.Temporal.EvalTemporal(dst, n.Op, n.N, nil, ev.tsets)
+	default: // E^ε, E^⋄, E^T: the hook combines each member's K_a φ
+		ev.tsets = ev.tsets[:0]
+		for _, a := range agents {
+			k := ev.alloc()
+			ev.m.part(ev.t, a).knowInto(k, phi, &ev.ks)
+			ev.tsets = append(ev.tsets, k)
+		}
+		ev.m.Temporal.EvalTemporal(dst, n.Op, n.N, agents, ev.tsets)
+		for _, k := range ev.tsets {
+			ev.release(k)
+		}
+	}
+	ev.releaseIf(phi, owned)
+	return dst, true, nil
 }
 
 // fixpoint computes νX.body (greatest = true) or μX.body (least). Greatest

@@ -170,3 +170,30 @@ func TestRefineAgentSemiPublicAnnouncement(t *testing.T) {
 		t.Error("refining by the empty set should keep the class together")
 	}
 }
+
+// TestNestedExplicitGroups: explicit groups nested inside one another's
+// operands each keep their own agents (they share one resolution arena),
+// so every formula agrees with its unfolding into per-agent K.
+func TestNestedExplicitGroups(t *testing.T) {
+	m := buildWideModel(300, 4, 3)
+	for _, c := range []struct{ nested, unfolded string }{
+		{"E{0,1} E{2,3} p", "(K0 (K2 p & K3 p)) & (K1 (K2 p & K3 p))"},
+		{"E{3} (q | E{0,2} p)", "K3 (q | (K0 p & K2 p))"},
+		{"S{1,2} E{0,3} p", "K1 (K0 p & K3 p) | K2 (K0 p & K3 p)"},
+	} {
+		got, err := m.Eval(logic.MustParse(c.nested))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := m.Eval(logic.MustParse(c.unfolded))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s = %s, want %s (%s)", c.nested, got, want, c.unfolded)
+		}
+	}
+	if _, err := m.Eval(logic.MustParse("E{0} E{7} p")); err == nil {
+		t.Error("an out-of-range agent in a nested group evaluated")
+	}
+}

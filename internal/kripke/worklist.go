@@ -101,6 +101,8 @@ func (ev *evaluator) worklistParts(mod logic.Modal) ([]*partition, bool) {
 		ev.wparts = append(ev.wparts[:0], ev.m.part(ev.t, mod.N))
 		return ev.wparts, true
 	}
+	mark := len(ev.agents)
+	defer func() { ev.agents = ev.agents[:mark] }()
 	agents, err := ev.resolveAgents(mod.G)
 	if err != nil || len(agents) == 0 {
 		return nil, false

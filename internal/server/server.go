@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bitset"
 	"repro/internal/logic"
 )
 
@@ -115,7 +116,7 @@ type SessionState struct {
 
 // EvalRequest evaluates a formula batch on a session's current model.
 // Workers <= 0 uses the server default; positive counts are clamped to the
-// server's cap. Worlds asks for the full denotation world lists.
+// server's cap. Worlds asks for the full denotation world sets.
 type EvalRequest struct {
 	Formulas []string `json:"formulas"`
 	Workers  int      `json:"workers,omitempty"`
@@ -123,12 +124,13 @@ type EvalRequest struct {
 }
 
 // Verdict is one formula's result. Marked is nil when the session has no
-// surviving marked world to judge at.
+// surviving marked world to judge at. Worlds, filled when the request asks
+// for them, travels as a bitmap string (wire.go).
 type Verdict struct {
 	Formula string `json:"formula"`
 	Count   int    `json:"count"`
 	Marked  *bool  `json:"marked"`
-	Worlds  []int  `json:"worlds,omitempty"`
+	Worlds  Worlds `json:"worlds,omitempty"`
 }
 
 // EvalResponse carries the batch's verdicts; Link identifies the chain
@@ -587,15 +589,16 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 			holds := set.Contains(marked)
 			v.Marked = &holds
 		}
-		if req.Worlds {
-			v.Worlds = set.Elements()
-		}
 		resp.Verdicts[i] = v
 	}
-	body := AppendEvalResponse(nil, resp)
+	var worlds []*bitset.Set
+	if req.Worlds {
+		worlds = sets
+	}
+	body := appendEvalResponse(nil, resp, worlds)
 	if len(body) > MaxResponseBytes-resessionHeadroom {
 		WriteError(w, http.StatusUnprocessableEntity, fmt.Sprintf(
-			"eval response of %d bytes exceeds the %d-byte cap: ask for fewer formulas or no world lists",
+			"eval response of %d bytes exceeds the %d-byte cap: ask for fewer formulas or no world sets",
 			len(body), MaxResponseBytes-resessionHeadroom))
 		return
 	}

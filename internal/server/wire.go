@@ -2,21 +2,27 @@ package server
 
 import (
 	"bytes"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"unicode/utf8"
+
+	"repro/internal/bitset"
 )
 
 // The eval wire format. A verdict batch is the bulk of every byte knowd
-// serves: a world list per formula when the client asks for denotations.
-// This file owns that format end to end — knowd encodes it with
-// AppendEvalResponse, a relay re-labels it with ResessionEval without
-// decoding it, and a client decodes it with DecodeEvalResponse — so no
-// layer reflects over world lists. The bytes are exactly what
-// encoding/json writes for an EvalResponse.
+// serves: a world set per formula when the client asks for denotations,
+// carried as a base64 bitmap (Worlds). This file owns that format end to
+// end — knowd encodes it with AppendEvalResponse, a relay re-labels it
+// with ResessionEval without decoding it, and a client decodes it with
+// DecodeEvalResponse — so no layer reflects over world sets. The bytes
+// are exactly what encoding/json writes for an EvalResponse.
 
 // MaxResponseBytes caps the body of every knowd response a client reads.
 // knowd refuses with 422 an eval response that would not fit (less
@@ -29,9 +35,18 @@ const MaxResponseBytes = 1 << 22
 const resessionHeadroom = 64
 
 // AppendEvalResponse appends r's JSON encoding to dst: byte for byte what
-// json.NewEncoder writes for r, trailing newline included.
+// json.NewEncoder writes for r, trailing newline included. Where
+// json.Marshal fails — a verdict whose Worlds is not a world set (see
+// Worlds) — it panics.
 func AppendEvalResponse(dst []byte, r EvalResponse) []byte {
-	dst = slices.Grow(dst, evalResponseSize(r))
+	return appendEvalResponse(dst, r, nil)
+}
+
+// appendEvalResponse is AppendEvalResponse with verdict i's world set
+// read from sets[i] when sets is non-nil, in place of its Worlds: knowd
+// writes each bitmap straight from the denotation's bitset words.
+func appendEvalResponse(dst []byte, r EvalResponse, sets []*bitset.Set) []byte {
+	dst = slices.Grow(dst, evalResponseSize(r, sets))
 	dst = appendSessionPrefix(dst, r.Session)
 	dst = append(dst, `"link":`...)
 	dst = strconv.AppendInt(dst, int64(r.Link), 10)
@@ -44,7 +59,16 @@ func AppendEvalResponse(dst []byte, r EvalResponse) []byte {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendVerdict(dst, v)
+			var words []uint64
+			if sets != nil {
+				words = sets[i].Words()
+			} else {
+				var err error
+				if words, err = v.Worlds.words(); err != nil {
+					panic(err)
+				}
+			}
+			dst = appendVerdict(dst, v, words)
 		}
 		dst = append(dst, ']')
 	}
@@ -52,33 +76,28 @@ func AppendEvalResponse(dst []byte, r EvalResponse) []byte {
 }
 
 // evalResponseSize estimates r's encoded size, so the appender grows its
-// buffer once: exact for ASCII formulas that need no escaping and world
-// lists whose widest entry is the first or last.
-func evalResponseSize(r EvalResponse) int {
+// buffer once: exact for ASCII formulas that need no escaping, with a
+// bitmap from sets counted at its universe's size, an upper bound.
+func evalResponseSize(r EvalResponse, sets []*bitset.Set) int {
 	n := len(`{"session":"","link":,"verdicts":[]}`+"\n") + len(r.Session) + 20
-	for _, v := range r.Verdicts {
+	for i, v := range r.Verdicts {
 		n += len(`{"formula":"","count":,"marked":false},`) + len(v.Formula) + 20
-		if k := len(v.Worlds); k > 0 {
-			w := max(intWidth(v.Worlds[0]), intWidth(v.Worlds[k-1]))
-			n += len(`,"worlds":[]`) + k*(w+1)
+		nb := 0
+		if sets != nil {
+			nb = (sets[i].Cap() + 7) / 8
+		} else if k := len(v.Worlds); k > 0 {
+			nb = max(v.Worlds[k-1], 0)/8 + 1
+		}
+		if nb > 0 {
+			n += len(`,"worlds":""`) + bitmapEncoding.EncodedLen(nb)
 		}
 	}
 	return n
 }
 
-// intWidth is the length of i in decimal, sign included.
-func intWidth(i int) int {
-	w := 1
-	if i < 0 {
-		w++
-	}
-	for ; i >= 10 || i <= -10; i /= 10 {
-		w++
-	}
-	return w
-}
-
-func appendVerdict(dst []byte, v Verdict) []byte {
+// appendVerdict appends v with the world set whose bitset words are words
+// (omitted when empty, as omitempty drops an empty Worlds).
+func appendVerdict(dst []byte, v Verdict, words []uint64) []byte {
 	dst = append(dst, `{"formula":`...)
 	dst = appendString(dst, v.Formula)
 	dst = append(dst, `,"count":`...)
@@ -92,17 +111,140 @@ func appendVerdict(dst []byte, v Verdict) []byte {
 	default:
 		dst = append(dst, "false"...)
 	}
-	if len(v.Worlds) > 0 { // omitempty
-		dst = append(dst, `,"worlds":[`...)
-		for i, w := range v.Worlds {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendInt(dst, int64(w), 10)
-		}
-		dst = append(dst, ']')
+	if words = trimWords(words); len(words) > 0 {
+		dst = append(dst, `,"worlds":`...)
+		dst = appendBitmap(dst, words)
 	}
 	return append(dst, '}')
+}
+
+// Worlds is a verdict's world set: sorted, distinct, non-negative world
+// ids. On the wire it is one JSON string, the unpadded standard base64 of
+// an LSB-first bitmap (byte k, bit j is world 8k+j) with its trailing zero
+// bytes trimmed, so a set over N worlds costs at most ⌈N/8⌉ bytes, about
+// N/6 characters. Every set has one encoding: the decoder refuses
+// padding, non-zero trailing bits, a trailing zero byte, the empty string
+// and any byte outside the standard alphabet. The empty set is omitted
+// from a Verdict, and marshals on its own as null.
+type Worlds []int
+
+// bitmapEncoding is the world bitmap's base64: strict, so the unused
+// low bits of a final partial group must be zero.
+var bitmapEncoding = base64.RawStdEncoding.Strict()
+
+// maxWorld bounds the world ids a bitmap may carry: a bitmap of a world
+// at or past it could not fit in a response.
+const maxWorld = 8 * MaxResponseBytes
+
+var (
+	errNotWorldSet = errors.New("server: worlds are not sorted, distinct world ids in [0, 8*MaxResponseBytes)")
+	errBitmap      = errors.New("server: worlds are not a canonical base64 world bitmap")
+)
+
+// MarshalJSON writes w as its bitmap string, or null when w is empty.
+func (w Worlds) MarshalJSON() ([]byte, error) {
+	words, err := w.words()
+	if err != nil {
+		return nil, err
+	}
+	if len(words) == 0 {
+		return []byte("null"), nil
+	}
+	return appendBitmap(nil, words), nil
+}
+
+// UnmarshalJSON reads a bitmap string; null leaves w as it is.
+func (w *Worlds) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		return nil
+	}
+	var s string
+	if json.Unmarshal(data, &s) != nil {
+		return errBitmap
+	}
+	ws, err := decodeBitmap([]byte(s), 0)
+	if err != nil {
+		return err
+	}
+	*w = ws
+	return nil
+}
+
+// words returns w's bitset words, or errNotWorldSet.
+func (w Worlds) words() ([]uint64, error) {
+	prev := -1
+	for _, id := range w {
+		if id <= prev {
+			return nil, errNotWorldSet
+		}
+		prev = id
+	}
+	if prev >= maxWorld {
+		return nil, errNotWorldSet
+	}
+	if prev < 0 {
+		return nil, nil
+	}
+	words := make([]uint64, prev/64+1)
+	for _, id := range w {
+		words[id/64] |= 1 << (id % 64)
+	}
+	return words, nil
+}
+
+// trimWords drops the trailing zero words of a bitset.
+func trimWords(words []uint64) []uint64 {
+	for len(words) > 0 && words[len(words)-1] == 0 {
+		words = words[:len(words)-1]
+	}
+	return words
+}
+
+// appendBitmap appends the quoted bitmap string of words, whose last word
+// must be non-zero. The bytes go through base64 in 48-byte chunks (a
+// multiple of 3, so the chunks' encodings concatenate to the whole's)
+// without an intermediate copy of the bitmap.
+func appendBitmap(dst []byte, words []uint64) []byte {
+	n := 8*len(words) - bits.LeadingZeros64(words[len(words)-1])/8
+	dst = append(dst, '"')
+	var buf [48]byte
+	for off := 0; off < n; off += len(buf) {
+		k := min(len(buf), n-off)
+		for i := 0; i < k; i += 8 {
+			binary.LittleEndian.PutUint64(buf[i:], words[(off+i)/8])
+		}
+		dst = bitmapEncoding.AppendEncode(dst, buf[:k])
+	}
+	return append(dst, '"')
+}
+
+// decodeBitmap expands the bitmap string src (without its quotes) into
+// sorted world ids, presizing the list for hint of them (a verdict's
+// count, capped by what src can hold). It decodes src in 64-character
+// chunks, each into 48 bytes on the stack.
+func decodeBitmap(src []byte, hint int) (Worlds, error) {
+	if len(src) == 0 {
+		return nil, errBitmap
+	}
+	out := make(Worlds, 0, min(max(hint, 0), 6*len(src)))
+	var buf [48]byte
+	for base := 0; len(src) > 0; base += 8 * len(buf) {
+		chunk := src[:min(len(src), 64)]
+		src = src[len(chunk):]
+		// Base64 decoding skips CR and LF, which a canonical bitmap does
+		// not hold: a chunk with either decodes short.
+		k, err := bitmapEncoding.Decode(buf[:], chunk)
+		if err != nil || k != bitmapEncoding.DecodedLen(len(chunk)) || (len(src) == 0 && buf[k-1] == 0) {
+			return nil, errBitmap
+		}
+		clear(buf[k:])
+		for i := 0; i < k; i += 8 {
+			for w := binary.LittleEndian.Uint64(buf[i:]); w != 0; w &= w - 1 {
+				out = append(out, base+8*i+bits.TrailingZeros64(w))
+			}
+		}
+	}
+	return out, nil
 }
 
 // appendSessionPrefix appends `{"session":<sid>,`, the fixed head of
@@ -144,12 +286,13 @@ func ResessionEval(body []byte, shardSID, routerID string) ([]byte, error) {
 // DecodeEvalResponse decodes an eval response body into *r, which it
 // overwrites. It reads the exact layout AppendEvalResponse writes in one
 // forward pass: keys in field order, "marked" as true, false or null,
-// "worlds" only when non-empty, and a trailing "}\n". A string holding a
-// backslash (or bytes that are not UTF-8) is unquoted by encoding/json on
-// its own. Any other deviation — reordered, duplicate or case-variant
-// keys, whitespace, non-canonical numbers, trailing bytes — hands the
-// whole body to json.Unmarshal, so the result always equals
-// json.Unmarshal's into a zero EvalResponse, error for error.
+// "worlds" only as a canonical bitmap, expanded into a list presized from
+// "count", and a trailing "}\n". A string holding a backslash (or bytes
+// that are not UTF-8) is unquoted by encoding/json on its own. Any other
+// deviation — reordered, duplicate or case-variant keys, whitespace,
+// non-canonical numbers or bitmaps, trailing bytes — hands the whole body
+// to json.Unmarshal, so the result always equals json.Unmarshal's into a
+// zero EvalResponse, error for error.
 func DecodeEvalResponse(data []byte, r *EvalResponse) error {
 	d := evalDecoder{data: data}
 	if out, ok := d.response(); ok {
@@ -221,8 +364,8 @@ func (d *evalDecoder) verdict() (Verdict, bool) {
 	default:
 		return v, false
 	}
-	if d.lit(`,"worlds":[`) {
-		if v.Worlds, ok = d.worlds(); !ok {
+	if d.lit(`,"worlds":"`) {
+		if v.Worlds, ok = d.worlds(v.Count); !ok {
 			return v, false
 		}
 	}
@@ -280,46 +423,19 @@ func (d *evalDecoder) int() (int, bool) {
 	return n, ok
 }
 
-// fastDigits is the longest run of decimal digits that always fits in an
-// int: 18 for a 64-bit int, 9 for a 32-bit one.
-const fastDigits = 9 * strconv.IntSize / 32
-
-// worlds reads the elements of a non-empty world list and its closing
-// bracket into a list sized from the commas before the first ']'.
-func (d *evalDecoder) worlds() ([]int, bool) {
-	data, i := d.data, d.i
-	end := bytes.IndexByte(data[i:], ']')
+// worlds reads a world bitmap string, its opening quote already consumed,
+// and its closing quote; hint is the verdict's count.
+func (d *evalDecoder) worlds(hint int) (Worlds, bool) {
+	end := bytes.IndexByte(d.data[d.i:], '"')
 	if end < 0 {
 		return nil, false
 	}
-	out := make([]int, 0, bytes.Count(data[i:i+end], []byte{','})+1)
-	for {
-		// Up to fastDigits digits without a sign or a leading zero cannot
-		// overflow; anything else is parseInt's to judge.
-		j, n := i, 0
-		for ; j < len(data) && data[j]-'0' < 10; j++ {
-			n = n*10 + int(data[j]-'0')
-		}
-		if k := j - i; k == 0 || k > fastDigits || (k > 1 && data[i] == '0') {
-			var ok bool
-			if n, j, ok = parseInt(data, i); !ok {
-				return nil, false
-			}
-		}
-		out = append(out, n)
-		if j == len(data) {
-			return nil, false
-		}
-		switch data[j] {
-		case ',':
-			i = j + 1
-		case ']':
-			d.i = j + 1
-			return out, true
-		default:
-			return nil, false
-		}
+	ws, err := decodeBitmap(d.data[d.i:d.i+end], hint)
+	if err != nil {
+		return nil, false
 	}
+	d.i += end + 1
+	return ws, true
 }
 
 // parseInt reads a JSON integer at data[i:], returning its value and the

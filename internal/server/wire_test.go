@@ -10,13 +10,16 @@ import (
 	"strings"
 	"testing"
 	"unicode/utf8"
+
+	"repro/internal/bitset"
 )
 
 // fuzzEvalResponse builds an EvalResponse from fuzz inputs: formulas is
 // split on the record separator (0x1e) and cycled, each shape byte makes
 // one verdict (bits 0-1: marked nil/true/false, bits 2-3: worlds nil,
-// empty or drawn), and worlds is a stream of varints the drawn world lists
-// consume, so they cover negative and extreme ints.
+// empty or drawn), and worlds is a stream of uvarint gaps the drawn world
+// sets consume, so every set is sorted, distinct and non-negative, as a
+// denotation's elements are.
 func fuzzEvalResponse(session string, link int64, formulas string, shape, worlds []byte) EvalResponse {
 	r := EvalResponse{Session: session, Link: int(link)}
 	if len(shape) == 0 {
@@ -33,22 +36,40 @@ func fuzzEvalResponse(session string, link int64, formulas string, shape, worlds
 		}
 		switch b >> 2 & 3 {
 		case 1:
-			v.Worlds = []int{}
+			v.Worlds = Worlds{}
 		case 2, 3:
-			n := int(b>>4) + 1
+			n, w := int(b>>4)+1, -1
 			for j := 0; j < n && len(worlds) > 0; j++ {
-				w, k := binary.Varint(worlds)
+				gap, k := binary.Uvarint(worlds)
 				if k <= 0 {
 					worlds = nil
 					break
 				}
 				worlds = worlds[k:]
-				v.Worlds = append(v.Worlds, int(w))
+				w += 1 + int(gap%(1<<12))
+				v.Worlds = append(v.Worlds, w)
 			}
 		}
 		r.Verdicts = append(r.Verdicts, v)
 	}
 	return r
+}
+
+// worldSets is r's world sets as bitsets over a universe one word past
+// the largest world, as knowd hands them to the appender.
+func worldSets(r EvalResponse) []*bitset.Set {
+	sets := make([]*bitset.Set, len(r.Verdicts))
+	for i, v := range r.Verdicts {
+		n := 64
+		if k := len(v.Worlds); k > 0 {
+			n += v.Worlds[k-1] + 1
+		}
+		sets[i] = bitset.New(n)
+		for _, w := range v.Worlds {
+			sets[i].Add(w)
+		}
+	}
+	return sets
 }
 
 // omitEmptyWorlds is r as its encoding carries it: omitempty drops an
@@ -90,9 +111,10 @@ func checkDecodeLikeJSON(t *testing.T, data []byte) {
 }
 
 // FuzzEvalWire pins the eval wire format to encoding/json's: the appender
-// writes json.NewEncoder's bytes, DecodeEvalResponse decodes exactly as
-// json.Unmarshal does, error for error, and ResessionEval changes the
-// session and nothing else.
+// writes json.NewEncoder's bytes, from world lists and from knowd's
+// bitsets alike, DecodeEvalResponse decodes exactly as json.Unmarshal
+// does, error for error, and ResessionEval changes the session and
+// nothing else.
 func FuzzEvalWire(f *testing.F) {
 	f.Add("s1", int64(0), "K0 muddy1", []byte{0x05, 0x0a}, []byte{0, 2, 4}, []byte(`[0,1,2]`), "r1")
 	f.Add("s3k-12", int64(7), "C (p & q)\x1ep < q\x1eE^2 p > D\tq", []byte{0x00, 0x06, 0x2b}, []byte{1, 3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, []byte(" [ -0 , null,\t9223372036854775807 ]\n"), "r99")
@@ -102,6 +124,22 @@ func FuzzEvalWire(f *testing.F) {
 	f.Add("s2", int64(1), "p", []byte{0x01}, []byte{}, []byte(`[9223372036854775808]`), "r2")
 	f.Add("s2", int64(1), "p", []byte{0x01}, []byte{}, []byte(`[1e2, "1", 01]`), "r2")
 	f.Add("s2", int64(1), "p", []byte{0x01}, []byte{}, []byte(`[1,]`), "r2")
+	// World bitmaps off the canonical form: every one is json.Unmarshal's
+	// to refuse or accept, and DecodeEvalResponse must follow it.
+	for _, worlds := range []string{
+		`"AQ=="`,   // padding
+		`"AR"`,     // non-zero trailing bits
+		`"AQA"`,    // a trailing zero byte
+		`"-_8"`,    // the URL alphabet
+		`""`,       // the empty string
+		`"A\/8"`,   // an escaped alphabet byte
+		"\"AQ\n\"", // a raw newline, which base64 alone would skip
+		`null`,     // no set
+		`[1,2]`,    // a decimal world list
+	} {
+		raw := `{"session":"s2","link":1,"verdicts":[{"formula":"p","count":2,"marked":true,"worlds":` + worlds + "}]}\n"
+		f.Add("s2", int64(1), "p", []byte{0x09}, []byte{1, 0, 200, 1}, []byte(raw), "r2")
+	}
 
 	f.Fuzz(func(t *testing.T, session string, link int64, formulas string, shape, worlds, raw []byte, routerID string) {
 		resp := fuzzEvalResponse(session, link, formulas, shape, worlds)
@@ -114,6 +152,10 @@ func FuzzEvalWire(f *testing.F) {
 		body := AppendEvalResponse(nil, resp)
 		if !bytes.Equal(body, want.Bytes()) {
 			t.Fatalf("AppendEvalResponse:\n got %q\nwant %q", body, want.Bytes())
+		}
+		// knowd's path writes the same bytes from the sets' words.
+		if got := appendEvalResponse(nil, resp, worldSets(resp)); !bytes.Equal(got, body) {
+			t.Fatalf("appendEvalResponse from bitsets:\n got %q\nwant %q", got, body)
 		}
 
 		// 2. DecodeEvalResponse inverts the appender, up to what the
@@ -162,8 +204,8 @@ func FuzzEvalWire(f *testing.F) {
 }
 
 // BenchmarkDecodeEvalResponse decodes a muddy:12-sized tower batch with
-// world lists (16 verdicts of 1024 worlds, about 78 KB): the one-pass
-// decoder against json.Unmarshal.
+// world sets (16 verdicts of 1024 of 4096 worlds, about 12 KB): the
+// one-pass decoder against json.Unmarshal.
 func BenchmarkDecodeEvalResponse(b *testing.B) {
 	r := EvalResponse{Session: "s3k-1", Link: 4}
 	for i := range 16 {
@@ -190,5 +232,44 @@ func BenchmarkDecodeEvalResponse(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestWorldsBitmap pins the bitmap encoding of a few world sets, and that
+// a list that is not a world set fails json.Marshal and panics the
+// appender instead of writing some other set.
+func TestWorldsBitmap(t *testing.T) {
+	for _, c := range []struct {
+		worlds Worlds
+		wire   string
+	}{
+		{nil, `null`},
+		{Worlds{0}, `"AQ"`},
+		{Worlds{0, 1, 2}, `"Bw"`},
+		{Worlds{8}, `"AAE"`},
+		{Worlds{7, 15, 23}, `"gICA"`},
+		{Worlds{63, 64}, `"AAAAAAAAAIAB"`},
+	} {
+		got, err := json.Marshal(c.worlds)
+		if err != nil || string(got) != c.wire {
+			t.Errorf("json.Marshal(%v) = %s, %v; want %s", c.worlds, got, err, c.wire)
+		}
+		var back Worlds
+		if err := json.Unmarshal(got, &back); err != nil || !reflect.DeepEqual(back, c.worlds) {
+			t.Errorf("json.Unmarshal(%s) = %v, %v; want %v", got, back, err, c.worlds)
+		}
+	}
+	for _, bad := range []Worlds{{-1}, {2, 1}, {3, 3}, {maxWorld}} {
+		if _, err := json.Marshal(bad); err == nil {
+			t.Errorf("json.Marshal(%v) succeeded", bad)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AppendEvalResponse with worlds %v did not panic", bad)
+				}
+			}()
+			AppendEvalResponse(nil, EvalResponse{Verdicts: []Verdict{{Worlds: bad}}})
+		}()
 	}
 }
