@@ -237,6 +237,54 @@ func TestParseIffChainUnderBinder(t *testing.T) {
 	}
 }
 
+// TestParseLongChain: an & or | chain is flattened once when it ends, so
+// a megabyte-long chain parses in time linear in its length.
+func TestParseLongChain(t *testing.T) {
+	const n = 1 << 19 // "p&" is two bytes: a 1 MiB chain
+	done := make(chan [2]Formula, 1)
+	go func() {
+		and, errAnd := Parse("p" + strings.Repeat("&p", n-1))
+		or, errOr := Parse("p" + strings.Repeat("|p", n-1))
+		if errAnd != nil || errOr != nil {
+			t.Errorf("Parse: %v, %v", errAnd, errOr)
+		}
+		done <- [2]Formula{and, or}
+	}()
+	select {
+	case fs := <-done:
+		if a, ok := fs[0].(And); !ok || len(a.Fs) != n {
+			t.Errorf("& chain parsed to %T, want an And of %d operands", fs[0], n)
+		}
+		if o, ok := fs[1].(Or); !ok || len(o.Fs) != n {
+			t.Errorf("| chain parsed to %T, want an Or of %d operands", fs[1], n)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("parsing a %d-operand chain did not finish in 10s", n)
+	}
+}
+
+// TestParseChainShapes: chains of & and | flatten exactly as folding
+// Conj and Disj one operand at a time would, whatever they meet.
+func TestParseChainShapes(t *testing.T) {
+	a, b, c, d, e := P("a"), P("b"), P("c"), P("d"), P("e")
+	for in, want := range map[string]Formula{
+		"a & b & c":             Conj(a, b, c),
+		"a & (b & c) & d":       Conj(a, b, c, d),
+		"(a & b) & (c & d)":     Conj(a, b, c, d),
+		"a & b | c & d | e":     Disj(Conj(a, b), Conj(c, d), e),
+		"a | (b | c) | d & e":   Disj(a, b, c, Conj(d, e)),
+		"a | b -> c & d & e":    Imp(Disj(a, b), Conj(c, d, e)),
+		"a & b <-> c | d | e":   Equiv(Conj(a, b), Disj(c, d, e)),
+		"a & b <-> c <-> d & e": Equiv(Equiv(Conj(a, b), c), Conj(d, e)),
+		"~a & b & ~(c | d)":     Conj(Neg(a), b, Neg(Disj(c, d))),
+		"a":                     a,
+	} {
+		if got := MustParse(in); !Equal(got, want) {
+			t.Errorf("Parse(%q) = %s, want %s", in, got, want)
+		}
+	}
+}
+
 func TestParseIffNonAssoc(t *testing.T) {
 	// a <-> b <-> c parses left-to-right as (a <-> b) <-> c.
 	f := MustParse("a <-> b <-> c")

@@ -174,6 +174,22 @@ func (p *parser) parseBinary(minPrec int) (Formula, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The operands of the & or | chain that ends at left, flattened once
+	// when the chain ends: folding them in one Conj or Disj per operand
+	// would copy the operand list each time. Short chains stay on the
+	// stack.
+	var buf [8]Formula
+	chain, chainOp := buf[:0], ""
+	flush := func() Formula {
+		switch chainOp {
+		case "&":
+			left = Conj(chain...)
+		case "|":
+			left = Disj(chain...)
+		}
+		chain, chainOp = chain[:0], ""
+		return left
+	}
 	for {
 		var op string
 		var prec int
@@ -187,7 +203,7 @@ func (p *parser) parseBinary(minPrec int) (Formula, error) {
 		case minPrec <= precImplies && p.peek("->"):
 			op, prec = "->", precImplies // right associative
 		default:
-			return left, nil
+			return flush(), nil
 		}
 		p.accept(op)
 		// Each <-> or -> nests its operands one level deeper; & and | build
@@ -202,14 +218,16 @@ func (p *parser) parseBinary(minPrec int) (Formula, error) {
 			return nil, err
 		}
 		switch op {
-		case "&":
-			left = Conj(left, right)
-		case "|":
-			left = Disj(left, right)
+		case "&", "|":
+			if op != chainOp {
+				left = flush()
+				chain, chainOp = append(chain, left), op
+			}
+			chain = append(chain, right)
 		case "<->":
-			left = Iff{L: left, R: right}
+			left = Iff{L: flush(), R: right}
 		default:
-			left = Implies{Ant: left, Cons: right}
+			left = Implies{Ant: flush(), Cons: right}
 		}
 	}
 }

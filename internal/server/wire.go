@@ -123,9 +123,9 @@ func appendVerdict(dst []byte, v Verdict, words []uint64) []byte {
 // an LSB-first bitmap (byte k, bit j is world 8k+j) with its trailing zero
 // bytes trimmed, so a set over N worlds costs at most ⌈N/8⌉ bytes, about
 // N/6 characters. Every set has one encoding: the decoder refuses
-// padding, non-zero trailing bits, a trailing zero byte, the empty string
-// and any byte outside the standard alphabet. The empty set is omitted
-// from a Verdict, and marshals on its own as null.
+// padding, non-zero trailing bits, a trailing zero byte, the empty string,
+// any byte outside the standard alphabet and any JSON escape. The empty
+// set is omitted from a Verdict, and marshals on its own as null.
 type Worlds []int
 
 // bitmapEncoding is the world bitmap's base64: strict, so the unused
@@ -153,16 +153,18 @@ func (w Worlds) MarshalJSON() ([]byte, error) {
 	return appendBitmap(nil, words), nil
 }
 
-// UnmarshalJSON reads a bitmap string; null leaves w as it is.
+// UnmarshalJSON reads a bitmap string; null leaves w as it is. The
+// base64 alphabet needs no JSON escape, so a string holding one (say
+// "A\/8") is not canonical and is refused.
 func (w *Worlds) UnmarshalJSON(data []byte) error {
 	if string(data) == "null" {
 		return nil
 	}
-	var s string
-	if json.Unmarshal(data, &s) != nil {
+	n := len(data)
+	if n < 2 || data[0] != '"' || data[n-1] != '"' || bytes.IndexByte(data, '\\') >= 0 {
 		return errBitmap
 	}
-	ws, err := decodeBitmap([]byte(s), 0)
+	ws, err := decodeBitmap(data[1:n-1], 0)
 	if err != nil {
 		return err
 	}

@@ -127,15 +127,16 @@ func FuzzEvalWire(f *testing.F) {
 	// World bitmaps off the canonical form: every one is json.Unmarshal's
 	// to refuse or accept, and DecodeEvalResponse must follow it.
 	for _, worlds := range []string{
-		`"AQ=="`,   // padding
-		`"AR"`,     // non-zero trailing bits
-		`"AQA"`,    // a trailing zero byte
-		`"-_8"`,    // the URL alphabet
-		`""`,       // the empty string
-		`"A\/8"`,   // an escaped alphabet byte
-		"\"AQ\n\"", // a raw newline, which base64 alone would skip
-		`null`,     // no set
-		`[1,2]`,    // a decimal world list
+		`"AQ=="`,    // padding
+		`"AR"`,      // non-zero trailing bits
+		`"AQA"`,     // a trailing zero byte
+		`"-_8"`,     // the URL alphabet
+		`""`,        // the empty string
+		`"A\/8"`,    // an escaped alphabet byte
+		`"\u0041Q"`, // a \u escape of one
+		"\"AQ\n\"",  // a raw newline, which base64 alone would skip
+		`null`,      // no set
+		`[1,2]`,     // a decimal world list
 	} {
 		raw := `{"session":"s2","link":1,"verdicts":[{"formula":"p","count":2,"marked":true,"worlds":` + worlds + "}]}\n"
 		f.Add("s2", int64(1), "p", []byte{0x09}, []byte{1, 0, 200, 1}, []byte(raw), "r2")
@@ -257,6 +258,15 @@ func TestWorldsBitmap(t *testing.T) {
 		var back Worlds
 		if err := json.Unmarshal(got, &back); err != nil || !reflect.DeepEqual(back, c.worlds) {
 			t.Errorf("json.Unmarshal(%s) = %v, %v; want %v", got, back, err, c.worlds)
+		}
+	}
+	// Only the canonical spelling of a set decodes.
+	for _, bad := range []string{
+		`"AQ=="`, `"AR"`, `"AQA"`, `"-_8"`, `""`, `"A\/8"`, `"\u0041Q"`, `1`, `[1,2]`, `{}`,
+	} {
+		var back Worlds
+		if err := json.Unmarshal([]byte(bad), &back); err == nil {
+			t.Errorf("json.Unmarshal(%s) = %v, want an error", bad, back)
 		}
 	}
 	for _, bad := range []Worlds{{-1}, {2, 1}, {3, 3}, {maxWorld}} {
