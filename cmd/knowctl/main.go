@@ -5,8 +5,9 @@
 //
 // The shared flag conventions apply: -seed pins the client's jitter and
 // idempotency-key streams (equal seeds replay the identical request
-// sequence), -parallel asks the server for that many evaluation workers
-// (0 accepts the server default, <0 asks for one per core).
+// sequence), -parallel is sent as the eval request's workers field
+// unchanged: 0 accepts the server default (a serial batch), <0 asks for
+// the server's cap (knowd -parallel), n asks for n workers.
 //
 // Usage:
 //
@@ -24,7 +25,6 @@ import (
 	"os"
 
 	"repro/internal/client"
-	"repro/internal/kripke"
 	"repro/internal/server"
 )
 
@@ -40,7 +40,7 @@ func run(args []string, out io.Writer) error {
 	addr := fs.String("addr", "http://127.0.0.1:7433", "knowd base URL")
 	seed := fs.Int64("seed", 1, "client seed: jitter and idempotency-key streams; also the session seed for open")
 	parallel := fs.Int("parallel", 0,
-		"evaluation workers to request (0 accepts the server default, <0 asks for one per core)")
+		"evaluation workers to request (0 accepts the server default, serial; <0 asks for the server's cap)")
 	worlds := fs.Bool("worlds", false, "print full denotation world lists with eval verdicts")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -89,7 +89,7 @@ func run(args []string, out io.Writer) error {
 		}
 		ev, err := c.Eval(rest[0], server.EvalRequest{
 			Formulas: rest[1:],
-			Workers:  kripke.WorkersFromFlag(*parallel),
+			Workers:  *parallel,
 			Worlds:   *worlds,
 		})
 		if err != nil {

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/server"
@@ -76,5 +80,46 @@ func TestUsageErrors(t *testing.T) {
 	// Server-side rejection surfaces as an error, not a panic.
 	if err := run([]string{"-addr", ts.URL, "open", "quantum"}, &sb); err == nil {
 		t.Error("unknown system spec accepted")
+	}
+}
+
+// TestParallelFlagSentUnchanged: -parallel travels as the eval request's
+// workers field as given: 0 omits it (the server default, a serial
+// batch), -1 asks for the server's cap, 3 for three workers.
+func TestParallelFlagSentUnchanged(t *testing.T) {
+	inner := server.New(server.Config{}).Handler()
+	var mu sync.Mutex
+	var sent []byte
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/eval") {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			mu.Lock()
+			sent = body
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	sid := strings.Fields(ctl(t, ts.URL, "open", "muddy:3"))[0]
+	for _, tc := range []struct{ flag, want string }{
+		{"0", `{"formulas":["K0 muddy1"]}`},
+		{"-1", `{"formulas":["K0 muddy1"],"workers":-1}`},
+		{"3", `{"formulas":["K0 muddy1"],"workers":3}`},
+	} {
+		out := ctl(t, ts.URL, "-parallel", tc.flag, "eval", sid, "K0 muddy1")
+		if !strings.Contains(out, "4        true   K0 muddy1") {
+			t.Fatalf("-parallel %s: eval output:\n%s", tc.flag, out)
+		}
+		mu.Lock()
+		got := string(bytes.TrimSpace(sent))
+		mu.Unlock()
+		if got != tc.want {
+			t.Errorf("-parallel %s sent %s, want %s", tc.flag, got, tc.want)
+		}
 	}
 }

@@ -6,8 +6,12 @@
 //
 // knowd follows the repository's shared flag conventions: -seed pins
 // every seeded draw (scenario fault sampling for sessions opened without
-// an explicit seed) and -parallel caps EvalBatch workers (0 forces the
-// serial loop, <0 uses one worker per core).
+// an explicit seed) and -parallel caps the EvalBatch workers a request may
+// ask for (0 forces the serial loop, <0 uses one worker per core). A
+// request that asks for none is evaluated serially: the daemon's
+// concurrency comes from concurrent requests, and on a 2-CPU machine a
+// 2-worker fan-out made small-model batches about 3x slower (r2d2 6.1 ->
+// 21.4 us) while buying at most 1.12x on muddy:12 (230 -> 206 us).
 //
 // SIGTERM or SIGINT drains gracefully: intake stops, in-flight requests
 // finish, and — when -state is set — session chains are persisted to
@@ -47,7 +51,7 @@ func run(args []string, out io.Writer) error {
 	addr := fs.String("addr", "127.0.0.1:7433", "listen address")
 	seed := fs.Int64("seed", 1, "seed for scenario sessions opened without an explicit seed")
 	parallel := fs.Int("parallel", -1,
-		"evaluation worker cap per request (0 forces the serial loop, <0 uses one worker per core)")
+		"evaluation worker cap for requests that ask for workers (0 forces the serial loop, <0 uses one worker per core)")
 	queue := fs.Int("queue", 64, "concurrent compute slots before load shedding (429)")
 	dedupe := fs.Int("dedupe", 256, "idempotency keys remembered by the dedupe window")
 	sessionTTL := fs.Duration("session-ttl", 15*time.Minute, "idle session eviction age")

@@ -218,7 +218,8 @@ func retryable(status int) bool {
 	return status == http.StatusTooManyRequests || status >= 500
 }
 
-// call performs one logical API call with retries; out, when non-nil, is
+// call performs one logical API call with retries. in is sent as its JSON
+// encoding, or as is when it is a []byte; out, when non-nil, is
 // filled from the final 2xx body: decoded as JSON (an *EvalResponse
 // through server.DecodeEvalResponse), or stored raw when out is a
 // *[]byte. Mutating calls pass idempotent=true to attach a per-call
@@ -229,7 +230,11 @@ func (c *Client) call(ctx context.Context, method, path string, in, out any, ide
 		return err
 	}
 	var body []byte
-	if in != nil {
+	switch in := in.(type) {
+	case nil:
+	case []byte:
+		body = in // already encoded: a relay forwards its client's bytes
+	default:
 		// Without HTML escaping, the & < > of a formula cost one byte
 		// each on the wire instead of six.
 		var buf bytes.Buffer
@@ -462,11 +467,13 @@ func (c *Client) EvalCtx(ctx context.Context, session string, req server.EvalReq
 	return out, err
 }
 
-// EvalRawCtx is EvalCtx returning the response body undecoded, in the
-// eval wire format internal/server owns, for a relay to forward verbatim.
-func (c *Client) EvalRawCtx(ctx context.Context, session string, req server.EvalRequest) ([]byte, error) {
+// EvalRawCtx is EvalCtx for a relay: it posts body, an encoded
+// EvalRequest, unchanged and returns the response body undecoded, in the
+// eval wire format internal/server owns, so both directions are forwarded
+// verbatim. The server validates body.
+func (c *Client) EvalRawCtx(ctx context.Context, session string, body []byte) ([]byte, error) {
 	var out []byte
-	err := c.call(ctx, "POST", "/v1/sessions/"+session+"/eval", req, &out, true)
+	err := c.call(ctx, "POST", "/v1/sessions/"+session+"/eval", body, &out, true)
 	return out, err
 }
 

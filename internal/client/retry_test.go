@@ -272,7 +272,7 @@ func TestFramedOversizedResponseIsDefinitive(t *testing.T) {
 	}
 
 	size.Store(server.MaxResponseBytes)
-	raw, err := c.EvalRawCtx(context.Background(), "s1", server.EvalRequest{Formulas: []string{"p"}})
+	raw, err := c.EvalRawCtx(context.Background(), "s1", []byte(`{"formulas":["p"]}`))
 	if err != nil || len(raw) != server.MaxResponseBytes {
 		t.Fatalf("body at the cap: %d bytes, err %v", len(raw), err)
 	}

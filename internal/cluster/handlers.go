@@ -184,12 +184,14 @@ func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	var req server.EvalRequest
-	if !server.DecodeBody(w, r, &req) {
+	req, ok := server.ReadBody(w, r)
+	if !ok {
 		return
 	}
-	// The verdicts are relayed, not decoded: internal/server owns the eval
-	// wire format, and only the session id changes on the way through.
+	// Request and verdicts are relayed, not decoded: internal/server owns
+	// the eval wire format, the shard validates the request (its 400
+	// passes through writeUpstreamErr), and only the session id of the
+	// answer changes on the way through.
 	type answer struct {
 		body []byte
 		sid  string // the shard session that answered: primary or hedge

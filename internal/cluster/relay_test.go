@@ -3,7 +3,9 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -96,8 +98,11 @@ func TestRouterRelaysEvalVerbatim(t *testing.T) {
 	formulas := []string{"muddy0", "K0 muddy0 & ~muddy1", "C (muddy0 -> muddy1 <-> muddy2)"}
 	relayed := func(worlds bool) []byte {
 		t.Helper()
-		body, err := rc.EvalRawCtx(context.Background(), st.Session,
-			server.EvalRequest{Formulas: formulas, Worlds: worlds})
+		req, err := json.Marshal(server.EvalRequest{Formulas: formulas, Worlds: worlds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := rc.EvalRawCtx(context.Background(), st.Session, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,5 +248,153 @@ func TestRouterOversizedEvalIs422(t *testing.T) {
 	if resp, err := rc.Eval(st.Session, server.EvalRequest{Formulas: formulas[:1], Worlds: true}); err != nil ||
 		len(resp.Verdicts[0].Worlds) != 4096 {
 		t.Fatalf("eval after the refusal: %v", err)
+	}
+}
+
+// shardExchange is one eval request a shard received and its answer.
+type shardExchange struct {
+	req  []byte
+	code int
+	resp []byte
+}
+
+// tapEvalRequests records every eval request any shard of the fleet
+// receives, with the shard's answer.
+func tapEvalRequests(t *testing.T, fleet map[string]*testShard) func() []shardExchange {
+	var mu sync.Mutex
+	var seen []shardExchange
+	for _, sh := range fleet {
+		inner := *sh.handler.Load()
+		var h http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if !strings.HasSuffix(r.URL.Path, "/eval") {
+				inner.ServeHTTP(w, r)
+				return
+			}
+			req, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			r.Body = io.NopCloser(bytes.NewReader(req))
+			rec := httptest.NewRecorder()
+			inner.ServeHTTP(rec, r)
+			mu.Lock()
+			seen = append(seen, shardExchange{req, rec.Code, bytes.Clone(rec.Body.Bytes())})
+			mu.Unlock()
+			for k, vs := range rec.Header() {
+				w.Header()[k] = vs
+			}
+			w.WriteHeader(rec.Code)
+			w.Write(rec.Body.Bytes())
+		})
+		sh.handler.Store(&h)
+	}
+	return func() []shardExchange {
+		mu.Lock()
+		defer mu.Unlock()
+		out := seen
+		seen = nil
+		return out
+	}
+}
+
+// errorMsg is the message of an error body.
+func errorMsg(t *testing.T, body []byte) string {
+	t.Helper()
+	var eb struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(body, &eb); err != nil {
+		t.Fatalf("error body %s: %v", body, err)
+	}
+	return eb.Error
+}
+
+// TestRouterRelaysEvalRequestVerbatim: the router forwards an eval request
+// to the shard byte for byte (raw &, non-ASCII text, key order, spacing,
+// workers and worlds), and knowd alone validates it: a body knowd refuses
+// comes back through the router as knowd's own 400, from the primary
+// alone (no hedge: the in-sync standby would say the same), the session
+// stays put and no breaker opens. Only a body over the 1 MiB cap is the
+// router's own 400, and it reaches no shard.
+func TestRouterRelaysEvalRequestVerbatim(t *testing.T) {
+	shards, fleet := newFleet(t, "n1", "n2")
+	rt, ts, rc := newTestRouter(t, Config{HedgeAfter: time.Second}, shards)
+	st, err := rc.Open("muddy:3", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := rt.lookup(st.Session)
+	cs.mu.Lock()
+	primarySID := cs.primarySID
+	cs.mu.Unlock()
+	take := tapEvalRequests(t, fleet)
+
+	post := func(body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/sessions/"+st.Session+"/eval", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, got
+	}
+	for _, tc := range []struct {
+		name, body string
+		code       int
+		msg        string // a substring of the 400's message
+	}{
+		{"valid", `{"worlds":true,  "workers":2,` + "\n" + `"formulas":["K0 muddy1 & ~muddy2","C (muddy0 | muddy1)"]}`,
+			http.StatusOK, ""},
+		{"non-ASCII", `{"formulas":["muddy0 & ~frère"],"workers":-1}`,
+			http.StatusBadRequest, "formula 0: "},
+		{"unknown field", `{"formulas":["muddy0"],"bogus":1}`,
+			http.StatusBadRequest, `bad request body: json: unknown field "bogus"`},
+		{"truncated JSON", `{"formulas":["muddy0"`,
+			http.StatusBadRequest, "bad request body: unexpected EOF"},
+	} {
+		code, got := post(tc.body)
+		ex := take()
+		if len(ex) != 1 || string(ex[0].req) != tc.body {
+			var reqs []string
+			for _, e := range ex {
+				reqs = append(reqs, string(e.req))
+			}
+			t.Fatalf("%s: shards saw %q, want exactly %q", tc.name, reqs, tc.body)
+		}
+		if code != tc.code || ex[0].code != tc.code {
+			t.Fatalf("%s: router %d, shard %d, want %d: %s", tc.name, code, ex[0].code, tc.code, got)
+		}
+		want := ex[0].resp
+		if code == http.StatusOK {
+			want = wantRelayed(t, want, primarySID, st.Session)
+		} else if msg := errorMsg(t, got); !strings.Contains(msg, tc.msg) {
+			t.Fatalf("%s: router answered %q, want a message with %q", tc.name, msg, tc.msg)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: router answered\n%s\nwant the shard's\n%s", tc.name, got, want)
+		}
+	}
+
+	big := `{"formulas":["p` + strings.Repeat("&p", 1<<19) + `"]}`
+	code, got := post(big)
+	if code != http.StatusBadRequest || errorMsg(t, got) != "bad request body: http: request body too large" {
+		t.Fatalf("oversized body: %d %s", code, got)
+	}
+	if ex := take(); len(ex) != 0 {
+		t.Fatalf("an oversized body reached a shard: %d requests", len(ex))
+	}
+
+	stats := rt.StatsSnapshot()
+	if stats.Failovers != 0 || stats.Hedges != 0 {
+		t.Fatalf("a refused body failed the session over or was hedged: %+v", stats)
+	}
+	for _, sh := range stats.Shards {
+		if sh.Breaker != "closed" || sh.ConsecutiveFails != 0 {
+			t.Fatalf("shard %s breaker %s, %d fails after refused bodies", sh.ID, sh.Breaker, sh.ConsecutiveFails)
+		}
 	}
 }

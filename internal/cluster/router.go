@@ -413,6 +413,11 @@ func hedged[T any](rt *Router, ctx context.Context, pl placement, readOnly bool,
 				cancel() // the loser stops burning its shard
 				return res.out, nil
 			}
+			if !res.hedge && definitive(res.err) {
+				// The in-sync standby would give the same verdict.
+				var zero T
+				return zero, res.err
+			}
 			if firstErr == nil || !res.hedge {
 				firstErr = res.err // the primary's error is the authoritative one
 			}
@@ -432,6 +437,16 @@ func hedged[T any](rt *Router, ctx context.Context, pl placement, readOnly bool,
 	}
 }
 
+// definitive reports whether a shard call's error is the shard's verdict
+// on the request itself (a 4xx other than a lost session, or an answer
+// over the size cap), which passes through rather than moving the read to
+// another copy of the session.
+func definitive(err error) bool {
+	var apiErr *client.APIError
+	return errors.As(err, &apiErr) && apiErr.Status != http.StatusNotFound ||
+		errors.Is(err, client.ErrResponseTooLarge)
+}
+
 // readWithFailover performs a hedged read, failing the session over once
 // if its primary turns out dead (transport exhaustion or a shard that no
 // longer knows the session) and retrying on the new layout.
@@ -447,10 +462,8 @@ func readWithFailover[T any](rt *Router, ctx context.Context, cs *csession,
 			return out, nil
 		}
 		lastErr = err
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) && apiErr.Status != http.StatusNotFound ||
-			errors.Is(err, client.ErrResponseTooLarge) {
-			return out, err // a definitive shard verdict passes through
+		if definitive(err) {
+			return out, err
 		}
 		cs.mu.Lock()
 		ferr := rt.failoverLocked(cs, pl.primary)

@@ -537,6 +537,9 @@ func (m *Model) groupKey(dst []byte, agents []int) []byte {
 // iteration of a fixed point — reuses it instead of rebuilding a
 // union-find per call.
 func (m *Model) reachPartition(t *derived, agents []int, keyBuf []byte) *partition {
+	if len(agents) == 1 {
+		return m.part(t, agents[0]) // one view partition is its own closure
+	}
 	key := m.groupKey(keyBuf[:0], agents)
 	// Warm fast path, kept free of the single-flight closure: fixed-point
 	// iteration re-reads the memoized partition once per step.
@@ -632,6 +635,9 @@ func (m *Model) reachScratch(t *derived, agents []int) *partition {
 // partitions (the joint view underlying D_G), memoized per agent group.
 // Callers must pass a non-empty agent list.
 func (m *Model) jointPartition(t *derived, agents []int, keyBuf []byte) *partition {
+	if len(agents) == 1 {
+		return m.part(t, agents[0]) // one view partition is its own refinement
+	}
 	key := m.groupKey(keyBuf[:0], agents)
 	t.mu.RLock()
 	p := t.joint[string(key)]

@@ -22,9 +22,9 @@ type RunConfig struct {
 	// triggers here; the callback runs on the worker's goroutine, so it
 	// must be cheap and concurrency-safe.
 	AfterOp func(done int, op Op)
-	// EvalWorkers is the evaluation worker count eval ops request from the
-	// server (the repo's -parallel convention, already resolved through
-	// kripke.WorkersFromFlag); 0 accepts the server default.
+	// EvalWorkers is sent as every eval op's EvalRequest.Workers: 0
+	// accepts the server default (a serial batch), < 0 asks for the
+	// server's cap, n > 0 for n workers.
 	EvalWorkers int
 	// Pace, when positive, is a per-worker sleep between ops: it stretches
 	// a run's wall clock (so soak harnesses can crash the daemon mid-run)

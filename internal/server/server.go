@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -48,7 +49,8 @@ type Config struct {
 	// Seed parameterizes scenario fault sampling for sessions opened
 	// without an explicit seed. Default 1.
 	Seed int64
-	// Workers caps eval-batch workers per request; <=0 means one per core.
+	// Workers caps the eval-batch workers a request may ask for; <=0
+	// means one per core. A request that asks for none runs serially.
 	Workers int
 	// Queue is the number of concurrent compute slots before load shedding
 	// kicks in. Default 64.
@@ -115,8 +117,10 @@ type SessionState struct {
 }
 
 // EvalRequest evaluates a formula batch on a session's current model.
-// Workers <= 0 uses the server default; positive counts are clamped to the
-// server's cap. Worlds asks for the full denotation world sets.
+// Workers 0 (the default) evaluates the batch serially, on one evaluator
+// whose memo spans the whole batch; < 0 fans it out over the server's cap
+// (Config.Workers, knowd -parallel); n > 0 over min(n, cap) workers.
+// Worlds asks for the full denotation world sets.
 type EvalRequest struct {
 	Formulas []string `json:"formulas"`
 	Workers  int      `json:"workers,omitempty"`
@@ -608,13 +612,19 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-// evalWorkers maps a request's worker ask onto the server's cap.
+// evalWorkers maps a request's worker ask onto the server's cap: 0 (no
+// ask) evaluates serially, < 0 takes the cap, n > 0 gets min(n, cap).
+// Concurrency on the served path comes from concurrent requests, so a
+// batch fans out only when its client asks.
 func (s *Server) evalWorkers(req int) int {
+	if req == 0 {
+		return 1
+	}
 	cap := s.cfg.Workers
 	if cap <= 0 {
 		cap = runtime.GOMAXPROCS(0)
 	}
-	if req <= 0 || req > cap {
+	if req < 0 || req > cap {
 		return cap
 	}
 	return req
@@ -687,17 +697,32 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string]string{"closed": id})
 }
 
+// maxRequestBytes bounds every request body.
+const maxRequestBytes = 1 << 20
+
 // DecodeBody decodes a bounded JSON request body into v, rejecting unknown
 // fields and reporting malformed input as 400. It returns false when the
 // error response was already written.
 func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return false
 	}
 	return true
+}
+
+// ReadBody reads a request body under DecodeBody's bound, for a relay that
+// forwards it undecoded; an oversized body is the same 400 DecodeBody
+// writes. It returns false when the error response was already written.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		return nil, false
+	}
+	return body, true
 }
 
 // Session persistence: the drain path of the tentpole. Chains are stored
