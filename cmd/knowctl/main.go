@@ -5,9 +5,8 @@
 //
 // The shared flag conventions apply: -seed pins the client's jitter and
 // idempotency-key streams (equal seeds replay the identical request
-// sequence), -parallel is sent as the eval request's workers field
-// unchanged: 0 accepts the server default (a serial batch), <0 asks for
-// the server's cap (knowd -parallel), n asks for n workers.
+// sequence). -parallel is accepted so existing command lines keep
+// working, and ignored: knowd evaluates every eval batch serially.
 //
 // Usage:
 //
@@ -39,8 +38,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("knowctl", flag.ContinueOnError)
 	addr := fs.String("addr", "http://127.0.0.1:7433", "knowd base URL")
 	seed := fs.Int64("seed", 1, "client seed: jitter and idempotency-key streams; also the session seed for open")
-	parallel := fs.Int("parallel", 0,
-		"evaluation workers to request (0 accepts the server default, serial; <0 asks for the server's cap)")
+	fs.Int("parallel", 0, "ignored: knowd evaluates eval batches serially (kept for existing command lines)")
 	worlds := fs.Bool("worlds", false, "print full denotation world lists with eval verdicts")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -89,7 +87,6 @@ func run(args []string, out io.Writer) error {
 		}
 		ev, err := c.Eval(rest[0], server.EvalRequest{
 			Formulas: rest[1:],
-			Workers:  *parallel,
 			Worlds:   *worlds,
 		})
 		if err != nil {

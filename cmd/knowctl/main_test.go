@@ -83,10 +83,10 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// TestParallelFlagSentUnchanged: -parallel travels as the eval request's
-// workers field as given: 0 omits it (the server default, a serial
-// batch), -1 asks for the server's cap, 3 for three workers.
-func TestParallelFlagSentUnchanged(t *testing.T) {
+// TestParallelFlagIgnored: -parallel still parses, so existing command
+// lines keep working, but it sends no workers field: knowd evaluates
+// every batch serially.
+func TestParallelFlagIgnored(t *testing.T) {
 	inner := server.New(server.Config{}).Handler()
 	var mu sync.Mutex
 	var sent []byte
@@ -106,20 +106,17 @@ func TestParallelFlagSentUnchanged(t *testing.T) {
 	defer ts.Close()
 
 	sid := strings.Fields(ctl(t, ts.URL, "open", "muddy:3"))[0]
-	for _, tc := range []struct{ flag, want string }{
-		{"0", `{"formulas":["K0 muddy1"]}`},
-		{"-1", `{"formulas":["K0 muddy1"],"workers":-1}`},
-		{"3", `{"formulas":["K0 muddy1"],"workers":3}`},
-	} {
-		out := ctl(t, ts.URL, "-parallel", tc.flag, "eval", sid, "K0 muddy1")
+	const want = `{"formulas":["K0 muddy1"]}`
+	for _, flag := range []string{"0", "-1", "3"} {
+		out := ctl(t, ts.URL, "-parallel", flag, "eval", sid, "K0 muddy1")
 		if !strings.Contains(out, "4        true   K0 muddy1") {
-			t.Fatalf("-parallel %s: eval output:\n%s", tc.flag, out)
+			t.Fatalf("-parallel %s: eval output:\n%s", flag, out)
 		}
 		mu.Lock()
 		got := string(bytes.TrimSpace(sent))
 		mu.Unlock()
-		if got != tc.want {
-			t.Errorf("-parallel %s sent %s, want %s", tc.flag, got, tc.want)
+		if got != want {
+			t.Errorf("-parallel %s sent %s, want %s", flag, got, want)
 		}
 	}
 }

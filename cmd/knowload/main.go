@@ -9,10 +9,9 @@
 // across workers.
 //
 // The shared flag conventions apply: -seed pins the schedule and every
-// client's jitter and idempotency-key streams, -parallel is sent as every
-// eval request's workers field unchanged: 0 accepts the server default (a
-// serial batch), <0 asks for the server's cap (knowd -parallel), n asks
-// for n workers.
+// client's jitter and idempotency-key streams. -parallel is accepted so
+// existing command lines keep working, and ignored: knowd evaluates every
+// eval batch serially.
 //
 // Usage:
 //
@@ -46,8 +45,7 @@ func run(args []string, out io.Writer) error {
 	sessions := fs.Int("sessions", 4, "sessions per worker")
 	mix := fs.String("mix", "", "workload mix weights, e.g. muddy=4,scenario=2,r2d2=1,attack=1 (empty uses the default)")
 	closeProb := fs.Float64("close", 0.2, "probability a session's script ends with a close")
-	parallel := fs.Int("parallel", 0,
-		"evaluation workers to request (0 accepts the server default, serial; <0 asks for the server's cap)")
+	fs.Int("parallel", 0, "ignored: knowd evaluates eval batches serially (kept for existing command lines)")
 	report := fs.String("report", "", "write the markdown run report to this path (empty prints it to stdout)")
 	dry := fs.Bool("dry", false, "print the canonical op schedule and exit without contacting a server")
 	maxAttempts := fs.Int("max-attempts", 30, "client retry attempts per op before it counts as failed")
@@ -87,8 +85,7 @@ func run(args []string, out io.Writer) error {
 				MaxDelay:    250 * time.Millisecond,
 			})
 		},
-		EvalWorkers: *parallel,
-		Pace:        *pace,
+		Pace: *pace,
 	})
 	if err != nil {
 		return err

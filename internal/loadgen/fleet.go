@@ -22,10 +22,6 @@ type RunConfig struct {
 	// triggers here; the callback runs on the worker's goroutine, so it
 	// must be cheap and concurrency-safe.
 	AfterOp func(done int, op Op)
-	// EvalWorkers is sent as every eval op's EvalRequest.Workers: 0
-	// accepts the server default (a serial batch), < 0 asks for the
-	// server's cap, n > 0 for n workers.
-	EvalWorkers int
 	// Pace, when positive, is a per-worker sleep between ops: it stretches
 	// a run's wall clock (so soak harnesses can crash the daemon mid-run)
 	// without touching the schedule or the records, which stay
@@ -59,15 +55,14 @@ type Result struct {
 
 // worker is one fleet member's runtime state.
 type worker struct {
-	w        int
-	c        *client.Client
-	sids     map[string]string // logical ID -> server session ID
-	opens    []Record
-	body     []Record
-	hists    map[OpKind]*Hist
-	errs     int
-	afterOp  func(op Op)
-	evalWkrs int
+	w       int
+	c       *client.Client
+	sids    map[string]string // logical ID -> server session ID
+	opens   []Record
+	body    []Record
+	hists   map[OpKind]*Hist
+	errs    int
+	afterOp func(op Op)
 }
 
 func (wk *worker) observe(kind OpKind, d time.Duration) {
@@ -111,7 +106,7 @@ func (wk *worker) call(op Op) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		ev, err := wk.c.Eval(sid, server.EvalRequest{Formulas: op.Formulas, Workers: wk.evalWkrs})
+		ev, err := wk.c.Eval(sid, server.EvalRequest{Formulas: op.Formulas})
 		if err != nil {
 			return "", err
 		}
@@ -181,11 +176,10 @@ func (s *Schedule) Run(rc RunConfig) (*Result, error) {
 	var done atomic.Int64
 	for w := range workers {
 		wk := &worker{
-			w:        w,
-			c:        rc.NewClient(w),
-			sids:     make(map[string]string),
-			hists:    make(map[OpKind]*Hist),
-			evalWkrs: rc.EvalWorkers,
+			w:     w,
+			c:     rc.NewClient(w),
+			sids:  make(map[string]string),
+			hists: make(map[OpKind]*Hist),
 		}
 		if rc.AfterOp != nil {
 			wk.afterOp = func(op Op) { rc.AfterOp(int(done.Add(1)), op) }

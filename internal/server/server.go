@@ -32,7 +32,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -49,9 +48,6 @@ type Config struct {
 	// Seed parameterizes scenario fault sampling for sessions opened
 	// without an explicit seed. Default 1.
 	Seed int64
-	// Workers caps the eval-batch workers a request may ask for; <=0
-	// means one per core. A request that asks for none runs serially.
-	Workers int
 	// Queue is the number of concurrent compute slots before load shedding
 	// kicks in. Default 64.
 	Queue int
@@ -117,9 +113,9 @@ type SessionState struct {
 }
 
 // EvalRequest evaluates a formula batch on a session's current model.
-// Workers 0 (the default) evaluates the batch serially, on one evaluator
-// whose memo spans the whole batch; < 0 fans it out over the server's cap
-// (Config.Workers, knowd -parallel); n > 0 over min(n, cap) workers.
+// knowd evaluates every batch serially, on one evaluator whose memo spans
+// the whole batch: its concurrency comes from concurrent requests. Workers
+// is accepted so that older clients' requests still decode, and ignored.
 // Worlds asks for the full denotation world sets.
 type EvalRequest struct {
 	Formulas []string `json:"formulas"`
@@ -568,7 +564,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 
 	ss.mu.Lock()
 	ss.touch(s.now())
-	sets, memo, err := ss.evalBatch(r.Context(), fs, s.evalWorkers(req.Workers))
+	sets, memo, err := ss.evalBatch(r.Context(), fs)
 	// The sets are this request's own: the verdicts are encoded after the
 	// session is released.
 	link, marked := len(ss.announced), ss.ld.chain.Marked()
@@ -610,24 +606,6 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
-}
-
-// evalWorkers maps a request's worker ask onto the server's cap: 0 (no
-// ask) evaluates serially, < 0 takes the cap, n > 0 gets min(n, cap).
-// Concurrency on the served path comes from concurrent requests, so a
-// batch fans out only when its client asks.
-func (s *Server) evalWorkers(req int) int {
-	if req == 0 {
-		return 1
-	}
-	cap := s.cfg.Workers
-	if cap <= 0 {
-		cap = runtime.GOMAXPROCS(0)
-	}
-	if req < 0 || req > cap {
-		return cap
-	}
-	return req
 }
 
 func (s *Server) handleAnnounce(w http.ResponseWriter, r *http.Request) {
