@@ -23,12 +23,11 @@ import (
 //     immutable during evaluation, as the concurrent-Eval contract already
 //     requires.
 //   - Derived tables (per-agent partitions, joint-view refinements,
-//     reachability components) are built lazily behind single-flight
-//     guards — buildMu for the per-agent tables, an in-flight registry for
-//     the per-group partitions — so concurrent cold evaluators build each
-//     table exactly once and everyone else waits for the result instead of
-//     duplicating the build. EvalBatch additionally front-loads the tables
-//     its formulas will need (prepareBatch) before spawning workers.
+//     reachability components) are built lazily, each in its own tableSlot
+//     (model.go): the first evaluator to need a table builds it under that
+//     slot's lock and the others wait for the result instead of
+//     duplicating the build, while builds of different tables run in
+//     parallel. Workers build what their formulas need as they meet it.
 //   - Each worker owns a pooled evaluator (scratch freelist, kernel
 //     scratch, key arena), so all mutable evaluation state is private.
 //   - Closed-subformula denotations are shared through a lock-striped
@@ -170,8 +169,7 @@ func (m *Model) EvalBatch(fs []logic.Formula, opts ...BatchOption) ([]*bitset.Se
 
 // EvalBatchCtx is EvalBatch with deadline/cancellation propagation: the
 // context is checked before every formula pickup — on the serial path and
-// in every worker of the fan-out — and between the single-flight table
-// builds of the batch preparation, so a caller whose context dies (a
+// in every worker of the fan-out — so a caller whose context dies (a
 // disconnected client, an expired deadline) stops burning cores after at
 // most one in-flight formula per worker instead of finishing the whole
 // batch. On cancellation the error is ctx.Err() and no results are
@@ -229,14 +227,6 @@ func (m *Model) evalBatch(ctx context.Context, fs []logic.Formula, sm *sharedMem
 		return out, nil
 	}
 
-	// Front-load every derived table the batch can be seen to need, so
-	// workers start on warm tables instead of meeting on the single-flight
-	// guards one build at a time.
-	m.prepareBatch(ctx, fs)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
 	if sm == nil {
 		sm = &sharedMemo{}
 	}
@@ -282,81 +272,4 @@ func (m *Model) evalBatch(ctx context.Context, fs []logic.Formula, sm *sharedMem
 		}
 	}
 	return out, nil
-}
-
-// prepareBatch builds, ahead of the fan-out, the derived tables the batch
-// formulas mention: per-agent partition tables (striped across goroutines
-// on large models), joint-view partitions for the D_G groups and
-// reachability partitions for the C_G groups. Invalid agents or groups are
-// skipped — the evaluation itself reports them with its usual errors. The
-// context is checked between the single-flight builds: a cancelled batch
-// stops launching further table builds (builds already in flight run to
-// completion — they are shared with other batches through the model's
-// caches and must stay coherent).
-func (m *Model) prepareBatch(ctx context.Context, fs []logic.Formula) {
-	t := m.tables()
-	seen := make([]bool, m.numAgents)
-	var agents []int
-	markAgent := func(a int) {
-		if a >= 0 && a < m.numAgents && !seen[a] {
-			seen[a] = true
-			agents = append(agents, a)
-		}
-	}
-	type groupNeed struct {
-		agents []int
-		joint  bool
-		reach  bool
-	}
-	groups := make(map[string]*groupNeed)
-	var keyBuf []byte
-	need := func(g logic.Group, joint, reach bool) {
-		resolved, err := m.resolveGroup(g)
-		if err != nil {
-			return
-		}
-		for _, a := range resolved {
-			markAgent(a)
-		}
-		if len(resolved) == 0 {
-			return
-		}
-		keyBuf = m.groupKey(keyBuf[:0], resolved)
-		gn := groups[string(keyBuf)]
-		if gn == nil {
-			gn = &groupNeed{agents: append([]int(nil), resolved...)}
-			groups[string(keyBuf)] = gn
-		}
-		gn.joint = gn.joint || joint
-		gn.reach = gn.reach || reach
-	}
-	for _, f := range fs {
-		logic.Walk(f, func(g logic.Formula) bool {
-			if n, ok := g.(logic.Modal); ok {
-				if n.Op == logic.OpKnow {
-					markAgent(n.N)
-				} else if n.Op.Grouped() {
-					need(n.G, n.Op == logic.OpDist, n.Op == logic.OpCommon)
-				}
-			}
-			return true
-		})
-	}
-	if ctx.Err() != nil {
-		return
-	}
-	if len(agents) > 0 {
-		m.ensureParts(t, agents)
-	}
-	for _, gn := range groups {
-		if ctx.Err() != nil {
-			return
-		}
-		if gn.joint {
-			m.jointPartition(t, gn.agents, nil)
-		}
-		if gn.reach {
-			m.reachPartition(t, gn.agents, nil)
-		}
-	}
 }

@@ -84,10 +84,9 @@ func TestEvalBatchResultsAreOwned(t *testing.T) {
 }
 
 // TestEvalBatchColdRace drives EvalBatch on fresh models with no
-// warm-up, forcing the lazy per-agent table builds, the
-// single-flight joint-view and reachability builds, and the shared-memo
-// publish races to all happen inside the worker pool (meaningful mainly
-// under -race). Two concurrent EvalBatch calls share one model to cross
+// warm-up, forcing the lazy per-agent table builds, the build-once
+// joint-view and reachability slots, and the shared-memo publish races to
+// all happen inside the worker pool (meaningful mainly under -race). Two concurrent EvalBatch calls share one model to cross
 // the batches' evaluators over the same caches.
 func TestEvalBatchColdRace(t *testing.T) {
 	prevProcs := runtime.GOMAXPROCS(8)

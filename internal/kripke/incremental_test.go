@@ -126,9 +126,9 @@ func TestMinimizeSeededMergesAcrossSeedBlocks(t *testing.T) {
 
 // TestMinimizeSeededArbitrarySeed checks the robustness half of the seed
 // contract: any partition of the worlds — not just a renamed block map —
-// must still produce exactly the from-scratch quotient, because the seeded
-// path splits by facts, refines to stability and composes with a quotient
-// -level minimization.
+// with every seed block marked disturbed must still produce exactly the
+// from-scratch quotient, because the seeded path splits by facts, refines
+// to stability and composes with a quotient-level minimization.
 func TestMinimizeSeededArbitrarySeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 15; trial++ {
@@ -142,7 +142,11 @@ func TestMinimizeSeededArbitrarySeed(t *testing.T) {
 		for w := range seed {
 			seed[w] = int32(rng.Intn(nSeed))
 		}
-		qi, bi := m.minimizeSeeded(seed, nSeed, nil)
+		dirty := make([]bool, nSeed)
+		for b := range dirty {
+			dirty[b] = true
+		}
+		qi, bi := m.minimizeSeeded(seed, nSeed, dirty)
 		if qi.NumWorlds() != qs.NumWorlds() || !equalInts(bi, bs) {
 			t.Fatalf("trial %d: arbitrary seed changed the quotient: %d worlds %v, want %d worlds %v",
 				trial, qi.NumWorlds(), bi, qs.NumWorlds(), bs)

@@ -75,13 +75,12 @@ func (m *Model) minimizeScratch() (*Model, []int) {
 // intermediate quotient — already small — is minimized once more, and the
 // two block maps are composed. That second "compose" pass is bounded by
 // the quotient size, never the world count, which is what makes the
-// seeded path pay on redundant models; when the restriction recorded
-// touched-block flags (dirty, set by RestrictWithQuotient), the pass is
-// further narrowed to the disturbed region — or skipped outright when no
-// block was disturbed (see composeQuotient). When something did
-// merge, the composed partition is rebuilt into a quotient of m directly,
-// so names, representatives and numbering follow the Minimize contract
-// either way.
+// seeded path pay on redundant models; the touched-block flags (dirty, one
+// per seed block, set by RestrictWithQuotient) narrow the pass further to
+// the disturbed region — or skip it outright when no block was disturbed
+// (see composeQuotient). When something did merge, the composed partition
+// is rebuilt into a quotient of m directly, so names, representatives and
+// numbering follow the Minimize contract either way.
 func (m *Model) minimizeSeeded(seed []int32, nSeed int, dirty []bool) (*Model, []int) {
 	if m.numWorlds == 0 {
 		return NewModel(0, m.numAgents), []int{}
@@ -109,9 +108,8 @@ func (m *Model) minimizeSeeded(seed []int32, nSeed int, dirty []bool) (*Model, [
 }
 
 // composeQuotient runs minimizeSeeded's merge-finding pass on the
-// intermediate quotient q1 (the stable refinement of the seed). Without
-// touched-block flags it is a full from-scratch Minimize of q1. With them
-// it exploits two facts:
+// intermediate quotient q1 (the stable refinement of the seed), using the
+// touched-block flags to exploit two facts:
 //
 //   - No dirty block at all means no kept world's view class lost a world
 //     anywhere, so every world's modal environment — and hence its
@@ -130,13 +128,10 @@ func (m *Model) minimizeSeeded(seed []int32, nSeed int, dirty []bool) (*Model, [
 //     singleton the refinement never has to walk.
 //
 // The dirty flags are sound only for seeds that were the parent model's
-// own coarsest quotient, as RestrictWithQuotient requires of its block map;
-// arbitrary seeds come through with dirty == nil and take the full pass.
+// own coarsest quotient, as RestrictWithQuotient requires of its block map.
+// Any other seed must mark every block dirty: then every block is in the
+// disturbed region and the pass is a full minimization of q1.
 func (q1 *Model) composeQuotient(seed []int32, b1 []int, dirty []bool) (*Model, []int, bool) {
-	if dirty == nil {
-		q2, b2 := q1.minimizeScratch()
-		return q2, b2, false
-	}
 	// Map each q1 block to its seed block's dirty flag via the block's
 	// representative (the smallest member, by the block-map contract).
 	nB := q1.numWorlds

@@ -47,13 +47,16 @@
 // scanning only ¬φ, and are removed from the full set by word-level
 // AND-NOT of their masks.
 //
-// The derived tables are built lazily and cached on the model behind an
-// atomic pointer: each agent's partition on its first use (so one-shot
-// models never pay for tables no formula touches), and one partition per
-// distinct agent group for D_G refinements and C_G reachability components
-// (so fixed-point iteration re-uses the component structure instead of
-// rebuilding a union-find per step). When a group operator needs many
-// agents' tables at once on a large model, the per-agent builds are
+// The derived tables are built lazily and cached on the model: each
+// agent's partition on its first use (so one-shot models never pay for
+// tables no formula touches), and one partition per distinct agent group
+// for D_G refinements and C_G reachability components (so fixed-point
+// iteration re-uses the component structure instead of rebuilding a
+// union-find per step). Every table lives in its own tableSlot, which
+// readers load without a lock and whose lock is held only while that one
+// table is built, so concurrent evaluators build each table once while
+// builds of different tables run in parallel. When a group operator needs
+// many agents' tables at once on a large model, the per-agent builds are
 // striped across goroutines (stripeAgents), as is Restrict's per-agent
 // renaming; small models keep the same code inline. E_G and S_G are plain
 // serial loops of per-agent K passes: the one level of evaluation
@@ -144,8 +147,9 @@ type Model struct {
 	// the trivial partition. Read-only after construction.
 	quotSeed *quotientSeed
 
-	// derived caches the partition tables; buildMu serializes their
-	// (re)construction so concurrent evaluators build them once.
+	// derived caches the partition tables. buildMu serializes only the
+	// creation of the derived-table shell and of the name index; each table
+	// inside the shell is built under its own tableSlot lock.
 	derived atomic.Pointer[derived]
 	buildMu sync.Mutex
 
@@ -190,29 +194,59 @@ type quotientSeed struct {
 }
 
 // derived holds everything computed from the construction-time relations:
-// the per-agent view partitions (built lazily, one atomic slot each), plus
-// memoized per-group partitions for the D_G common refinement and the C_G
-// reachability components.
+// the per-agent view partitions, plus memoized per-group partitions for the
+// D_G common refinement and the C_G reachability components, each in its
+// own lazily filled tableSlot.
 type derived struct {
-	parts     []atomic.Pointer[partition] // per-agent view partitions, lazy
-	allAgents []int                       // 0..numAgents-1, the resolution of the nil group
+	parts     []tableSlot // per-agent view partitions
+	allAgents []int       // 0..numAgents-1, the resolution of the nil group
 
-	mu    sync.RWMutex
-	reach map[string]*partition // group key -> G-reachability components
-	joint map[string]*partition // group key -> common refinement of views
-
-	// In-flight build registries: per-group single-flight, so concurrent
-	// cold evaluators (an EvalBatch fan-out with no warm-up) build each
-	// group partition exactly once and the rest wait for the result.
-	reachFlight map[string]*partFlight
-	jointFlight map[string]*partFlight
+	mu    sync.RWMutex          // guards the two maps, not the slots' tables
+	reach map[string]*tableSlot // group key -> G-reachability components
+	joint map[string]*tableSlot // group key -> common refinement of views
 }
 
-// partFlight is one in-flight group-partition build: waiters block on done
-// and read p afterwards (p is written before done is closed).
-type partFlight struct {
-	done chan struct{}
-	p    *partition
+// tableSlot holds one derived partition table, built at most once: readers
+// load p without a lock, and mu is held only while this one table is built.
+type tableSlot struct {
+	p  atomic.Pointer[partition]
+	mu sync.Mutex
+}
+
+// get returns the slot's table, running build on first use. The build is
+// double-checked under the slot's lock, so concurrent callers build the
+// table once and the others wait for it; a panicking build releases the
+// lock and leaves the slot empty, so the next caller builds again.
+func (s *tableSlot) get(build func() *partition) *partition {
+	if p := s.p.Load(); p != nil {
+		return p
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if p := s.p.Load(); p != nil {
+		return p
+	}
+	p := build()
+	s.p.Store(p)
+	return p
+}
+
+// groupSlot returns the slot of one agent group's table in tables (t.reach
+// or t.joint), adding an empty slot on first use.
+func (t *derived) groupSlot(tables map[string]*tableSlot, key []byte) *tableSlot {
+	t.mu.RLock()
+	s := tables[string(key)]
+	t.mu.RUnlock()
+	if s != nil {
+		return s
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if s = tables[string(key)]; s == nil {
+		s = new(tableSlot)
+		tables[string(key)] = s
+	}
+	return s
 }
 
 // TemporalSemantics supplies the run-based operators over a model whose
@@ -410,10 +444,10 @@ func (m *Model) tables() *derived {
 		return t
 	}
 	t := &derived{
-		parts:     make([]atomic.Pointer[partition], m.numAgents),
+		parts:     make([]tableSlot, m.numAgents),
 		allAgents: make([]int, m.numAgents),
-		reach:     make(map[string]*partition),
-		joint:     make(map[string]*partition),
+		reach:     make(map[string]*tableSlot),
+		joint:     make(map[string]*tableSlot),
 	}
 	for i := range t.allAgents {
 		t.allAgents[i] = i
@@ -445,59 +479,26 @@ func (m *Model) buildPart(a int) *partition {
 }
 
 // part returns agent a's partition table, building it on first use. The
-// loaded-table fast path is kept inlinable; the build takes partSlow.
+// loaded-table path does not construct the build closure.
 func (m *Model) part(t *derived, a int) *partition {
-	if p := t.parts[a].Load(); p != nil {
+	if p := t.parts[a].p.Load(); p != nil {
 		return p
 	}
-	return m.partSlow(t, a)
-}
-
-func (m *Model) partSlow(t *derived, a int) *partition {
-	m.buildMu.Lock()
-	defer m.buildMu.Unlock()
-	if p := t.parts[a].Load(); p != nil {
-		return p
-	}
-	p := m.buildPart(a)
-	t.parts[a].Store(p)
-	return p
+	return t.parts[a].get(func() *partition { return m.buildPart(a) })
 }
 
 // ensureParts makes sure every listed agent's partition table exists,
 // striping the builds across goroutines when the model is large enough for
-// the table construction itself to dominate (each build owns its scratch,
-// so workers share nothing but the atomic result slots).
+// the table construction itself to dominate (each build owns its scratch
+// and its slot, so workers building different agents never wait on each
+// other).
 func (m *Model) ensureParts(t *derived, agents []int) {
-	missing := 0
 	for _, a := range agents {
-		if t.parts[a].Load() == nil {
-			missing++
+		if t.parts[a].p.Load() == nil {
+			stripeAgents(len(agents), m.numWorlds, func(_, i int) { m.part(t, agents[i]) })
+			return
 		}
 	}
-	if missing == 0 {
-		return
-	}
-	m.buildMu.Lock()
-	defer m.buildMu.Unlock()
-	var todo []int
-	for _, a := range agents {
-		if t.parts[a].Load() == nil {
-			dup := false
-			for _, b := range todo {
-				if b == a {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				todo = append(todo, a)
-			}
-		}
-	}
-	stripeAgents(len(todo), m.numWorlds, func(_, i int) {
-		t.parts[todo[i]].Store(m.buildPart(todo[i]))
-	})
 }
 
 // ClassID returns agent a's dense view-class id of world w.
@@ -540,66 +541,8 @@ func (m *Model) reachPartition(t *derived, agents []int, keyBuf []byte) *partiti
 	if len(agents) == 1 {
 		return m.part(t, agents[0]) // one view partition is its own closure
 	}
-	key := m.groupKey(keyBuf[:0], agents)
-	// Warm fast path, kept free of the single-flight closure: fixed-point
-	// iteration re-reads the memoized partition once per step.
-	t.mu.RLock()
-	p := t.reach[string(key)]
-	t.mu.RUnlock()
-	if p != nil {
-		return p
-	}
-	return singleFlight(t, key, t.reach, &t.reachFlight, func() *partition {
-		return m.reachScratch(t, agents)
-	})
-}
-
-// singleFlight resolves one group partition through its memo map with an
-// in-flight registry: the first caller for a key builds (outside the lock),
-// later callers for the same key wait on the build instead of duplicating
-// it. cache and the flight registry are guarded by t.mu; callers check the
-// cache's read fast path themselves before paying for the build closure.
-// A panicking build unregisters its flight and wakes the waiters with a
-// nil result, so they retry (one of them re-runs the build and surfaces
-// the panic) instead of blocking forever on a wedged key.
-func singleFlight(t *derived, key []byte, cache map[string]*partition, flights *map[string]*partFlight, build func() *partition) *partition {
-	for {
-		t.mu.Lock()
-		if p := cache[string(key)]; p != nil {
-			t.mu.Unlock()
-			return p
-		}
-		if fl := (*flights)[string(key)]; fl != nil {
-			t.mu.Unlock()
-			<-fl.done
-			if fl.p != nil {
-				return fl.p
-			}
-			continue // the builder panicked; retry (and maybe rebuild)
-		}
-		fl := &partFlight{done: make(chan struct{})}
-		if *flights == nil {
-			*flights = make(map[string]*partFlight)
-		}
-		(*flights)[string(key)] = fl
-		t.mu.Unlock()
-
-		var p *partition
-		func() {
-			defer func() {
-				t.mu.Lock()
-				if p != nil {
-					cache[string(key)] = p
-				}
-				delete(*flights, string(key))
-				t.mu.Unlock()
-				fl.p = p
-				close(fl.done)
-			}()
-			p = build()
-		}()
-		return p
-	}
+	s := t.groupSlot(t.reach, m.groupKey(keyBuf[:0], agents))
+	return s.get(func() *partition { return m.reachScratch(t, agents) })
 }
 
 // reachScratch builds the G-reachability components with one union-find
@@ -609,7 +552,7 @@ func (m *Model) reachScratch(t *derived, agents []int) *partition {
 	d := unionfind.New(m.numWorlds)
 	var first []int32
 	for _, a := range agents {
-		part := t.parts[a].Load()
+		part := m.part(t, a)
 		if cap(first) < part.n {
 			first = make([]int32, part.n)
 		} else {
@@ -638,23 +581,17 @@ func (m *Model) jointPartition(t *derived, agents []int, keyBuf []byte) *partiti
 	if len(agents) == 1 {
 		return m.part(t, agents[0]) // one view partition is its own refinement
 	}
-	key := m.groupKey(keyBuf[:0], agents)
-	t.mu.RLock()
-	p := t.joint[string(key)]
-	t.mu.RUnlock()
-	if p != nil {
-		return p
-	}
-	return singleFlight(t, key, t.joint, &t.jointFlight, func() *partition {
+	s := t.groupSlot(t.joint, m.groupKey(keyBuf[:0], agents))
+	return s.get(func() *partition {
 		m.ensureParts(t, agents)
 		ids := make([]int32, m.numWorlds)
-		p0 := t.parts[agents[0]].Load()
+		p0 := m.part(t, agents[0])
 		copy(ids, p0.ids)
 		n := p0.n
 		pair := make(map[uint64]int32)
 		for _, a := range agents[1:] {
 			clear(pair)
-			other := t.parts[a].Load().ids
+			other := m.part(t, a).ids
 			next := int32(0)
 			for w := 0; w < m.numWorlds; w++ {
 				k := uint64(ids[w])<<32 | uint64(uint32(other[w]))
@@ -737,7 +674,7 @@ func (m *Model) relIDs(a int) ([]int32, int) {
 		return r.ids, r.n
 	case r.dsu != nil:
 		if t := m.derived.Load(); t != nil {
-			if p := t.parts[a].Load(); p != nil {
+			if p := t.parts[a].p.Load(); p != nil {
 				return p.ids, p.n
 			}
 		}

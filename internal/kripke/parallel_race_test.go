@@ -97,8 +97,9 @@ func TestParallelKernelsRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			if g == 0 {
-				// One goroutine front-loads the striped table build (an
-				// EvalBatch of every K_i) while the others already evaluate.
+				// One goroutine runs an EvalBatch of every K_i, whose workers
+				// build the per-agent tables while the others already
+				// evaluate (and stripe the same builds from D_G and C_G).
 				ks := make([]logic.Formula, agents)
 				for a := range ks {
 					ks[a] = logic.K(logic.Agent(a), logic.P("p"))
@@ -164,4 +165,95 @@ func TestParallelKernelsRace(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestDerivedTablesBuiltOnce pins that every kind of derived table is built
+// once (run under -race): eight goroutines ask a fresh model at the same
+// moment for every agent's view partition, one joint-view table and one
+// reachability table, half of them group tables first so the groups'
+// striped per-agent builds race the direct ones. Every goroutine must get
+// the identical *partition for each table, and it must be the cached one.
+func TestDerivedTablesBuiltOnce(t *testing.T) {
+	prevProcs := runtime.GOMAXPROCS(8)
+	defer runtime.GOMAXPROCS(prevProcs)
+	prevWorlds, prevAgents := parallelPartsMinWorlds, parallelPartsMinAgents
+	defer func() { parallelPartsMinWorlds, parallelPartsMinAgents = prevWorlds, prevAgents }()
+	parallelPartsMinWorlds = 128
+	parallelPartsMinAgents = 2
+
+	const n, agents, callers = 1024, 8, 8
+	m := buildWideModel(n, agents, 5)
+	group := []int{0, 2, 3, 5, 7}
+	type tables struct {
+		parts        []*partition
+		joint, reach *partition
+	}
+	got := make([]tables, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			tb, out := m.tables(), &got[g]
+			groups := func() {
+				out.joint = m.jointPartition(tb, group, nil)
+				out.reach = m.reachPartition(tb, group, nil)
+			}
+			if g%2 == 0 {
+				groups()
+			}
+			for a := 0; a < agents; a++ {
+				out.parts = append(out.parts, m.part(tb, a))
+			}
+			if g%2 == 1 {
+				groups()
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+
+	tb := m.tables()
+	key := string(m.groupKey(nil, group))
+	tb.mu.RLock()
+	joint, reach := tb.joint[key].p.Load(), tb.reach[key].p.Load()
+	tb.mu.RUnlock()
+	if joint == nil || reach == nil {
+		t.Fatalf("group tables not cached: joint %p, reach %p", joint, reach)
+	}
+	for g, out := range got {
+		for a, p := range out.parts {
+			if cached := tb.parts[a].p.Load(); p == nil || p != cached {
+				t.Errorf("caller %d got agent %d table %p, cached %p", g, a, p, cached)
+			}
+		}
+		if out.joint != joint || out.reach != reach {
+			t.Errorf("caller %d got joint %p reach %p, cached joint %p reach %p",
+				g, out.joint, out.reach, joint, reach)
+		}
+	}
+}
+
+// TestTableSlotRebuildsAfterPanic pins that a panicking table build leaves
+// its slot empty and unlocked: the next caller builds the table again
+// instead of blocking on the slot or reading a nil table.
+func TestTableSlotRebuildsAfterPanic(t *testing.T) {
+	var s tableSlot
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the build's panic did not reach the caller")
+			}
+		}()
+		s.get(func() *partition { panic("build failed") })
+	}()
+	want := newPartition([]int32{0, 0, 1}, 2)
+	if got := s.get(func() *partition { return want }); got != want {
+		t.Fatalf("second get = %p, want the rebuilt table %p", got, want)
+	}
+	if got := s.get(func() *partition { t.Fatal("built a cached table again"); return nil }); got != want {
+		t.Fatalf("cached get = %p, want %p", got, want)
+	}
 }

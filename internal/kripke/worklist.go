@@ -112,7 +112,7 @@ func (ev *evaluator) worklistParts(mod logic.Modal) ([]*partition, bool) {
 		ev.m.ensureParts(ev.t, agents)
 		ev.wparts = ev.wparts[:0]
 		for _, a := range agents {
-			ev.wparts = append(ev.wparts, ev.t.parts[a].Load())
+			ev.wparts = append(ev.wparts, ev.m.part(ev.t, a))
 		}
 	case logic.OpDist:
 		ev.wparts = append(ev.wparts[:0], ev.m.jointPartition(ev.t, agents, ev.keyScratch()))

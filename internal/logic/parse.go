@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"unicode"
 )
 
 // Parse parses a formula in the concrete syntax documented in print.go.
@@ -62,11 +61,18 @@ func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("logic: offset %d: %s", p.pos, fmt.Sprintf(format, args...))
 }
 
+// skipSpace skips ASCII whitespace. The lexer reads one byte at a time and
+// accepts only ASCII, so every offset it stops at is a rune boundary and an
+// error never quotes half of a UTF-8 character.
 func (p *parser) skipSpace() {
-	for p.pos < len(p.src) && unicode.IsSpace(rune(p.src[p.pos])) {
+	for p.pos < len(p.src) && strings.IndexByte(" \t\n\v\f\r", p.src[p.pos]) >= 0 {
 		p.pos++
 	}
 }
+
+func isDigit(c byte) bool      { return '0' <= c && c <= '9' }
+func isUpper(c byte) bool      { return 'A' <= c && c <= 'Z' }
+func isIdentStart(c byte) bool { return isUpper(c) || 'a' <= c && c <= 'z' || c == '_' }
 
 func (p *parser) peek(s string) bool {
 	p.skipSpace()
@@ -88,17 +94,12 @@ func (p *parser) expect(s string) error {
 	return nil
 }
 
-// ident consumes a letter-initial identifier ([A-Za-z][A-Za-z0-9_]*).
+// ident consumes an ASCII identifier ([A-Za-z_][A-Za-z0-9_]*).
 func (p *parser) ident() (string, bool) {
 	p.skipSpace()
 	start := p.pos
-	for p.pos < len(p.src) {
-		c := rune(p.src[p.pos])
-		if unicode.IsLetter(c) || c == '_' || (p.pos > start && unicode.IsDigit(c)) {
-			p.pos++
-		} else {
-			break
-		}
+	for p.pos < len(p.src) && (isIdentStart(p.src[p.pos]) || p.pos > start && isDigit(p.src[p.pos])) {
+		p.pos++
 	}
 	if p.pos == start {
 		return "", false
@@ -109,7 +110,7 @@ func (p *parser) ident() (string, bool) {
 func (p *parser) integer() (int, error) {
 	p.skipSpace()
 	start := p.pos
-	for p.pos < len(p.src) && unicode.IsDigit(rune(p.src[p.pos])) {
+	for p.pos < len(p.src) && isDigit(p.src[p.pos]) {
 		p.pos++
 	}
 	if p.pos == start {
@@ -342,7 +343,7 @@ func (p *parser) parseIdent(id string) (Formula, error) {
 
 	// Uppercase-initial identifiers are fixed-point variables; lowercase are
 	// ground facts.
-	if unicode.IsUpper(rune(id[0])) {
+	if isUpper(id[0]) {
 		return Var{Name: id}, nil
 	}
 	return Prop{Name: id}, nil
@@ -392,8 +393,8 @@ func (p *parser) modal(op Op, n int) (Formula, error) {
 }
 
 func allDigits(s string) bool {
-	for _, c := range s {
-		if !unicode.IsDigit(c) {
+	for i := 0; i < len(s); i++ {
+		if !isDigit(s[i]) {
 			return false
 		}
 	}

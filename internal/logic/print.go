@@ -31,9 +31,10 @@ import (
 //	nu X . phi       greatest fixed point
 //	mu X . phi       least fixed point
 //
-// The operators' spellings come from the table in ast.go. The k of the E^k
-// in one formula sum to at most MaxEPower, and no formula nests deeper than
-// MaxDepth levels (each E of an E^k is one).
+// Identifiers are ASCII ([A-Za-z_][A-Za-z0-9_]*), and so is the whitespace
+// between tokens. The operators' spellings come from the table in ast.go.
+// The k of the E^k in one formula sum to at most MaxEPower, and no formula
+// nests deeper than MaxDepth levels (each E of an E^k is one).
 
 // precedence levels, loosest first
 const (
