@@ -104,7 +104,7 @@ type evaluator struct {
 }
 
 func (m *Model) getEvaluator() *evaluator {
-	if ev, ok := m.evalPool.Get().(*evaluator); ok && ev != nil {
+	if ev := m.evalFree.get(); ev != nil {
 		ev.t = m.tables()
 		return ev
 	}
@@ -126,7 +126,7 @@ func (m *Model) putEvaluator(ev *evaluator) {
 	clear(ev.memo)
 	ev.arena = ev.arena[:0]
 	ev.shared = nil
-	m.evalPool.Put(ev)
+	m.evalFree.put(ev)
 }
 
 // keyScratch exposes the evaluator's key arena tail for group-cache keys.

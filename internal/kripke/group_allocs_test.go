@@ -1,7 +1,7 @@
 //go:build !race
 
-// The race detector makes sync.Pool drop a random share of Puts, so the
-// pooled evaluators would reallocate at random and blur the counts below.
+// Allocation counts are pinned in builds without the race detector, whose
+// instrumentation is not what these tests measure.
 
 package kripke_test
 
@@ -19,7 +19,7 @@ import (
 // so a fixpoint over an explicit-G operator (C^T iterates E^T_G) allocates
 // no more than over the full group it names.
 func TestExplicitGroupAllocs(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // keep the pooled evaluators
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // nothing the collector triggers runs mid-count
 	sys := core.R2D2Chain(32, 40)
 	interp := runs.Interpretation{"sent": runs.StablyTrue(runs.SentBy("m"))}
 	// allocs measures src on a fresh model (AllocsPerRun's warm-up call

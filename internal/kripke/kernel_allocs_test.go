@@ -1,7 +1,7 @@
 //go:build !race
 
-// The race detector makes sync.Pool drop a random share of Puts, so the
-// pooled evaluators would reallocate at random and blur the counts below.
+// Allocation counts are pinned in builds without the race detector, whose
+// instrumentation is not what these tests measure.
 
 package kripke
 
@@ -21,14 +21,13 @@ import (
 // costs one memo key) — no per-call goroutines, no per-shard
 // accumulators. Allocations are read from runtime.MemStats
 // (testing.AllocsPerRun forces GOMAXPROCS=1, which would hide a fan-out),
-// with GC off so the pooled evaluators survive the measurement.
+// with GC off so nothing the collector triggers runs inside a count.
 func TestGroupKernelAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	m := buildWideModel(4096, 8, 1)
-	// mallocs is the per-call average over the quietest of a few rounds: a
-	// goroutine that migrates between Ps can miss the evaluator another P
-	// holds in its private pool slot, and that refill is not the kernel's.
+	// mallocs is the per-call average over the quietest of a few rounds, so
+	// a stray runtime allocation in one round is not charged to the kernel.
 	mallocs := func(f logic.Formula) float64 {
 		const rounds, runs = 5, 100
 		if _, err := m.Eval(f); err != nil { // warm the tables and the pool

@@ -1,8 +1,8 @@
 package kripke
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 
 	"repro/internal/bitset"
 	"repro/internal/unionfind"
@@ -19,9 +19,9 @@ import (
 // refinement on dense class ids: blocks start as valuation classes (one
 // split per fact column) and split until every block has, for every agent,
 // the same set of blocks reachable through that agent's view class. All
-// bookkeeping is int32 renumbering through reusable mark tables and
-// uint64-keyed pair maps — the same columnar machinery the Builder and
-// Restrict use — not string signatures.
+// bookkeeping is int32 renumbering through reusable mark tables, with
+// uint64-keyed pair maps only where a block actually splits — the same
+// columnar machinery the Builder and Restrict use — not string signatures.
 //
 // On a model produced by RestrictWithQuotient, Minimize re-refines
 // incrementally from the renamed pre-announcement blocks instead of the
@@ -262,6 +262,11 @@ type refiner struct {
 	sig     []int32
 	setIDs  map[uint64]int32
 	pair    map[uint64]int32
+
+	// refine's per-block split state: the first signature seen in each
+	// old block and the new id that (block, first signature) received.
+	firstSig []int32
+	firstID  []int32
 }
 
 // minRel is one agent's class ids resolved once per refinement run. A nil
@@ -395,7 +400,7 @@ func (r *refiner) classSigs(rel minRel) []int32 {
 				r.gather = append(r.gather, b)
 			}
 		}
-		sort.Slice(r.gather, func(i, j int) bool { return r.gather[i] < r.gather[j] })
+		slices.Sort(r.gather)
 		acc := int32(-1)
 		for _, b := range r.gather {
 			k := uint64(uint32(acc+1))<<32 | uint64(uint32(b))
@@ -417,25 +422,51 @@ func (r *refiner) classSigs(rel minRel) []int32 {
 // unchanged is the fixed point. Seeded runs that start at (or near) the
 // stable partition pay one confirming round instead of one round per
 // distinction the from-scratch refinement has to rediscover.
+//
+// Each agent's pass renumbers (block, class signature) pairs by first
+// occurrence. Most blocks do not split, so a block's first signature and
+// its new id sit in two arrays and a world whose signature matches its
+// block's first one takes that id without hashing; only a second distinct
+// signature in one block — an actual split — goes through the pair map.
+// The numbering is the same first-occurrence numbering either way.
 func (r *refiner) refine() {
 	for {
 		before := r.n
 		for a := 0; a < r.m.numAgents; a++ {
-			if r.rels[a].ids == nil {
+			rel := r.rels[a]
+			if rel.ids == nil {
 				continue
 			}
-			sg := r.classSigs(r.rels[a])
+			sg := r.classSigs(rel)
+			if cap(r.firstSig) < int(r.n) {
+				r.firstSig = make([]int32, r.n)
+				r.firstID = make([]int32, r.n)
+			}
+			fs, fid := r.firstSig[:r.n], r.firstID[:r.n]
+			for i := range fs {
+				fs[i] = -1
+			}
 			clear(r.pair)
 			next := int32(0)
-			for w := 0; w < r.W; w++ {
-				k := uint64(uint32(r.block[w]))<<32 | uint64(uint32(sg[r.rels[a].ids[w]]))
-				id, ok := r.pair[k]
-				if !ok {
-					id = next
+			for w, b := range r.block {
+				s := sg[rel.ids[w]]
+				switch {
+				case fs[b] < 0:
+					fs[b], fid[b] = s, next
+					r.block[w] = next
 					next++
-					r.pair[k] = id
+				case fs[b] == s:
+					r.block[w] = fid[b]
+				default:
+					k := uint64(uint32(b))<<32 | uint64(uint32(s))
+					id, ok := r.pair[k]
+					if !ok {
+						id = next
+						next++
+						r.pair[k] = id
+					}
+					r.block[w] = id
 				}
-				r.block[w] = id
 			}
 			r.n = next
 		}
@@ -472,28 +503,39 @@ func (r *refiner) quotient() (*Model, []int) {
 		q.setFactSet(prop, col)
 	}
 	// Quotient relations: in the stable partition, all members of a block
-	// see the same set of blocks through an agent's classes, and any two
-	// classes sharing a block have equal block sets — so "same block-set
-	// id at the representative's class" is exactly the quotient partition,
-	// installed as dense ids with no union-find.
+	// see the same set of blocks through an agent's classes, so any two
+	// classes sharing a block have equal block sets. Classes with equal
+	// block sets thus have the same smallest block, and classes with
+	// different ones are block-disjoint: the smallest block id of a class
+	// names its block set exactly, and "same smallest block at the
+	// representative's class" is the quotient partition, installed as
+	// dense ids with no signature pass and no union-find.
+	if cap(r.mark) < nB {
+		r.mark = make([]int32, nB)
+	}
+	mk := r.mark[:nB]
 	for a := 0; a < m.numAgents; a++ {
-		if r.rels[a].ids == nil {
+		rel := r.rels[a]
+		if rel.ids == nil {
 			continue // discrete stays discrete
 		}
-		sg := r.classSigs(r.rels[a])
-		// Sig ids (including the prefix ids of the pair folds) are bounded
-		// by the total block-list length, hence by W.
-		if cap(r.mark) < W {
-			r.mark = make([]int32, W)
+		if cap(r.sig) < rel.n {
+			r.sig = make([]int32, rel.n)
 		}
-		mk := r.mark[:W]
+		minB := r.sig[:rel.n]
+		for i := range minB {
+			minB[i] = r.n
+		}
+		for w, c := range rel.ids {
+			minB[c] = min(minB[c], r.block[w])
+		}
 		for i := range mk {
 			mk[i] = -1
 		}
 		qids := make([]int32, nB)
 		next := int32(0)
 		for b := 0; b < nB; b++ {
-			s := sg[r.rels[a].ids[rep[b]]]
+			s := minB[rel.ids[rep[b]]]
 			if mk[s] < 0 {
 				mk[s] = next
 				next++
@@ -502,8 +544,19 @@ func (r *refiner) quotient() (*Model, []int) {
 		}
 		q.setPartition(a, qids, int(next))
 	}
+	// Names "b<block><<rep name>>", with Model.Name's "w<rep>" fallback,
+	// assembled in one reused buffer.
+	var buf []byte
 	for b := 0; b < nB; b++ {
-		q.SetName(b, fmt.Sprintf("b%d<%s>", b, m.Name(int(rep[b]))))
+		w := int(rep[b])
+		buf = strconv.AppendInt(append(buf[:0], 'b'), int64(b), 10)
+		buf = append(buf, '<')
+		if w < len(m.names) && m.names[w] != "" {
+			buf = append(buf, m.names[w]...)
+		} else {
+			buf = strconv.AppendInt(append(buf, 'w'), int64(w), 10)
+		}
+		q.SetName(b, string(append(buf, '>')))
 	}
 	outBlock := make([]int, W)
 	for w := 0; w < W; w++ {

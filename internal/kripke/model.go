@@ -153,9 +153,10 @@ type Model struct {
 	derived atomic.Pointer[derived]
 	buildMu sync.Mutex
 
-	// evalPool recycles evaluators (scratch sets, memo tables, kernel
-	// state) across Eval calls.
-	evalPool sync.Pool
+	// evalFree recycles evaluators (scratch sets, memo tables, kernel
+	// state) across Eval calls. It is the model's own, not a sync.Pool, so
+	// idle evaluators never keep a dropped model reachable (freelist.go).
+	evalFree freelist[evaluator]
 
 	// Temporal, if non-nil, supplies the run-based operators of Sections
 	// 11–12 (E^ε, E^⋄, E^T, from which the evaluator builds their C
@@ -734,9 +735,10 @@ func (m *Model) RefineAgent(a int, phi *bitset.Set) *Model {
 
 // restrictScratch is the reusable working state of Restrict: the kept-world
 // list, the per-agent class-id sources, the submodel being built, and one
-// class-renaming mark table per stripeAgents worker. Pooled so announcement
-// chains (muddy rounds, attack message chains) recycle one scratch instead
-// of reallocating per update.
+// class-renaming mark table per stripeAgents worker. Kept on a freelist so
+// announcement chains (muddy rounds, attack message chains) recycle one
+// scratch instead of reallocating per update, however often the collector
+// runs.
 type restrictScratch struct {
 	old   []int
 	srcs  []pendingPart
@@ -749,11 +751,13 @@ type restrictScratch struct {
 	rename func(worker, a int)
 }
 
-var restrictPool = sync.Pool{New: func() any {
+var restrictFree freelist[restrictScratch]
+
+func newRestrictScratch() *restrictScratch {
 	s := new(restrictScratch)
 	s.rename = s.renameAgent
 	return s
-}}
+}
 
 // mark returns worker's mark table with room for n class ids.
 func (s *restrictScratch) mark(worker, n int) []int32 {
@@ -822,7 +826,10 @@ func (m *Model) RestrictWithQuotient(keep *bitset.Set, blocks []int) *Model {
 // restrict builds the submodel over keep and, when blocks is non-nil,
 // installs its renaming as the submodel's quotient seed.
 func (m *Model) restrict(keep *bitset.Set, blocks []int) *Model {
-	scr := restrictPool.Get().(*restrictScratch)
+	scr := restrictFree.get()
+	if scr == nil {
+		scr = newRestrictScratch()
+	}
 	old := scr.old[:0]
 	keep.ForEach(func(w int) bool {
 		old = append(old, w)
@@ -871,7 +878,7 @@ func (m *Model) restrict(keep *bitset.Set, blocks []int) *Model {
 	if blocks != nil {
 		m.seedQuotientInto(sub, old, blocks)
 	}
-	restrictPool.Put(scr)
+	restrictFree.put(scr)
 	return sub
 }
 

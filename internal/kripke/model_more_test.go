@@ -2,8 +2,10 @@ package kripke
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/logic"
@@ -248,5 +250,31 @@ func TestOneAgentGroupUsesOwnPartition(t *testing.T) {
 		if joint != 0 || reach != 0 {
 			t.Fatalf("workers %d: one-agent groups added %d joint and %d reach tables", workers, joint, reach)
 		}
+	}
+}
+
+// TestEvalDoesNotPinModel pins that evaluating on a model registers it
+// nowhere global: once the caller drops the model, one collection frees it
+// together with its evaluators. The finalizer sits on the model's p column,
+// which only the model references; the model itself is in a cycle with its
+// idle evaluators (model → freelist → evaluator → model), and a finalizer
+// on a cycle member would never run.
+func TestEvalDoesNotPinModel(t *testing.T) {
+	freed := make(chan struct{})
+	func() {
+		m := NewModel(4, 2)
+		m.SetTrue(0, "p")
+		m.SetTrue(1, "p")
+		m.Indistinguishable(0, 0, 1)
+		runtime.SetFinalizer(m.valuation["p"], func(*bitset.Set) { close(freed) })
+		if _, err := m.Eval(logic.K(0, logic.P("p"))); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("model still reachable after a collection: an evaluator pool pins it")
 	}
 }

@@ -23,7 +23,7 @@
 // AppendKey all read it.
 package logic
 
-import "sort"
+import "slices"
 
 // Agent identifies a processor/agent by index (0-based).
 type Agent int
@@ -37,14 +37,8 @@ type Group []Agent
 func NewGroup(agents ...Agent) Group {
 	g := make(Group, 0, len(agents))
 	g = append(g, agents...)
-	sort.Slice(g, func(i, j int) bool { return g[i] < g[j] })
-	out := g[:0]
-	for i, a := range g {
-		if i == 0 || a != g[i-1] {
-			out = append(out, a)
-		}
-	}
-	return out
+	slices.Sort(g)
+	return slices.Compact(g)
 }
 
 // Contains reports whether the group explicitly contains a. It returns true

@@ -21,8 +21,9 @@
 package runs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 )
 
@@ -208,11 +209,10 @@ func (r *Run) observations(p int, t Time) []observation {
 			obs = append(obs, observation{at: m.RecvTime, kind: 'r', peer: m.From, payload: m.Payload, seq: i})
 		}
 	}
-	sort.Slice(obs, func(i, j int) bool {
-		if obs[i].at != obs[j].at {
-			return obs[i].at < obs[j].at
-		}
-		return obs[i].seq < obs[j].seq
+	// A message a processor sends itself yields two entries with one seq;
+	// the send ('s') sorts before the receive ('r'), so the order is total.
+	slices.SortFunc(obs, func(a, b observation) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq), cmp.Compare(b.kind, a.kind))
 	})
 	return obs
 }

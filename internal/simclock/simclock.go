@@ -209,6 +209,12 @@ func (c *Clock) NextDeadline() (int64, bool) {
 // Go registers fn as a simulated goroutine and runs it; an auto-advance
 // clock counts it toward the everyone-is-blocked condition until fn
 // returns. Wait blocks until every goroutine started with Go has returned.
+//
+// Auto-advance counts only goroutines already registered: a goroutine
+// started by an earlier Go may sleep, and the clock may advance, before a
+// later Go call runs. Callers that need several goroutines to start at
+// the same virtual time make them wait on a barrier released after the
+// last Go.
 func (c *Clock) Go(fn func()) {
 	c.mu.Lock()
 	c.registered++

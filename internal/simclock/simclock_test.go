@@ -132,16 +132,24 @@ func TestAutoAdvanceTwoSleepers(t *testing.T) {
 		wakes = append(wakes, c.Now())
 		mu.Unlock()
 	}
+	// Auto-advance counts only goroutines already registered, so both
+	// bodies wait on start until the second Go has run: otherwise the
+	// first could sleep alone and take the clock to 7 before the second
+	// is registered, which would then sleep from 7.
+	start := make(chan struct{})
 	c.Go(func() {
+		<-start
 		c.Sleep(3)
 		record()
 		c.Sleep(4) // wakes at 7
 		record()
 	})
 	c.Go(func() {
+		<-start
 		c.Sleep(5)
 		record()
 	})
+	close(start)
 	c.Wait()
 	if c.Now() != 7 {
 		t.Fatalf("now = %d, want 7", c.Now())
