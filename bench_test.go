@@ -333,12 +333,10 @@ func BenchmarkTemporalCommon(b *testing.B) {
 	}
 }
 
-// Ablation: the parallel batch-evaluation engine against the serial loop
-// on the muddy-round workload — n per-child know-sets plus group queries
-// against one shared model. The serial arm is the engine every caller had
-// before the fan-out; on a multi-core machine the parallel arm should
-// approach workers× for the kernel-bound queries, and on one core the two
-// arms coincide (EvalBatch degenerates to the serial loop).
+// Ablation: batch evaluation on the muddy-round workload — n per-child
+// know-sets plus group queries against one shared model, on one evaluator
+// whose memo spans the batch. The serial arm keeps its name so the row
+// stays comparable with earlier snapshots.
 func BenchmarkAblationBatchEval(b *testing.B) {
 	const n = 13
 	pz, err := muddy.New(n, []int{0, 1, 2})
@@ -357,23 +355,18 @@ func BenchmarkAblationBatchEval(b *testing.B) {
 		logic.EK(nil, 3, logic.P(muddy.MProp)),
 		logic.D(nil, logic.P(muddy.MuddyProp(0))),
 	)
-	// One untimed batch builds the partition tables both arms share.
+	// One untimed batch builds the partition tables.
 	if _, err := m.EvalBatch(fs); err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.EvalBatch(fs, kripke.BatchWorkers(mode.workers)); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := m.EvalBatch(fs); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // Ablation: the fault-injected scenario sweep's announcement ladder on a
@@ -427,7 +420,7 @@ func BenchmarkAblationGossipChain(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			u := gossip.SampleDeviations(gossip.Any, agents, actual, perLink, 1)
 			m := u.Model()
-			res, err := m.RevealChain(actual, gossip.ChainOptions{Workers: 1, Depth: 2})
+			res, err := m.RevealChain(actual, gossip.ChainOptions{Depth: 2})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -10,13 +10,12 @@
 // seeded fault-injection engine: message losses are drawn from a fault
 // plan with the given drop probability (-seed seeds the plan, -runs sets
 // the samples per configuration), and the same rule searches run over the
-// sampled system. Equal seeds reproduce the output byte for byte;
-// -parallel controls the chain replay's evaluation workers.
+// sampled system. Equal seeds reproduce the output byte for byte.
 //
 // Usage:
 //
 //	attacksim -budget 4 -horizon 10
-//	attacksim -inject 0.5 -seed 1 -runs 40 -parallel -1
+//	attacksim -inject 0.5 -seed 1 -runs 40
 package main
 
 import (
@@ -26,7 +25,6 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/faults"
-	"repro/internal/kripke"
 	"repro/internal/logic"
 	"repro/internal/protocol"
 	"repro/internal/runs"
@@ -48,8 +46,6 @@ func run(args []string) error {
 	inject := fs.Float64("inject", 0,
 		"sample the handshake under a fault plan with this drop probability instead of exhaustive channel branching (0 = exhaustive)")
 	samples := fs.Int("runs", 40, "sampled runs per initial configuration when -inject is set")
-	parallel := fs.Int("parallel", -1,
-		"evaluation workers for the chain replay (0 forces the serial loop, <0 uses one worker per core)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -112,7 +108,7 @@ func run(args []string) error {
 	fmt.Printf("\nC intent holds at %d of %d points\n", set.Count(), pm.NumWorlds())
 
 	if *chain {
-		if err := replayChain(s, kripke.WorkersFromFlag(*parallel)); err != nil {
+		if err := replayChain(s); err != nil {
 			return err
 		}
 	}
@@ -135,12 +131,12 @@ func run(args []string) error {
 
 // replayChain runs the delivery announcement chain on the all-delivered
 // run and prints one row per link.
-func replayChain(s *attack.System, workers int) error {
+func replayChain(s *attack.System) error {
 	never := func(protocol.LocalView) bool { return false }
 	pm := s.Sys.Model(runs.CompleteHistoryView, s.DeliveryInterp(never, never))
 	best := s.BestChainRun()
 	fmt.Printf("\ndelivery announcement chain (run %s, incremental restrictions):\n", best)
-	steps, err := s.ReplayDeliveryChain(pm, best, kripke.BatchWorkers(workers))
+	steps, err := s.ReplayDeliveryChain(pm, best)
 	if err != nil {
 		return err
 	}

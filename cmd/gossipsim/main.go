@@ -5,8 +5,7 @@
 // expert" holds, is mutually known to depth k (E^k), or is common
 // knowledge at termination. Universes of candidate sequences are
 // exhaustive below -cap and seeded samples beyond it, so the whole table
-// is byte-identical for equal -seed across repetitions and -parallel
-// worker counts.
+// is byte-identical for equal -seed across repetitions.
 //
 // -reveal additionally replays one convention's witness sequence as a
 // public revelation chain: link t announces the t-th call, the verdict
@@ -15,7 +14,7 @@
 //
 // Usage:
 //
-//	gossipsim -seed 1 -n 4 -parallel -1
+//	gossipsim -seed 1 -n 4
 //	gossipsim -seed 1 -conv lns -reveal -perlink 8
 //	gossipsim -seed 1 -conv co -reveal -calls ab.cd.ac.bd
 package main
@@ -26,7 +25,6 @@ import (
 	"os"
 
 	"repro/internal/gossip"
-	"repro/internal/kripke"
 )
 
 func main() {
@@ -45,8 +43,6 @@ func run(args []string) error {
 	depth := fs.Int("depth", 2, "E-tower depth of the table columns")
 	capWorlds := fs.Int("cap", 262144, "exhaustive-universe world cap; longer lengths are sampled")
 	sample := fs.Int("sample", 2048, "sampled-universe size beyond the cap")
-	parallel := fs.Int("parallel", -1,
-		"evaluation workers (0 forces the serial loop, <0 uses one worker per core)")
 	reveal := fs.Bool("reveal", false,
 		"replay the witness sequence of -conv as a public revelation chain")
 	calls := fs.String("calls", "",
@@ -67,7 +63,6 @@ func run(args []string) error {
 	if *reveal && *conv == "all" {
 		return fmt.Errorf("-reveal needs a single -conv (any, co or lns)")
 	}
-	workers := kripke.WorkersFromFlag(*parallel)
 
 	p := gossip.Params{
 		Seed:     *seed,
@@ -76,7 +71,6 @@ func run(args []string) error {
 		Depth:    *depth,
 		Cap:      *capWorlds,
 		Sample:   *sample,
-		Workers:  workers,
 		Convs:    convs,
 	}
 	table, err := gossip.Search(p)
@@ -88,13 +82,13 @@ func run(args []string) error {
 	if !*reveal {
 		return nil
 	}
-	return replay(table, convs[0], *calls, *perLink, workers)
+	return replay(table, convs[0], *calls, *perLink)
 }
 
 // replay prints the revelation chain of one convention: the actual
 // sequence (the table's expert witness unless -calls overrides it) on a
 // deviation-sampled universe.
-func replay(table *gossip.Table, conv gossip.Convention, calls string, perLink int, workers int) error {
+func replay(table *gossip.Table, conv gossip.Convention, calls string, perLink int) error {
 	p := table.P
 	var seq gossip.Sequence
 	if calls != "" {
@@ -117,7 +111,7 @@ func replay(table *gossip.Table, conv gossip.Convention, calls string, perLink i
 	}
 	u := gossip.SampleDeviations(conv, p.N, seq, perLink, p.Seed)
 	m := u.Model()
-	res, err := m.RevealChain(seq, gossip.ChainOptions{Workers: workers})
+	res, err := m.RevealChain(seq, gossip.ChainOptions{})
 	if err != nil {
 		return err
 	}

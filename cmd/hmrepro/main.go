@@ -19,7 +19,6 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/kripke"
 )
 
 func main() {
@@ -50,8 +49,16 @@ func run(args []string, stdout io.Writer) error {
 	failures := 0
 	if *only == "" {
 		// The full suite: independent experiments fan out across workers,
-		// reports print in experiment order.
-		reps, err := core.RunAllWorkers(kripke.WorkersFromFlag(*parallel))
+		// reports print in experiment order. -parallel maps onto
+		// RunAllWorkers' count, where 0 is one per core and 1 is serial.
+		workers := *parallel
+		switch {
+		case workers < 0:
+			workers = 0
+		case workers == 0:
+			workers = 1
+		}
+		reps, err := core.RunAllWorkers(workers)
 		// Print whatever completed before returning any error, so a
 		// failing experiment does not swallow the clean reports.
 		for _, rep := range reps {

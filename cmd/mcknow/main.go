@@ -6,9 +6,9 @@
 //
 //	mcknow -model m.json "C{0,1} (p & K0 p)" "E p -> D p"
 //
-// The formula batch is evaluated with the parallel fan-out of
-// kripke.EvalBatch (-parallel=0 forces the serial loop, <0 one worker per
-// core) and, under -quotient, on the bisimulation quotient of the model.
+// The formula batch is evaluated in one kripke.EvalBatch, whose memo spans
+// the batch, and, under -quotient, on the bisimulation quotient of the
+// model.
 // -seed submits the batch in a seeded permuted order and prints results in
 // the order given — verdicts are order-independent, so equal seeds (and
 // in fact all seeds) reproduce the output byte for byte; varying the seed
@@ -73,8 +73,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("mcknow", flag.ContinueOnError)
 	modelPath := fs.String("model", "", "path to the model JSON file")
 	quotient := fs.String("quotient", "auto", "evaluate the batch on the bisimulation quotient: auto, on, off")
-	parallel := fs.Int("parallel", -1,
-		"workers for the formula batch: <0 = one per core, 0 = serial, n = n workers")
 	seed := fs.Int64("seed", 1,
 		"seed of the batch submission order; verdicts are order-independent, so output is identical for every seed")
 	if err := fs.Parse(args); err != nil {
@@ -112,8 +110,8 @@ func run(args []string) error {
 	}
 
 	// Parse the whole batch first, then evaluate it in one EvalBatch: the
-	// formulas are independent queries against one shared model, fanned
-	// out across -parallel workers.
+	// formulas are queries against one shared model, and the batch memo
+	// shares their common subformulas.
 	formulas := make([]logic.Formula, 0, fs.NArg())
 	for _, src := range fs.Args() {
 		f, err := logic.Parse(src)
@@ -130,7 +128,7 @@ func run(args []string) error {
 	for i, j := range perm {
 		shuffled[j] = formulas[i]
 	}
-	shuffledSets, err := q.EvalBatch(shuffled, kripke.BatchWorkers(kripke.WorkersFromFlag(*parallel)))
+	shuffledSets, err := q.EvalBatch(shuffled)
 	sets := make([]*bitset.Set, len(formulas))
 	if err == nil {
 		for i, j := range perm {
@@ -138,9 +136,9 @@ func run(args []string) error {
 		}
 	}
 	if err != nil {
-		// Re-attribute the batch error to its formula: EvalBatch reports
-		// the smallest failing index's error, which is the first formula
-		// a serial sweep trips over.
+		// Re-attribute the batch error to its formula: EvalBatch stops at
+		// the first failing formula of the shuffled batch, which need not
+		// be the first one given.
 		for _, f := range formulas {
 			if _, ferr := q.Eval(f); ferr != nil {
 				return fmt.Errorf("eval %q: %w", f.String(), ferr)

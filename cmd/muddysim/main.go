@@ -10,10 +10,7 @@
 // knowledge checks took (eval) versus applying the resulting public
 // announcement (build), making the construction/evaluation split of the
 // model checker visible from the command line. -common checks common
-// knowledge of m after every round; -parallel controls the worker pool
-// that fans each round's n per-child knowledge checks out over the shared
-// round model (-parallel=0 forces the serial loop, <0 uses one worker per
-// core). -muddy random draws the muddy set from the seeded stream of
+// knowledge of m after every round. -muddy random draws the muddy set from the seeded stream of
 // -seed: equal seeds reproduce the output byte for byte.
 package main
 
@@ -25,7 +22,6 @@ import (
 	"strings"
 
 	"repro/internal/faults"
-	"repro/internal/kripke"
 	"repro/internal/muddy"
 )
 
@@ -50,8 +46,6 @@ func run(args []string) error {
 	timing := fs.Bool("time", true, "print per-round build vs eval timing")
 	quotient := fs.Bool("quotient", false, "report the bisimulation quotient of the initial model")
 	trackCommon := fs.Bool("common", false, "check common knowledge of m after every round")
-	parallel := fs.Int("parallel", -1,
-		"workers for the per-round knowledge batch: <0 = one per core, 0 = serial, n = n workers")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -121,7 +115,7 @@ func run(args []string) error {
 		}
 	}
 	res, err := muddy.SimulateOpts(*n, muddySet, m, budget,
-		muddy.SimOptions{TrackCommon: *trackCommon, Parallel: kripke.WorkersFromFlag(*parallel)})
+		muddy.SimOptions{TrackCommon: *trackCommon})
 	if err != nil {
 		return err
 	}

@@ -6,7 +6,7 @@
 // common — the broadcast fact attains at the witness action point. The
 // printed matrix reproduces the paper's separations from injected faults
 // alone; the whole sweep is byte-identical for equal -seed across
-// repetitions and across -parallel worker counts.
+// repetitions.
 //
 // -ladder additionally replays the delivery announcement chain on one
 // regime's epistemic structure ("at least d messages were delivered"),
@@ -15,7 +15,7 @@
 //
 // Usage:
 //
-//	scenariosim -seed 1 -agents 4 -runs 12 -parallel -1
+//	scenariosim -seed 1 -agents 4 -runs 12
 //	scenariosim -seed 1 -delay-dist uniform:1-3 -drop 0.5 -ladder bounded
 package main
 
@@ -25,7 +25,6 @@ import (
 	"os"
 
 	"repro/internal/faults"
-	"repro/internal/kripke"
 	"repro/internal/runs"
 	"repro/internal/scenario"
 )
@@ -51,8 +50,6 @@ func run(args []string) error {
 	delayDist := fs.String("delay-dist", "uniform:1-2",
 		"delay distribution of the bounded regime (fixed:D | uniform:MIN-MAX | unbounded:SPAN)")
 	horizon := fs.Int("horizon", 14, "observation horizon (ticks)")
-	parallel := fs.Int("parallel", -1,
-		"evaluation workers per regime (0 forces the serial loop, <0 uses one worker per core)")
 	ladder := fs.String("ladder", "",
 		"replay the delivery announcement chain on this regime (e.g. bounded); empty skips")
 	recovery := fs.Bool("recovery", false,
@@ -64,12 +61,6 @@ func run(args []string) error {
 	delay, err := faults.ParseDelayDist(*delayDist)
 	if err != nil {
 		return err
-	}
-	// WorkersFromFlag maps the shared -parallel convention onto EvalBatch
-	// worker counts; Params treats 0 as "default" so per-core stays -1.
-	workers := kripke.WorkersFromFlag(*parallel)
-	if workers == 0 {
-		workers = -1
 	}
 	p := scenario.Params{
 		Seed:    *seed,
@@ -83,7 +74,6 @@ func run(args []string) error {
 		DupP:    *dup,
 		Delay:   delay,
 		Horizon: runs.Time(*horizon),
-		Workers: workers,
 	}
 	// Validate the ladder key before the sweep runs, so a typo fails
 	// immediately instead of after the full matrix prints.

@@ -377,9 +377,7 @@ type ChainStep struct {
 // alternating-knowledge depth of the intent and whether it has become
 // common knowledge at the marked point (runName at the horizon). The chain
 // stops before the first announcement that would be untruthful there.
-// Trailing kripke.BatchOptions (e.g. kripke.BatchWorkers) configure each
-// link's batch evaluation.
-func (s *System) ReplayDeliveryChain(pm *runs.PointModel, runName string, opts ...kripke.BatchOption) ([]ChainStep, error) {
+func (s *System) ReplayDeliveryChain(pm *runs.PointModel, runName string) ([]ChainStep, error) {
 	w, err := pm.WorldOf(runName, s.Sys.Horizon)
 	if err != nil {
 		return nil, err
@@ -417,7 +415,7 @@ func (s *System) ReplayDeliveryChain(pm *runs.PointModel, runName string, opts .
 			fs = append(fs, f)
 		}
 		fs = append(fs, logic.C(g, logic.P(IntentProp)))
-		sets, err := ch.EvalBatch(fs, opts...)
+		sets, err := ch.EvalBatch(fs)
 		if err != nil {
 			return nil, err
 		}

@@ -2,10 +2,10 @@ package attack
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/kripke"
 	"repro/internal/protocol"
 	"repro/internal/runs"
 )
@@ -102,9 +102,10 @@ func TestInjectedLossKeepsCorollary6(t *testing.T) {
 }
 
 // TestInjectedChainReplayParallelMatchesSerial replays the delivery
-// announcement chain of an injected system with and without a batch worker
-// pool: the steps must be identical (the chain's verdicts are
-// batch-deterministic).
+// announcement chain of an injected system once alone and then from four
+// goroutines at once on the same point model: every concurrent replay
+// must return the serial steps (the chain's verdicts are deterministic,
+// and its links only read the shared model).
 func TestInjectedChainReplayParallelMatchesSerial(t *testing.T) {
 	plan := &faults.Plan{Seed: 3, Delay: faults.Fixed{D: 1}, Drop: 0.3}
 	s, err := BuildInjected(4, 10, plan, 8)
@@ -118,14 +119,26 @@ func TestInjectedChainReplayParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := s.ReplayDeliveryChain(pm, best, kripke.BatchWorkers(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Fatalf("parallel chain %+v differs from serial %+v", par, serial)
-	}
 	if len(serial) == 0 {
 		t.Fatal("best run replayed an empty chain")
+	}
+	par := make([][]ChainStep, 4)
+	errs := make([]error, len(par))
+	var wg sync.WaitGroup
+	for g := range par {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			par[g], errs[g] = s.ReplayDeliveryChain(pm, best)
+		}(g)
+	}
+	wg.Wait()
+	for g := range par {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if !reflect.DeepEqual(serial, par[g]) {
+			t.Fatalf("concurrent chain %d %+v differs from serial %+v", g, par[g], serial)
+		}
 	}
 }

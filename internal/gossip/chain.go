@@ -8,11 +8,8 @@ import (
 )
 
 // ChainOptions configures a revelation chain. The zero value evaluates
-// each link with the batch default worker count and the full tower.
+// the full tower at each link.
 type ChainOptions struct {
-	// Workers is the EvalBatch worker count per link (0 = the batch
-	// default, 1 = the serial loop, <0 = one per core).
-	Workers int
 	// Depth is the E-tower depth evaluated per link; 0 means n-1.
 	Depth int
 }
@@ -85,7 +82,7 @@ func (m *Model) RevealChain(actual Sequence, opts ChainOptions) (*ChainResult, e
 		if err := ch.AnnounceSet(keep); err != nil {
 			return nil, err
 		}
-		sets, err := ch.EvalBatch(fs, kripke.BatchWorkers(opts.Workers))
+		sets, err := ch.EvalBatch(fs)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package gossip
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bitset"
@@ -70,21 +71,32 @@ func TestRevealChainParity(t *testing.T) {
 	}
 }
 
-// TestRevealChainWorkerDeterminism pins the chain result across worker
-// counts (serial, two workers, one per core).
+// TestRevealChainWorkerDeterminism pins the chain result across
+// concurrent callers: four goroutines replaying the chain on the same
+// model at once must each return the result of a lone replay.
 func TestRevealChainWorkerDeterminism(t *testing.T) {
 	m, actual := chainFixture(t, LNS, 1)
-	base, err := m.RevealChain(actual, ChainOptions{Workers: 1})
+	base, err := m.RevealChain(actual, ChainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, -1} {
-		got, err := m.RevealChain(actual, ChainOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
+	got := make([]*ChainResult, 4)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g], errs[g] = m.RevealChain(actual, ChainOptions{})
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
 		}
-		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("workers=%d: chain result differs", workers)
+		if !reflect.DeepEqual(base, got[g]) {
+			t.Fatalf("caller %d: chain result differs", g)
 		}
 	}
 }

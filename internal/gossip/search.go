@@ -3,15 +3,13 @@ package gossip
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/kripke"
 )
 
 // Params configures an attainment search. The zero value searches nothing;
 // withDefaults fills the documented defaults.
 type Params struct {
 	// Seed drives every sampled universe; equal seeds reproduce the table
-	// byte for byte across repetitions and worker counts.
+	// byte for byte across repetitions.
 	Seed int64
 	// N is the agent count (default 4).
 	N int
@@ -27,8 +25,6 @@ type Params struct {
 	Cap int
 	// Sample is the sampled-universe size beyond the cap (default 2048).
 	Sample int
-	// Workers is the EvalBatch worker count (0 = the batch default).
-	Workers int
 	// Convs lists the conventions to search (default all three).
 	Convs []Convention
 }
@@ -119,7 +115,7 @@ func Search(p Params) (*Table, error) {
 			}
 			row.MaxLen = length
 			m := u.Model()
-			sets, err := m.M.EvalBatch(fs, kripke.BatchWorkers(p.Workers))
+			sets, err := m.M.EvalBatch(fs)
 			if err != nil {
 				return nil, err
 			}
@@ -161,7 +157,7 @@ func (a Attain) cell() string {
 }
 
 // Render prints the attainment table, a witness block, and the legend —
-// byte-identical for equal Params across repetitions and worker counts.
+// byte-identical for equal Params across repetitions.
 func (t *Table) Render() string {
 	var b strings.Builder
 	p := t.P

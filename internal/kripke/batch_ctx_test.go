@@ -16,7 +16,7 @@ import (
 
 // TestEvalBatchCtxUncancelledIdentical pins the acceptance contract of the
 // context-threading path: with a context that never cancels, EvalBatchCtx
-// is byte-identical to EvalBatch across worker counts.
+// is byte-identical to EvalBatch, on cold and warm caches.
 func TestEvalBatchCtxUncancelledIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 8; trial++ {
@@ -25,19 +25,19 @@ func TestEvalBatchCtxUncancelledIdentical(t *testing.T) {
 		m := randModel(rng, n, numAgents)
 		fs := batchFormulas(numAgents)
 
-		want, err := m.EvalBatch(fs, BatchWorkers(1))
+		want, err := m.EvalBatch(fs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 2, 8} {
-			got, err := m.EvalBatchCtx(context.Background(), fs, BatchWorkers(workers))
+		for pass := 0; pass < 2; pass++ {
+			got, err := m.EvalBatchCtx(context.Background(), fs)
 			if err != nil {
-				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
+				t.Fatalf("trial %d pass %d: %v", trial, pass, err)
 			}
 			for i := range fs {
 				if !got[i].Equal(want[i]) {
-					t.Fatalf("trial %d workers %d: EvalBatchCtx[%d] = %s, want %s",
-						trial, workers, i, got[i], want[i])
+					t.Fatalf("trial %d pass %d: EvalBatchCtx[%d] = %s, want %s",
+						trial, pass, i, got[i], want[i])
 				}
 			}
 		}
@@ -45,7 +45,7 @@ func TestEvalBatchCtxUncancelledIdentical(t *testing.T) {
 }
 
 // TestEvalBatchCtxPreCancelled checks that an already-dead context returns
-// its error before any evaluation work, on both engine paths.
+// its error before any evaluation work.
 func TestEvalBatchCtxPreCancelled(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := randModel(rng, 64, 2)
@@ -53,19 +53,17 @@ func TestEvalBatchCtxPreCancelled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 4} {
-		out, err := m.EvalBatchCtx(ctx, fs, BatchWorkers(workers))
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers %d: err = %v, want context.Canceled", workers, err)
-		}
-		if out != nil {
-			t.Fatalf("workers %d: results returned despite cancellation", workers)
-		}
+	out, err := m.EvalBatchCtx(ctx, fs)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if out != nil {
+		t.Fatal("results returned despite cancellation")
 	}
 
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer dcancel()
-	if _, err := m.EvalBatchCtx(dctx, fs, BatchWorkers(2)); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := m.EvalBatchCtx(dctx, fs); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired deadline: err = %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -87,7 +85,7 @@ func (c *cancellingTemporal) EvalTemporal(dst *bitset.Set, _ logic.Op, _ int, _ 
 
 // cancelProbeModel builds a model whose temporal hook cancels the given
 // context on the first temporal evaluation, plus a batch of nf distinct
-// temporal formulas (distinct, so the shared memo cannot absorb them). Each
+// temporal formulas (distinct, so the batch memo cannot absorb them). Each
 // is an E^⋄, which calls the hook once, so each formula the engine
 // actually picks up counts exactly once; a C^⋄ would call it once per
 // fixed-point iteration.
@@ -106,15 +104,15 @@ func cancelProbeModel(nf int, cancel context.CancelFunc) (*Model, *cancellingTem
 	return m, hook, fs
 }
 
-// TestEvalBatchCtxSerialCancelStopsAfterOneFormula: on the serial path the
-// context is checked between formulas, so a batch whose first formula's
+// TestEvalBatchCtxSerialCancelStopsAfterOneFormula: the context is checked
+// between formulas, so a batch whose first formula's
 // evaluation kills the caller evaluates exactly that one formula out of a
 // thousand — far less than one batch's worth of work.
 func TestEvalBatchCtxSerialCancelStopsAfterOneFormula(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	m, hook, fs := cancelProbeModel(1000, cancel)
-	out, err := m.EvalBatchCtx(ctx, fs, BatchWorkers(1))
+	out, err := m.EvalBatchCtx(ctx, fs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -122,33 +120,7 @@ func TestEvalBatchCtxSerialCancelStopsAfterOneFormula(t *testing.T) {
 		t.Fatal("results returned despite cancellation")
 	}
 	if got := hook.evals.Load(); got != 1 {
-		t.Fatalf("serial path evaluated %d formulas after cancellation, want exactly 1", got)
-	}
-}
-
-// TestEvalBatchCtxWorkersCancelPromptly: on the fan-out path each worker
-// re-checks the context before pulling its next formula, so after the
-// first formula cancels the batch, at most the formulas already in flight
-// (bounded by the worker count) finish — the other ~thousand are never
-// picked up.
-func TestEvalBatchCtxWorkersCancelPromptly(t *testing.T) {
-	const workers = 4
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	m, hook, fs := cancelProbeModel(1000, cancel)
-	out, err := m.EvalBatchCtx(ctx, fs, BatchWorkers(workers))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if out != nil {
-		t.Fatal("results returned despite cancellation")
-	}
-	// One formula cancelled; every other worker can have at most one pull
-	// in flight that raced the cancellation, plus one more each if the
-	// pull happened before cancel() returned. 2*workers is a safe bound
-	// that still proves promptness against a 1000-formula batch.
-	if got := hook.evals.Load(); got > 2*workers {
-		t.Fatalf("fan-out evaluated %d formulas after cancellation, want <= %d", got, 2*workers)
+		t.Fatalf("batch evaluated %d formulas after cancellation, want exactly 1", got)
 	}
 }
 
@@ -161,11 +133,11 @@ func TestQuotientedEvalBatchCtx(t *testing.T) {
 	q := m.QuotientForEval(1)
 	fs := batchFormulas(3)
 
-	want, err := q.EvalBatch(fs, BatchWorkers(2))
+	want, err := q.EvalBatch(fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := q.EvalBatchCtx(context.Background(), fs, BatchWorkers(2))
+	got, err := q.EvalBatchCtx(context.Background(), fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +149,7 @@ func TestQuotientedEvalBatchCtx(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := q.EvalBatchCtx(ctx, fs, BatchWorkers(2)); !errors.Is(err, context.Canceled) {
+	if _, err := q.EvalBatchCtx(ctx, fs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -1,18 +1,21 @@
 package kripke
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/logic"
 )
 
-// batchFormulas is a battery with heavy subterm sharing (so the shared
-// memo is exercised), duplicates (so publish races are exercised), and
-// every operator family (so every derived-table build is exercised).
+// batchFormulas is a battery with heavy subterm sharing (so the batch and
+// view memos are exercised), duplicates (so memo hits on a whole formula
+// are exercised), and every operator family (so every derived-table build
+// is exercised).
 func batchFormulas(numAgents int) []logic.Formula {
 	fs := propertyFormulas(numAgents)
 	// Duplicates and shared subterms across batch entries.
@@ -28,9 +31,9 @@ func batchFormulas(numAgents int) []logic.Formula {
 	return fs
 }
 
-// TestEvalBatchMatchesSerial pins the batch contract: EvalBatch with any
-// worker count returns, set for set, exactly what a serial Eval loop
-// returns, on random models with cold and warm caches.
+// TestEvalBatchMatchesSerial pins the batch contract: EvalBatch returns,
+// set for set, exactly what a loop of Eval calls returns, on random models
+// with cold caches (the batch runs first) and warm ones.
 func TestEvalBatchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 12; trial++ {
@@ -39,25 +42,22 @@ func TestEvalBatchMatchesSerial(t *testing.T) {
 		m := randModel(rng, n, numAgents)
 		fs := batchFormulas(numAgents)
 
-		want := make([]string, len(fs))
+		cold, err := m.EvalBatch(fs)
+		if err != nil {
+			t.Fatalf("trial %d cold: %v", trial, err)
+		}
+		warm, err := m.EvalBatch(fs)
+		if err != nil {
+			t.Fatalf("trial %d warm: %v", trial, err)
+		}
 		for i, f := range fs {
-			s, err := m.Eval(f)
+			want, err := m.Eval(f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[i] = s.String()
-		}
-
-		for _, workers := range []int{1, 2, 8} {
-			got, err := m.EvalBatch(fs, BatchWorkers(workers))
-			if err != nil {
-				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
-			}
-			for i := range fs {
-				if got[i].String() != want[i] {
-					t.Fatalf("trial %d workers %d: EvalBatch[%d] = %s, want %s (formula %s)",
-						trial, workers, i, got[i], want[i], fs[i])
-				}
+			if !cold[i].Equal(want) || !warm[i].Equal(want) {
+				t.Fatalf("trial %d: EvalBatch[%d] = %s cold, %s warm, want %s (formula %s)",
+					trial, i, cold[i], warm[i], want, f)
 			}
 		}
 	}
@@ -71,7 +71,7 @@ func TestEvalBatchResultsAreOwned(t *testing.T) {
 	m := randModel(rng, 120, 3)
 	f := logic.C(nil, logic.P("p"))
 	fs := []logic.Formula{f, f, f}
-	got, err := m.EvalBatch(fs, BatchWorkers(4))
+	got, err := m.EvalBatch(fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +83,12 @@ func TestEvalBatchResultsAreOwned(t *testing.T) {
 	}
 }
 
-// TestEvalBatchColdRace drives EvalBatch on fresh models with no
-// warm-up, forcing the lazy per-agent table builds, the build-once
-// joint-view and reachability slots, and the shared-memo publish races to
-// all happen inside the worker pool (meaningful mainly under -race). Two concurrent EvalBatch calls share one model to cross
-// the batches' evaluators over the same caches.
+// TestEvalBatchColdRace drives concurrent callers on fresh models with no
+// warm-up (meaningful mainly under -race): six goroutines share one cold
+// model, half of them running serial EvalBatch calls and half per-formula
+// Eval, each starting at a different formula, so the lazy per-agent table
+// builds (striped, with the gates lowered) and the build-once joint-view
+// and reachability slots all race across their evaluators.
 func TestEvalBatchColdRace(t *testing.T) {
 	prevProcs := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prevProcs)
@@ -133,30 +134,50 @@ func TestEvalBatchColdRace(t *testing.T) {
 	for rep := 0; rep < 4; rep++ {
 		m := buildWideModel(n, agents, 3) // fresh: every table cold
 		var wg sync.WaitGroup
-		for b := 0; b < 3; b++ {
+		for g := 0; g < 6; g++ {
 			wg.Add(1)
-			go func() {
+			go func(g int) {
 				defer wg.Done()
-				got, err := m.EvalBatch(formulas, BatchWorkers(8))
-				if err != nil {
-					t.Error(err)
-					return
+				// Rotate the batch so each caller meets a different table
+				// first.
+				order := make([]int, len(formulas))
+				fs := make([]logic.Formula, len(formulas))
+				for j := range order {
+					order[j] = (g + j) % len(formulas)
+					fs[j] = formulas[order[j]]
 				}
-				for i := range formulas {
-					if got[i].String() != want[i] {
-						t.Errorf("cold EvalBatch[%d] = %s, want %s", i, got[i], want[i])
+				var got []*bitset.Set
+				if g%2 == 0 {
+					var err error
+					if got, err = m.EvalBatch(fs); err != nil {
+						t.Error(err)
+						return
+					}
+				} else {
+					for _, f := range fs {
+						s, err := m.Eval(f)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						got = append(got, s)
+					}
+				}
+				for j, i := range order {
+					if got[j].String() != want[i] {
+						t.Errorf("caller %d: cold %s = %s, want %s", g, formulas[i], got[j], want[i])
 						return
 					}
 				}
-			}()
+			}(g)
 		}
 		wg.Wait()
 	}
 }
 
 // TestEvalBatchErrors pins the error contract: the batch reports the error
-// of the smallest failing index — what a serial loop would have stopped at
-// — and temporal operators on a plain model fail with ErrTemporal.
+// of the first failing formula, and temporal operators on a plain model
+// fail with ErrTemporal.
 func TestEvalBatchErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	m := randModel(rng, 64, 2)
@@ -165,14 +186,14 @@ func TestEvalBatchErrors(t *testing.T) {
 		logic.K(7, logic.P("p")), // agent out of range: the first error
 		logic.Ev(logic.P("p")),
 	}
-	_, err := m.EvalBatch(fs, BatchWorkers(4))
+	_, err := m.EvalBatch(fs)
 	if err == nil {
 		t.Fatal("EvalBatch with an out-of-range agent returned no error")
 	}
 	if errors.Is(err, ErrTemporal) {
 		t.Fatalf("EvalBatch reported a later index's error (%v), want the smallest index's", err)
 	}
-	_, err = m.EvalBatch(fs[2:], BatchWorkers(4))
+	_, err = m.EvalBatch(fs[2:])
 	if !errors.Is(err, ErrTemporal) {
 		t.Fatalf("EvalBatch temporal error = %v, want ErrTemporal", err)
 	}
@@ -185,7 +206,7 @@ func TestQuotientedEvalBatch(t *testing.T) {
 	m := randModel(rng, 150, 3)
 	q := m.QuotientForEval(1)
 	fs := batchFormulas(3)
-	got, err := q.EvalBatch(fs, BatchWorkers(4))
+	got, err := q.EvalBatch(fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,6 +217,46 @@ func TestQuotientedEvalBatch(t *testing.T) {
 		}
 		if !got[i].Equal(want) {
 			t.Fatalf("Quotiented.EvalBatch[%d] = %s, want %s (formula %s)", i, got[i], want, f)
+		}
+	}
+}
+
+// TestBatchWorkersIgnored pins the BatchWorkers shim as a no-op: on a cold
+// muddy:8 view, a tower batch with BatchWorkers(4) returns the same sets
+// as the batch with no option, and the same view-memo hit and miss deltas,
+// run after run. A shim that still fanned the batch out would split its
+// E^k prefixes across evaluators, and the deltas would follow scheduling.
+func TestBatchWorkersIgnored(t *testing.T) {
+	prevProcs := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prevProcs)
+	var fs []logic.Formula
+	for _, src := range []string{"muddy0", "muddy0 | muddy1", "~muddy2"} {
+		phi := logic.MustParse(src)
+		for k := 1; k <= 8; k++ {
+			fs = append(fs, logic.EK(nil, k, phi))
+		}
+		fs = append(fs, logic.C(nil, phi))
+	}
+	m := muddyModel(8)
+	run := func(opts ...BatchOption) ([]*bitset.Set, MemoStats) {
+		t.Helper()
+		q := m.QuotientForEval(0)
+		sets, err := q.EvalBatchCtx(context.Background(), fs, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sets, q.MemoStats()
+	}
+	want, wantStats := run()
+	for i := 0; i < 5; i++ {
+		got, stats := run(BatchWorkers(4))
+		for j := range fs {
+			if !got[j].Equal(want[j]) {
+				t.Fatalf("run %d: %s = %s with BatchWorkers(4), %s without", i, fs[j], got[j], want[j])
+			}
+		}
+		if stats != wantStats {
+			t.Fatalf("run %d: view memo %+v with BatchWorkers(4), %+v without", i, stats, wantStats)
 		}
 	}
 }

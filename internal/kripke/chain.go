@@ -96,14 +96,14 @@ func (c *Chain) Holds(f logic.Formula) (bool, error) {
 
 // EvalBatch evaluates a batch of formulas on the current link's model, with
 // verdicts over its worlds; see Quotiented.EvalBatch.
-func (c *Chain) EvalBatch(fs []logic.Formula, opts ...BatchOption) ([]*bitset.Set, error) {
-	return c.view.EvalBatch(fs, opts...)
+func (c *Chain) EvalBatch(fs []logic.Formula) ([]*bitset.Set, error) {
+	return c.view.EvalBatch(fs)
 }
 
 // EvalBatchCtx is EvalBatch with deadline and cancellation propagation; see
 // Quotiented.EvalBatchCtx.
-func (c *Chain) EvalBatchCtx(ctx context.Context, fs []logic.Formula, opts ...BatchOption) ([]*bitset.Set, error) {
-	return c.view.EvalBatchCtx(ctx, fs, opts...)
+func (c *Chain) EvalBatchCtx(ctx context.Context, fs []logic.Formula) ([]*bitset.Set, error) {
+	return c.view.EvalBatchCtx(ctx, fs)
 }
 
 // Marked returns the tracked world's index in the current model, or -1 if

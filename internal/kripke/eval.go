@@ -75,11 +75,11 @@ type evaluator struct {
 	memo    map[string]*bitset.Set
 	retired []*bitset.Set // memo values owned by the evaluator, recycled on reset
 
-	// shared, when non-nil, is the closed-subformula memo of an EvalBatch
-	// fan-out or of a Quotiented view (batch.go). Shared hits behave like
-	// local memo hits (owned = false); computed closed denotations are
-	// published instead of retired, transferring their ownership to the
-	// memo so no evaluator ever recycles a set another may be reading.
+	// shared, when non-nil, is the closed-subformula memo of a Quotiented
+	// view (quotient.go). Shared hits behave like local memo hits (owned =
+	// false); computed closed denotations are published instead of
+	// retired, transferring their ownership to the memo so no evaluator
+	// ever recycles a set another may be reading.
 	shared *sharedMemo
 
 	// Closed-subformula lookups of this evaluation: hits in the local or

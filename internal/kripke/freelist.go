@@ -2,8 +2,9 @@ package kripke
 
 import "sync"
 
-// freelistCap bounds every freelist: enough for the evaluators one
-// EvalBatch fan-out returns, or the concurrent Restricts, of a small host.
+// freelistCap bounds every freelist: enough for the evaluators of the
+// concurrent Eval and EvalBatch callers, or the concurrent Restricts, of a
+// small host.
 // A put to a full list drops the object to the collector.
 const freelistCap = 8
 

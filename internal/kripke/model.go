@@ -59,8 +59,8 @@
 // many agents' tables at once on a large model, the per-agent builds are
 // striped across goroutines (stripeAgents), as is Restrict's per-agent
 // renaming; small models keep the same code inline. E_G and S_G are plain
-// serial loops of per-agent K passes: the one level of evaluation
-// parallelism is the EvalBatch worker pool, one formula per worker.
+// serial loops of per-agent K passes, and so is a batch: the one level of
+// evaluation concurrency is concurrent Eval and EvalBatch callers.
 // Construction calls (Indistinguishable) invalidate the tables.
 // Evaluation itself runs on a pooled evaluator that memoizes closed
 // subformula denotations by structural key and recycles scratch sets,

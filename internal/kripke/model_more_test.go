@@ -203,53 +203,47 @@ func TestNestedExplicitGroups(t *testing.T) {
 
 // TestOneAgentGroupUsesOwnPartition: for G = {a}, the joint view of D_G
 // and the reachability components of C_G are agent a's own partition, so
-// D{a} p and C{a} p equal K_a p, on the serial path and through a batch
-// fan-out's preparation alike, and neither adds a joint or reach table.
+// D{a} p and C{a} p equal K_a p in one batch, and neither adds a joint or
+// reach table.
 func TestOneAgentGroupUsesOwnPartition(t *testing.T) {
 	const n, agents = 70, 3 // not a multiple of 64: partial last word
-	build := func() *Model {
-		m := NewModel(n, agents)
-		rng := rand.New(rand.NewSource(23))
-		for w := 0; w < n; w++ {
-			if rng.Intn(3) > 0 {
-				m.SetTrue(w, "p")
-			}
+	m := NewModel(n, agents)
+	rng := rand.New(rand.NewSource(23))
+	for w := 0; w < n; w++ {
+		if rng.Intn(3) > 0 {
+			m.SetTrue(w, "p")
 		}
-		for a := 0; a < agents; a++ {
-			for i := 0; i < n/2; i++ {
-				m.Indistinguishable(a, rng.Intn(n), rng.Intn(n))
-			}
-		}
-		return m
 	}
-	for _, workers := range []int{1, 2} {
-		m := build()
-		var fs []logic.Formula
-		for a := 0; a < agents; a++ {
-			g := logic.NewGroup(logic.Agent(a))
-			p := logic.P("p")
-			fs = append(fs, logic.K(logic.Agent(a), p), logic.D(g, p), logic.C(g, p))
+	for a := 0; a < agents; a++ {
+		for i := 0; i < n/2; i++ {
+			m.Indistinguishable(a, rng.Intn(n), rng.Intn(n))
 		}
-		sets, err := m.EvalBatch(fs, BatchWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
+	}
+	var fs []logic.Formula
+	for a := 0; a < agents; a++ {
+		g := logic.NewGroup(logic.Agent(a))
+		p := logic.P("p")
+		fs = append(fs, logic.K(logic.Agent(a), p), logic.D(g, p), logic.C(g, p))
+	}
+	sets, err := m.EvalBatch(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(sets); i += 3 {
+		if c := sets[i].Count(); c == 0 || c == m.FactSet("p").Count() {
+			t.Fatalf("%v holds at %d worlds: the model does not tell K from p", fs[i], c)
 		}
-		for i := 0; i < len(sets); i += 3 {
-			if c := sets[i].Count(); c == 0 || c == m.FactSet("p").Count() {
-				t.Fatalf("%v holds at %d worlds: the model does not tell K from p", fs[i], c)
-			}
-			if !sets[i+1].Equal(sets[i]) || !sets[i+2].Equal(sets[i]) {
-				t.Fatalf("workers %d: %v, %v, %v disagree: %v, %v, %v",
-					workers, fs[i], fs[i+1], fs[i+2], sets[i].Elements(), sets[i+1].Elements(), sets[i+2].Elements())
-			}
+		if !sets[i+1].Equal(sets[i]) || !sets[i+2].Equal(sets[i]) {
+			t.Fatalf("%v, %v, %v disagree: %v, %v, %v",
+				fs[i], fs[i+1], fs[i+2], sets[i].Elements(), sets[i+1].Elements(), sets[i+2].Elements())
 		}
-		tb := m.tables()
-		tb.mu.RLock()
-		joint, reach := len(tb.joint), len(tb.reach)
-		tb.mu.RUnlock()
-		if joint != 0 || reach != 0 {
-			t.Fatalf("workers %d: one-agent groups added %d joint and %d reach tables", workers, joint, reach)
-		}
+	}
+	tb := m.tables()
+	tb.mu.RLock()
+	joint, reach := len(tb.joint), len(tb.reach)
+	tb.mu.RUnlock()
+	if joint != 0 || reach != 0 {
+		t.Fatalf("one-agent groups added %d joint and %d reach tables", joint, reach)
 	}
 }
 

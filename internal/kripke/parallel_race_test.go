@@ -43,8 +43,8 @@ func buildWideModel(n, numAgents int, seed int64) *Model {
 }
 
 // TestParallelKernelsRace drives the striped partition-table construction
-// and the E_G/S_G kernels from many concurrent evaluators at once (run
-// under -race). The striping gates are lowered and GOMAXPROCS raised so
+// and the E_G/S_G kernels from eight goroutines at once, each a serial
+// EvalBatch or Eval caller on one cold model (run under -race). The striping gates are lowered and GOMAXPROCS raised so
 // the striped paths engage even on small CI machines; results are checked
 // against a serially evaluated twin model.
 func TestParallelKernelsRace(t *testing.T) {
@@ -97,8 +97,8 @@ func TestParallelKernelsRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			if g == 0 {
-				// One goroutine runs an EvalBatch of every K_i, whose workers
-				// build the per-agent tables while the others already
+				// One goroutine runs an EvalBatch of every K_i, building
+				// the per-agent tables one by one while the others already
 				// evaluate (and stripe the same builds from D_G and C_G).
 				ks := make([]logic.Formula, agents)
 				for a := range ks {

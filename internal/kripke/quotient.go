@@ -2,6 +2,8 @@ package kripke
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/logic"
@@ -27,6 +29,81 @@ const QuotientMinWorlds = 256
 // (e.g. the muddy-children models, whose worlds all differ in facts) are
 // discarded and the original model evaluated directly.
 const quotientKeepRatio = 0.75
+
+// memoShards is the stripe count of a view's closed-subformula memo. Keys
+// are spread by FNV-1a, so a handful of stripes keeps concurrent callers on
+// disjoint locks.
+const memoShards = 16
+
+// viewMemoBytes bounds the closed-subformula memo of one Quotiented view:
+// the words of the published sets plus their key bytes, split evenly over
+// the stripes. A stripe that would overflow its share is cleared before the
+// insert. The bound is of the order of a muddy:12 model's own partition
+// tables, and it is per view, so a daemon holding many warm sessions pays
+// it once per session.
+const viewMemoBytes = 1 << 20
+
+type memoShard struct {
+	mu    sync.RWMutex
+	m     map[string]*bitset.Set
+	bytes int // set words plus key bytes held
+}
+
+// sharedMemo is the lock-striped, bounded closed-subformula memo of one
+// Quotiented view, shared by every evaluation on the view for as long as
+// it lives. Values are immutable once published.
+type sharedMemo struct {
+	shards [memoShards]memoShard
+	// shardBudget bounds each stripe's bytes (viewMemoBytes/memoShards).
+	shardBudget int
+
+	// Lookup counts, folded in by putEvaluator once per evaluation.
+	hits, misses atomic.Int64
+}
+
+// shardOf spreads structural keys across the stripes (FNV-1a).
+func shardOf(key []byte) uint32 {
+	h := uint32(2166136261)
+	for _, b := range key {
+		h = (h ^ uint32(b)) * 16777619
+	}
+	return h % memoShards
+}
+
+func (sm *sharedMemo) get(key []byte) *bitset.Set {
+	sh := &sm.shards[shardOf(key)]
+	sh.mu.RLock()
+	s := sh.m[string(key)]
+	sh.mu.RUnlock()
+	return s
+}
+
+// put publishes s under key and returns the set the memo holds for it: s
+// when s was published, the earlier publisher's set when another evaluator
+// won, or nil when s alone would exceed a stripe's budget and was not
+// published. Unless s itself is returned, the caller still owns s.
+func (sm *sharedMemo) put(key []byte, s *bitset.Set) *bitset.Set {
+	sh := &sm.shards[shardOf(key)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if w, ok := sh.m[string(key)]; ok {
+		return w
+	}
+	cost := 8*len(s.Words()) + len(key)
+	if cost > sm.shardBudget {
+		return nil
+	}
+	if sh.bytes+cost > sm.shardBudget {
+		clear(sh.m)
+		sh.bytes = 0
+	}
+	sh.bytes += cost
+	if sh.m == nil {
+		sh.m = make(map[string]*bitset.Set)
+	}
+	sh.m[string(key)] = s
+	return s
+}
 
 // Quotiented evaluates formulas on the bisimulation quotient of a model
 // while reporting verdicts in terms of the original worlds. Build one with
@@ -194,20 +271,20 @@ func (q *Quotiented) expand(qset *bitset.Set) *bitset.Set {
 	return out
 }
 
-// EvalBatch evaluates a batch of formulas on the quotient with the
-// parallel fan-out of Model.EvalBatch and expands every verdict back
-// through the block map. Results are identical, set for set, to calling
-// Eval on each formula in order.
-func (q *Quotiented) EvalBatch(fs []logic.Formula, opts ...BatchOption) ([]*bitset.Set, error) {
-	return q.EvalBatchCtx(context.Background(), fs, opts...)
+// EvalBatch evaluates a batch of formulas on the quotient on one evaluator,
+// as Model.EvalBatch does, through the view memo, and expands every verdict
+// back through the block map. Results are identical, set for set, to
+// calling Eval on each formula in order.
+func (q *Quotiented) EvalBatch(fs []logic.Formula) ([]*bitset.Set, error) {
+	return q.EvalBatchCtx(context.Background(), fs)
 }
 
 // EvalBatchCtx is EvalBatch with the deadline/cancellation propagation of
-// Model.EvalBatchCtx: a cancelled context stops the underlying fan-out
-// after at most one in-flight formula per worker, and the block-map
-// expansion is skipped entirely.
-func (q *Quotiented) EvalBatchCtx(ctx context.Context, fs []logic.Formula, opts ...BatchOption) ([]*bitset.Set, error) {
-	qsets, err := q.quot.evalBatch(ctx, fs, &q.memo, opts)
+// Model.EvalBatchCtx: a cancelled context stops the batch after at most the
+// one formula in flight, and the block-map expansion is skipped entirely.
+// The options are ignored (BatchOption).
+func (q *Quotiented) EvalBatchCtx(ctx context.Context, fs []logic.Formula, _ ...BatchOption) ([]*bitset.Set, error) {
+	qsets, err := q.quot.evalBatch(ctx, fs, &q.memo)
 	if err != nil {
 		return nil, err
 	}

@@ -104,9 +104,9 @@ func modelVerdicts(t *testing.T, m *Model, fs []logic.Formula) []*bitset.Set {
 	return want
 }
 
-func checkBatch(t *testing.T, what string, q *Quotiented, fs []logic.Formula, want []*bitset.Set, workers int) {
+func checkBatch(t *testing.T, what string, q *Quotiented, fs []logic.Formula, want []*bitset.Set) {
 	t.Helper()
-	got, err := q.EvalBatch(fs, BatchWorkers(workers))
+	got, err := q.EvalBatch(fs)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
@@ -131,7 +131,7 @@ func memoBytesHeld(t *testing.T, sm *sharedMemo) int {
 		if held != sh.bytes {
 			t.Fatalf("stripe %d holds %d bytes but accounts %d", i, held, sh.bytes)
 		}
-		if sm.shardBudget > 0 && held > sm.shardBudget {
+		if held > sm.shardBudget {
 			t.Fatalf("stripe %d holds %d bytes, over its %d-byte share", i, held, sm.shardBudget)
 		}
 		total += held
@@ -140,9 +140,9 @@ func memoBytesHeld(t *testing.T, sm *sharedMemo) int {
 }
 
 // TestViewMemoMatchesModelEval is the differential test of the view memo:
-// on random models and formulas, view EvalBatch (cold and warm, at 1 and N
-// workers), per-formula Eval, Holds and Valid, and batches on views whose
-// stripes overflow and clear, all agree set for set with Model.Eval.
+// on random models and formulas, view EvalBatch (cold and warm),
+// per-formula Eval, Holds and Valid, and batches on views whose stripes
+// overflow and clear, all agree set for set with Model.Eval.
 func TestViewMemoMatchesModelEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 20; trial++ {
@@ -153,43 +153,39 @@ func TestViewMemoMatchesModelEval(t *testing.T) {
 		want := modelVerdicts(t, m, fs)
 
 		for _, minWorlds := range []int{1, n + 1} { // quotient attempted, identity view
-			for _, workers := range []int{1, 4} {
-				what := fmt.Sprintf("trial %d minWorlds %d workers %d", trial, minWorlds, workers)
-				q := m.QuotientForEval(minWorlds)
-				checkBatch(t, what+" cold", q, fs, want, workers)
-				checkBatch(t, what+" warm", q, fs, want, workers)
-				for i, f := range fs {
-					got, err := q.Eval(f)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !got.Equal(want[i]) {
-						t.Fatalf("%s: Eval(%s) = %s, want %s", what, f, got, want[i])
-					}
-					w := rng.Intn(n)
-					if holds, err := q.Holds(f, w); err != nil || holds != want[i].Contains(w) {
-						t.Fatalf("%s: Holds(%s, %d) = %v, %v", what, f, w, holds, err)
-					}
-					if valid, err := q.Valid(f); err != nil || valid != want[i].IsFull() {
-						t.Fatalf("%s: Valid(%s) = %v, %v", what, f, valid, err)
-					}
+			what := fmt.Sprintf("trial %d minWorlds %d", trial, minWorlds)
+			q := m.QuotientForEval(minWorlds)
+			checkBatch(t, what+" cold", q, fs, want)
+			checkBatch(t, what+" warm", q, fs, want)
+			for i, f := range fs {
+				got, err := q.Eval(f)
+				if err != nil {
+					t.Fatal(err)
 				}
-				memoBytesHeld(t, &q.memo)
+				if !got.Equal(want[i]) {
+					t.Fatalf("%s: Eval(%s) = %s, want %s", what, f, got, want[i])
+				}
+				w := rng.Intn(n)
+				if holds, err := q.Holds(f, w); err != nil || holds != want[i].Contains(w) {
+					t.Fatalf("%s: Holds(%s, %d) = %v, %v", what, f, w, holds, err)
+				}
+				if valid, err := q.Valid(f); err != nil || valid != want[i].IsFull() {
+					t.Fatalf("%s: Valid(%s) = %v, %v", what, f, valid, err)
+				}
 			}
+			memoBytesHeld(t, &q.memo)
 		}
 
 		// Tiny budgets: stripes clear on nearly every insert, and at 8
 		// bytes no set fits at all, so nothing is ever published.
 		for _, budget := range []int{8, 64, 256} {
-			for _, workers := range []int{1, 4} {
-				what := fmt.Sprintf("trial %d budget %d workers %d", trial, budget, workers)
-				q := m.QuotientForEval(1)
-				q.memo.shardBudget = budget
-				for pass := 0; pass < 3; pass++ {
-					checkBatch(t, fmt.Sprintf("%s pass %d", what, pass), q, fs, want, workers)
-				}
-				memoBytesHeld(t, &q.memo)
+			what := fmt.Sprintf("trial %d budget %d", trial, budget)
+			q := m.QuotientForEval(1)
+			q.memo.shardBudget = budget
+			for pass := 0; pass < 3; pass++ {
+				checkBatch(t, fmt.Sprintf("%s pass %d", what, pass), q, fs, want)
 			}
+			memoBytesHeld(t, &q.memo)
 		}
 	}
 }
@@ -205,8 +201,8 @@ func TestViewMemoResultsAreOwned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		got, err := q.EvalBatch([]logic.Formula{f, f}, BatchWorkers(workers))
+	for pass := 0; pass < 2; pass++ { // a cold memo, then a warm one
+		got, err := q.EvalBatch([]logic.Formula{f, f})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,22 +213,22 @@ func TestViewMemoResultsAreOwned(t *testing.T) {
 		}
 		one.Clear()
 		if !got[1].Equal(want) {
-			t.Fatalf("workers %d: batch results alias one another", workers)
+			t.Fatalf("pass %d: batch results alias one another", pass)
 		}
 		again, err := q.Eval(f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !again.Equal(want) {
-			t.Fatalf("workers %d: mutating a result corrupted the memo: %s, want %s", workers, again, want)
+			t.Fatalf("pass %d: mutating a result corrupted the memo: %s, want %s", pass, again, want)
 		}
 	}
 }
 
 // TestViewMemoStatsPinned pins the view's lookup counts on a fixed muddy
 // batch. The first batch misses once per distinct closed modal
-// subformula; an identical second batch, at any worker count, adds only
-// hits — one per top-level modal lookup.
+// subformula; an identical second batch adds only hits — one per top-level
+// modal lookup.
 func TestViewMemoStatsPinned(t *testing.T) {
 	mk := func(src string) logic.Formula { return logic.MustParse(src) }
 	fs := []logic.Formula{
@@ -251,47 +247,45 @@ func TestViewMemoStatsPinned(t *testing.T) {
 	// connectives over two modal operands, none for the propositional one.
 	const misses, hits, tops = 9, 5, 11
 
-	for _, workers := range []int{1, 4} {
-		q := muddyModel(4).QuotientForEval(0)
-		if _, err := q.EvalBatch(fs, BatchWorkers(1)); err != nil {
-			t.Fatal(err)
-		}
-		if got := q.MemoStats(); got != (MemoStats{Hits: hits, Misses: misses}) {
-			t.Fatalf("first batch: %+v, want %d hits, %d misses", got, hits, misses)
-		}
-		if _, err := q.EvalBatch(fs, BatchWorkers(workers)); err != nil {
-			t.Fatal(err)
-		}
-		if got := q.MemoStats(); got != (MemoStats{Hits: hits + tops, Misses: misses}) {
-			t.Fatalf("second batch at %d workers: %+v, want %d hits, %d misses", workers, got, hits+tops, misses)
-		}
-		// Single evaluations share the memo too.
-		if _, err := q.Eval(fs[2]); err != nil {
-			t.Fatal(err)
-		}
-		if ok, err := q.Holds(fs[4], 0); err != nil || ok {
-			t.Fatalf("Holds(C ...) at the clean world = %v, %v", ok, err)
-		}
-		if got := q.MemoStats(); got != (MemoStats{Hits: hits + tops + 2, Misses: misses}) {
-			t.Fatalf("after Eval and Holds: %+v", got)
-		}
-		// A restricted link is a new view with a fresh memo.
-		next := q.Restrict(bitset.NewFull(q.NumWorlds()), 0)
-		if got := next.MemoStats(); got != (MemoStats{}) {
-			t.Fatalf("restricted view starts at %+v, want zero", got)
-		}
-		if _, err := next.Eval(fs[0]); err != nil {
-			t.Fatal(err)
-		}
-		if got := next.MemoStats(); got != (MemoStats{Misses: 1}) {
-			t.Fatalf("restricted view after one eval: %+v, want one miss", got)
-		}
+	q := muddyModel(4).QuotientForEval(0)
+	if _, err := q.EvalBatch(fs); err != nil {
+		t.Fatal(err)
+	}
+	if got := q.MemoStats(); got != (MemoStats{Hits: hits, Misses: misses}) {
+		t.Fatalf("first batch: %+v, want %d hits, %d misses", got, hits, misses)
+	}
+	if _, err := q.EvalBatch(fs); err != nil {
+		t.Fatal(err)
+	}
+	if got := q.MemoStats(); got != (MemoStats{Hits: hits + tops, Misses: misses}) {
+		t.Fatalf("second batch: %+v, want %d hits, %d misses", got, hits+tops, misses)
+	}
+	// Single evaluations share the memo too.
+	if _, err := q.Eval(fs[2]); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := q.Holds(fs[4], 0); err != nil || ok {
+		t.Fatalf("Holds(C ...) at the clean world = %v, %v", ok, err)
+	}
+	if got := q.MemoStats(); got != (MemoStats{Hits: hits + tops + 2, Misses: misses}) {
+		t.Fatalf("after Eval and Holds: %+v", got)
+	}
+	// A restricted link is a new view with a fresh memo.
+	next := q.Restrict(bitset.NewFull(q.NumWorlds()), 0)
+	if got := next.MemoStats(); got != (MemoStats{}) {
+		t.Fatalf("restricted view starts at %+v, want zero", got)
+	}
+	if _, err := next.Eval(fs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := next.MemoStats(); got != (MemoStats{Misses: 1}) {
+		t.Fatalf("restricted view after one eval: %+v, want one miss", got)
 	}
 
 	// Model.Eval and Model.EvalBatch keep their own memos: no view counts.
 	m := muddyModel(4)
-	q := m.QuotientForEval(0)
-	if _, err := m.EvalBatch(fs, BatchWorkers(4)); err != nil {
+	q = m.QuotientForEval(0)
+	if _, err := m.EvalBatch(fs); err != nil {
 		t.Fatal(err)
 	}
 	if got := q.MemoStats(); got != (MemoStats{}) {
@@ -315,7 +309,7 @@ func TestViewMemoBudget(t *testing.T) {
 		}
 	}
 	q := m.QuotientForEval(m.NumWorlds() + 1)
-	checkBatch(t, "towers", q, fs, modelVerdicts(t, m, fs), 2)
+	checkBatch(t, "towers", q, fs, modelVerdicts(t, m, fs))
 	if held := memoBytesHeld(t, &q.memo); held > viewMemoBytes {
 		t.Fatalf("memo holds %d bytes, over the %d budget", held, viewMemoBytes)
 	}
@@ -327,15 +321,16 @@ func TestViewMemoBudget(t *testing.T) {
 		t.Fatalf("memo holds all %d published entries (%+v): no stripe cleared", entries, st)
 	}
 	// Some prefixes were cleared and are recomputed, some are hits.
-	checkBatch(t, "prefixes after clears", q, prefixes, modelVerdicts(t, m, prefixes), 2)
+	checkBatch(t, "prefixes after clears", q, prefixes, modelVerdicts(t, m, prefixes))
 	if held := memoBytesHeld(t, &q.memo); held > viewMemoBytes {
 		t.Fatalf("memo holds %d bytes, over the %d budget", held, viewMemoBytes)
 	}
 }
 
-// TestViewMemoRace runs batches from two goroutines on one cold view, at
-// several workers each, so publishes, adoptions and stripe clears race
-// (meaningful under -race); every verdict must still match Model.Eval.
+// TestViewMemoRace runs four goroutines on one cold view, two of them
+// serial EvalBatch calls and two per-formula Eval, so publishes,
+// adoptions and stripe clears race across their evaluators (meaningful
+// under -race); every verdict must still match Model.Eval.
 func TestViewMemoRace(t *testing.T) {
 	prevProcs := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prevProcs)
@@ -348,13 +343,23 @@ func TestViewMemoRace(t *testing.T) {
 			q := m.QuotientForEval(1)
 			q.memo.shardBudget = budget
 			var wg sync.WaitGroup
-			errs := make([]error, 2)
-			for g := 0; g < 2; g++ {
+			errs := make([]error, 4)
+			for g := range errs {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
 					for pass := 0; pass < 3; pass++ {
-						got, err := q.EvalBatch(fs, BatchWorkers(4))
+						var got []*bitset.Set
+						var err error
+						if g%2 == 0 {
+							got, err = q.EvalBatch(fs)
+						} else {
+							// Backwards, to meet the formulas in another order.
+							got = make([]*bitset.Set, len(fs))
+							for i := len(fs) - 1; i >= 0 && err == nil; i-- {
+								got[i], err = q.Eval(fs[i])
+							}
+						}
 						if err != nil {
 							errs[g] = err
 							return

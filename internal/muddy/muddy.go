@@ -49,9 +49,6 @@ type Puzzle struct {
 	// eliminated it.
 	actualWorld int
 	model       *kripke.Model
-	// parallel is the worker count of the per-round knowledge batch
-	// (kripke.BatchWorkers semantics: 0 = one per core, 1 = serial).
-	parallel int
 }
 
 // MuddyProp returns the ground-fact name for "child i is muddy".
@@ -148,12 +145,6 @@ func (p *Puzzle) ActualWorld() (int, error) {
 	}
 	return p.actualWorld, nil
 }
-
-// SetParallel sets the worker count of the per-round knowledge batch: each
-// round evaluates the n "do you know?" formulas with kripke.EvalBatch, and
-// workers fan them out over the shared round model. 0 (the default) means
-// one worker per core; 1 forces the serial loop.
-func (p *Puzzle) SetParallel(workers int) { p.parallel = workers }
 
 // announce applies a truthful public announcement given as a world set,
 // tracking the actual world through the restriction by rank. The muddy
@@ -312,13 +303,13 @@ func (p *Puzzle) Round() (RoundResult, error) {
 	}
 	evalStart := time.Now()
 	// knowSets[i] = worlds where child i would answer yes. The n per-child
-	// formulas are independent queries against the shared round model —
-	// exactly the batch shape EvalBatch fans out across cores.
+	// formulas are one batch against the shared round model, evaluated on
+	// one evaluator whose memo spans the batch.
 	fs := make([]logic.Formula, p.n)
 	for i := 0; i < p.n; i++ {
 		fs[i] = knowsOwnState(i)
 	}
-	knowSets, err := p.model.EvalBatch(fs, kripke.BatchWorkers(p.parallel))
+	knowSets, err := p.model.EvalBatch(fs)
 	if err != nil {
 		return RoundResult{}, err
 	}
@@ -382,11 +373,6 @@ type SimOptions struct {
 	// records the verdicts in SimResult.CommonM. Each round's C
 	// evaluation builds the reachability components of that round's model.
 	TrackCommon bool
-	// Parallel is the worker count of the per-round knowledge batch
-	// (kripke.BatchWorkers semantics): 0, the zero value, fans the n
-	// per-child evaluations out with one worker per core; 1 forces the
-	// serial loop; larger values cap the pool.
-	Parallel int
 }
 
 // Simulate runs the puzzle with n children, the listed ones muddy, under
@@ -402,7 +388,6 @@ func SimulateOpts(n int, muddy []int, mode AnnouncementMode, maxRounds int, opts
 	if err != nil {
 		return SimResult{}, err
 	}
-	p.SetParallel(opts.Parallel)
 	switch mode {
 	case NoAnnouncement:
 	case PublicAnnouncement:

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/kripke"
 	"repro/internal/logic"
 	"repro/internal/runs"
 )
@@ -60,7 +59,7 @@ func PostRecoveryChecks(p Params) ([]RecoveryCheck, error) {
 	for i := range fs {
 		fs[i] = logic.K(logic.Agent(i), logic.P(SentProp))
 	}
-	sets, err := b.PM.EvalBatch(fs, kripke.BatchWorkers(p.Workers))
+	sets, err := b.PM.EvalBatch(fs)
 	if err != nil {
 		return nil, fmt.Errorf("scenario crash recovery: %w", err)
 	}

@@ -29,8 +29,8 @@
 //     for free.
 //
 // Every sweep is reproducible byte for byte from its seed: the fault plans
-// derive order-independent splitmix64 streams, generation is serial, and
-// evaluation parallelism (EvalBatch) is verdict-deterministic.
+// derive order-independent splitmix64 streams, and generation and
+// evaluation are serial.
 package scenario
 
 import (
@@ -58,8 +58,7 @@ const Payload = "m"
 func DeliveredProp(d int) string { return "del" + strconv.Itoa(d) }
 
 // Params configures a sweep. The zero value of every field selects a
-// default; Workers follows kripke.BatchWorkers semantics (0 defaults to
-// serial here, callers translate CLI flags with kripke.WorkersFromFlag).
+// default.
 type Params struct {
 	Seed      int64
 	Agents    int              // processors, including the broadcaster (default 4)
@@ -73,7 +72,6 @@ type Params struct {
 	Delay     faults.DelayDist // delay distribution of the bounded regime (default uniform:1-2)
 	AsyncSpan int              // sampled-delay span of the async regime (default 8)
 	Horizon   runs.Time        // observation horizon (default 14)
-	Workers   int              // EvalBatch worker count (default 1, serial)
 }
 
 func (p Params) withDefaults() Params {
@@ -109,9 +107,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.Horizon == 0 {
 		p.Horizon = 14
-	}
-	if p.Workers == 0 {
-		p.Workers = 1
 	}
 	return p
 }
@@ -328,9 +323,8 @@ type Result struct {
 }
 
 // Sweep runs every regime and returns the attainment matrix. Verdicts are
-// evaluated in one EvalBatch per regime (Workers wide) at the witness
-// action point; batch evaluation is verdict-deterministic, so the result
-// is byte-identical across worker counts and repetitions.
+// evaluated in one EvalBatch per regime at the witness action point, so
+// the result is byte-identical across repetitions.
 func Sweep(p Params) (*Result, error) {
 	p = p.withDefaults()
 	res := &Result{Params: p}
@@ -346,7 +340,7 @@ func Sweep(p Params) (*Result, error) {
 			logic.Cev(nil, phi),
 			logic.Ct(nil, p.T, phi),
 		}
-		sets, err := b.PM.EvalBatch(fs, kripke.BatchWorkers(p.Workers))
+		sets, err := b.PM.EvalBatch(fs)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", rg.Key, err)
 		}
@@ -430,7 +424,7 @@ func (b *Built) Ladder(p Params) ([]LadderStep, error) {
 			fs = append(fs, logic.EK(nil, lvl, phi))
 		}
 		fs = append(fs, logic.C(nil, phi))
-		sets, err := ch.EvalBatch(fs, kripke.BatchWorkers(p.Workers))
+		sets, err := ch.EvalBatch(fs)
 		if err != nil {
 			return nil, err
 		}

@@ -54,8 +54,8 @@ func (ss *session) idleSince(now time.Time) time.Duration {
 //
 // Both views memoize denotations for their lifetime, so a warm session
 // answers a repeated knowledge tower from the memo. The batch runs on one
-// evaluator, without a worker pool: the daemon's concurrency comes from
-// concurrent requests. The caller holds mu, so no other batch runs on the
+// evaluator: the daemon's concurrency comes from concurrent requests. The
+// caller holds mu, so no other batch runs on the
 // view and the memo delta is this batch's.
 func (ss *session) evalBatch(ctx context.Context, fs []logic.Formula) ([]*bitset.Set, kripke.MemoStats, error) {
 	v := ss.ld.chain.View()
@@ -63,7 +63,7 @@ func (ss *session) evalBatch(ctx context.Context, fs []logic.Formula) ([]*bitset
 		v = ss.ld.link0
 	}
 	before := v.MemoStats()
-	sets, err := v.EvalBatchCtx(ctx, fs, kripke.BatchWorkers(1))
+	sets, err := v.EvalBatchCtx(ctx, fs)
 	after := v.MemoStats()
 	return sets, kripke.MemoStats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}, err
 }

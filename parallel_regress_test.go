@@ -1,11 +1,9 @@
 package repro_test
 
-// Regression: the parallel batch-evaluation engine must return verdicts
-// byte-identical to serial Eval on the systems of the existing experiments
-// — the R2-D2 delivery chain, the commit window, the coordinated attack,
-// the muddy children — with the worker pool forced wide and the lazy
-// tables cold, and the muddy simulation must be invariant under the
-// per-round fan-out.
+// Regression: batch evaluation must return verdicts byte-identical to
+// per-formula Eval on the systems of the existing experiments — the R2-D2
+// delivery chain, the commit window, the coordinated attack, the muddy
+// children — with the lazy tables cold.
 
 import (
 	"testing"
@@ -13,15 +11,14 @@ import (
 	"repro"
 	"repro/internal/attack"
 	"repro/internal/core"
-	"repro/internal/kripke"
 	"repro/internal/logic"
 	"repro/internal/muddy"
 	"repro/internal/protocol"
 	"repro/internal/runs"
 )
 
-// checkBatchMatchesSerial evaluates the batch serially on one model and
-// with a forced-wide EvalBatch on a freshly built twin (cold caches), and
+// checkBatchMatchesSerial evaluates the batch formula by formula on one
+// model and with one EvalBatch on a freshly built twin (cold caches), and
 // requires byte-identical denotations.
 func checkBatchMatchesSerial(t *testing.T, name string, serial, cold *repro.Model, batch []logic.Formula) {
 	t.Helper()
@@ -33,7 +30,7 @@ func checkBatchMatchesSerial(t *testing.T, name string, serial, cold *repro.Mode
 		}
 		want[i] = s.String()
 	}
-	got, err := cold.EvalBatch(batch, kripke.BatchWorkers(8))
+	got, err := cold.EvalBatch(batch)
 	if err != nil {
 		t.Fatalf("%s: EvalBatch: %v", name, err)
 	}
@@ -82,7 +79,7 @@ func TestEvalBatchMatchesExperiments(t *testing.T) {
 	checkBatchMatchesSerial(t, "attack", buildAttack(), buildAttack(), epistemicBatch(attack.IntentProp))
 
 	// E1 muddy children (a plain Kripke model), with the per-child round
-	// formulas as the batch — the exact workload muddy.Round fans out.
+	// formulas as the batch — the exact workload muddy.Round evaluates.
 	buildMuddy := func() *repro.Model {
 		pz, err := muddy.New(8, []int{0, 1, 2})
 		if err != nil {
@@ -98,43 +95,4 @@ func TestEvalBatchMatchesExperiments(t *testing.T) {
 	}
 	roundBatch = append(roundBatch, epistemicBatch(muddy.MuddyProp(0))...)
 	checkBatchMatchesSerial(t, "muddy", buildMuddy(), buildMuddy(), roundBatch)
-}
-
-// TestSimulateParallelMatchesSerial pins the muddy simulation against the
-// fan-out: forced-wide per-round batches must reproduce the serial rounds
-// answer for answer, including the tracked common-knowledge verdicts.
-func TestSimulateParallelMatchesSerial(t *testing.T) {
-	for _, k := range []int{1, 3} {
-		muddySet := make([]int, k)
-		for i := range muddySet {
-			muddySet[i] = i
-		}
-		serial, err := muddy.SimulateOpts(9, muddySet, muddy.PublicAnnouncement, 6,
-			muddy.SimOptions{TrackCommon: true, Parallel: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wide, err := muddy.SimulateOpts(9, muddySet, muddy.PublicAnnouncement, 6,
-			muddy.SimOptions{TrackCommon: true, Parallel: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serial.FirstYesRound != wide.FirstYesRound || serial.YesAreMuddy != wide.YesAreMuddy {
-			t.Fatalf("k=%d: parallel simulation diverged: serial round %d, parallel round %d",
-				k, serial.FirstYesRound, wide.FirstYesRound)
-		}
-		if len(serial.Rounds) != len(wide.Rounds) {
-			t.Fatalf("k=%d: round counts diverged: %d vs %d", k, len(serial.Rounds), len(wide.Rounds))
-		}
-		for r := range serial.Rounds {
-			for i := range serial.Rounds[r].Yes {
-				if serial.Rounds[r].Yes[i] != wide.Rounds[r].Yes[i] {
-					t.Fatalf("k=%d round %d: child %d answered differently under the fan-out", k, r+1, i)
-				}
-			}
-			if serial.CommonM[r] != wide.CommonM[r] {
-				t.Fatalf("k=%d round %d: C m verdict differs under the fan-out", k, r+1)
-			}
-		}
-	}
 }
