@@ -2,7 +2,6 @@ package kripke
 
 import (
 	"context"
-	"runtime"
 
 	"repro/internal/bitset"
 	"repro/internal/logic"
@@ -22,9 +21,7 @@ import (
 // run concurrently on one fully constructed model. The derived tables are
 // built once in their tableSlots (model.go), each evaluator is private, and
 // on a Quotiented view the callers share the view's lock-striped memo
-// (quotient.go). Inside a batch, only the per-agent table builds of a large
-// model are striped across cores (warmAgentTables), as a group operator's
-// are.
+// (quotient.go).
 //
 // Verdicts are deterministic: a batch returns, set for set, what a loop of
 // Eval calls returns.
@@ -66,7 +63,6 @@ func (m *Model) evalBatch(ctx context.Context, fs []logic.Formula, sm *sharedMem
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	m.warmAgentTables(fs)
 	ev := m.getEvaluator()
 	ev.shared = sm
 	defer m.putEvaluator(ev)
@@ -86,28 +82,4 @@ func (m *Model) evalBatch(ctx context.Context, fs []logic.Formula, sm *sharedMem
 		}
 	}
 	return out, nil
-}
-
-// warmAgentTables builds the partition tables of the agents that the
-// batch's K operators name before the loop meets them one at a time; a
-// muddy round names every child. The builds are independent, so on a
-// model large enough for stripeAgents they run striped across cores, as a
-// group operator's do (ensureParts). On smaller models, or on one CPU, the
-// loop builds them as it meets them.
-func (m *Model) warmAgentTables(fs []logic.Formula) {
-	if m.numWorlds < parallelPartsMinWorlds || runtime.GOMAXPROCS(0) < 2 {
-		return
-	}
-	seen := make([]bool, m.numAgents)
-	var agents []int
-	for _, f := range fs {
-		logic.Walk(f, func(g logic.Formula) bool {
-			if k, ok := g.(logic.Modal); ok && k.Op == logic.OpKnow && k.N >= 0 && k.N < m.numAgents && !seen[k.N] {
-				seen[k.N] = true
-				agents = append(agents, k.N)
-			}
-			return true
-		})
-	}
-	m.ensureParts(m.tables(), agents)
 }

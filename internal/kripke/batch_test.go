@@ -86,9 +86,10 @@ func TestEvalBatchResultsAreOwned(t *testing.T) {
 // TestEvalBatchColdRace drives concurrent callers on fresh models with no
 // warm-up (meaningful mainly under -race): six goroutines share one cold
 // model, half of them running serial EvalBatch calls and half per-formula
-// Eval, each starting at a different formula, so the lazy per-agent table
-// builds (striped, with the gates lowered) and the build-once joint-view
-// and reachability slots all race across their evaluators.
+// Eval, each starting at a different formula, so the class-id K passes,
+// the lazy per-agent table builds (striped, with the gates lowered) and
+// the build-once joint-view and reachability slots all race across their
+// evaluators.
 func TestEvalBatchColdRace(t *testing.T) {
 	prevProcs := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prevProcs)

@@ -498,12 +498,12 @@ func (ev *evaluator) evalModal(n logic.Modal, env *binding) (*bitset.Set, bool, 
 	dst := ev.alloc()
 	switch n.Op {
 	case logic.OpKnow:
-		ev.m.part(ev.t, n.N).knowInto(dst, phi, &ev.ks)
+		ev.m.knowAgentInto(ev.t, n.N, dst, phi, &ev.ks)
 	case logic.OpSomeone:
 		dst.Clear()
 		tmp := ev.alloc()
 		for _, a := range agents {
-			ev.m.part(ev.t, a).knowInto(tmp, phi, &ev.ks)
+			ev.m.knowAgentInto(ev.t, a, tmp, phi, &ev.ks)
 			dst.Or(tmp)
 		}
 		ev.release(tmp)
@@ -520,7 +520,7 @@ func (ev *evaluator) evalModal(n logic.Modal, env *binding) (*bitset.Set, bool, 
 		ev.tsets = ev.tsets[:0]
 		for _, a := range agents {
 			k := ev.alloc()
-			ev.m.part(ev.t, a).knowInto(k, phi, &ev.ks)
+			ev.m.knowAgentInto(ev.t, a, k, phi, &ev.ks)
 			ev.tsets = append(ev.tsets, k)
 		}
 		ev.m.Temporal.EvalTemporal(dst, n.Op, n.N, agents, ev.tsets)

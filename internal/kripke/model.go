@@ -48,14 +48,16 @@
 // AND-NOT of their masks.
 //
 // The derived tables are built lazily and cached on the model: each
-// agent's partition on its first use (so one-shot models never pay for
-// tables no formula touches), and one partition per distinct agent group
-// for D_G refinements and C_G reachability components (so fixed-point
-// iteration re-uses the component structure instead of rebuilding a
-// union-find per step). Every table lives in its own tableSlot, which
-// readers load without a lock and whose lock is held only while that one
-// table is built, so concurrent evaluators build each table once while
-// builds of different tables run in parallel. When a group operator needs
+// agent's partition once its installed class ids have answered a few K
+// passes on their own (so models that answer a few queries and are
+// dropped, as in an announcement chain, never pay for a table), and one
+// partition per distinct agent group for D_G refinements and C_G
+// reachability components (so fixed-point iteration re-uses the component
+// structure instead of rebuilding a union-find per step). Every table
+// lives in its own tableSlot, which readers load without a lock and whose
+// lock is held only while that one table is built, so concurrent
+// evaluators build each table once while builds of different tables run
+// in parallel. When the ν worklist needs
 // many agents' tables at once on a large model, the per-agent builds are
 // striped across goroutines (stripeAgents), as is Restrict's per-agent
 // renaming; small models keep the same code inline. E_G and S_G are plain
@@ -212,6 +214,10 @@ type derived struct {
 type tableSlot struct {
 	p  atomic.Pointer[partition]
 	mu sync.Mutex
+
+	// idsUses counts the K passes an agent's slot has answered from the
+	// installed class ids before its table was built (knowAgentInto).
+	idsUses atomic.Int32
 }
 
 // get returns the slot's table, running build on first use. The build is
@@ -488,6 +494,48 @@ func (m *Model) part(t *derived, a int) *partition {
 	return t.parts[a].get(func() *partition { return m.buildPart(a) })
 }
 
+// knowIDsUses is how many K_a passes run on agent a's installed class ids
+// alone (andKnowIDs) before the agent's partition table is built. On the
+// muddy children view partitions of 4096 and 32768 worlds a table build
+// costs as much as 12 to 26 passes over the ids, and the table's kernel is
+// faster than the ids pass only for some φ. So a model that answers a few
+// K_a queries and is then dropped — an announcement round asks each
+// child's K twice — never builds the table, and a model queried again and
+// again builds it after these few passes.
+const knowIDsUses = 8
+
+// knowAgentInto writes K_a(phi) into dst (overwritten). dst and phi must
+// not alias.
+func (m *Model) knowAgentInto(t *derived, a int, dst, phi *bitset.Set, ks *kernelScratch) {
+	dst.Copy(phi) // K_a φ ⊆ φ
+	m.andKnowAgent(t, a, dst, phi, ks)
+}
+
+// andKnowAgent intersects dst in place with K_a(phi), from agent a's table
+// when it exists, else from its installed class ids while they have
+// answered fewer than knowIDsUses passes, else by building the table.
+func (m *Model) andKnowAgent(t *derived, a int, dst, phi *bitset.Set, ks *kernelScratch) {
+	s := &t.parts[a]
+	if s.p.Load() == nil {
+		if r := &m.rels[a]; r.ids != nil && s.idsUses.Add(1) <= knowIDsUses {
+			andKnowIDs(dst, phi, r.ids, r.n, ks)
+			return
+		}
+	}
+	m.part(t, a).andKnowInto(dst, phi, ks)
+}
+
+// viewIDs returns agent a's dense class ids and class count: the ids
+// construction installed, else those of the agent's partition table. The
+// group tables read only ids, so they build no per-agent table.
+func (m *Model) viewIDs(t *derived, a int) ([]int32, int) {
+	if r := &m.rels[a]; r.ids != nil {
+		return r.ids, r.n
+	}
+	p := m.part(t, a)
+	return p.ids, p.n
+}
+
 // ensureParts makes sure every listed agent's partition table exists,
 // striping the builds across goroutines when the model is large enough for
 // the table construction itself to dominate (each build owns its scratch
@@ -549,20 +597,19 @@ func (m *Model) reachPartition(t *derived, agents []int, keyBuf []byte) *partiti
 // reachScratch builds the G-reachability components with one union-find
 // pass over every agent's whole partition.
 func (m *Model) reachScratch(t *derived, agents []int) *partition {
-	m.ensureParts(t, agents)
 	d := unionfind.New(m.numWorlds)
 	var first []int32
 	for _, a := range agents {
-		part := m.part(t, a)
-		if cap(first) < part.n {
-			first = make([]int32, part.n)
+		ids, n := m.viewIDs(t, a)
+		if cap(first) < n {
+			first = make([]int32, n)
 		} else {
-			first = first[:part.n]
+			first = first[:n]
 		}
 		for i := range first {
 			first[i] = -1
 		}
-		for w, id := range part.ids {
+		for w, id := range ids {
 			if first[id] < 0 {
 				first[id] = int32(w)
 			} else {
@@ -584,15 +631,13 @@ func (m *Model) jointPartition(t *derived, agents []int, keyBuf []byte) *partiti
 	}
 	s := t.groupSlot(t.joint, m.groupKey(keyBuf[:0], agents))
 	return s.get(func() *partition {
-		m.ensureParts(t, agents)
 		ids := make([]int32, m.numWorlds)
-		p0 := m.part(t, agents[0])
-		copy(ids, p0.ids)
-		n := p0.n
+		ids0, n := m.viewIDs(t, agents[0])
+		copy(ids, ids0)
 		pair := make(map[uint64]int32)
 		for _, a := range agents[1:] {
 			clear(pair)
-			other := m.part(t, a).ids
+			other, _ := m.viewIDs(t, a)
 			next := int32(0)
 			for w := 0; w < m.numWorlds; w++ {
 				k := uint64(ids[w])<<32 | uint64(uint32(other[w]))
@@ -614,7 +659,7 @@ func (m *Model) jointPartition(t *derived, agents []int, keyBuf []byte) *partiti
 func (m *Model) everyoneInto(t *derived, agents []int, dst, phi *bitset.Set, ks *kernelScratch) {
 	dst.Fill()
 	for _, a := range agents {
-		m.part(t, a).andKnowInto(dst, phi, ks)
+		m.andKnowAgent(t, a, dst, phi, ks)
 	}
 }
 
@@ -626,7 +671,7 @@ func (m *Model) KnowSet(a int, phi *bitset.Set) *bitset.Set {
 	ev := m.getEvaluator()
 	defer m.putEvaluator(ev)
 	out := bitset.New(m.numWorlds)
-	m.part(ev.t, a).knowInto(out, phi, &ev.ks)
+	m.knowAgentInto(ev.t, a, out, phi, &ev.ks)
 	return out
 }
 

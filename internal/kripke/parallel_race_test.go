@@ -42,11 +42,13 @@ func buildWideModel(n, numAgents int, seed int64) *Model {
 	return b.Build()
 }
 
-// TestParallelKernelsRace drives the striped partition-table construction
-// and the E_G/S_G kernels from eight goroutines at once, each a serial
-// EvalBatch or Eval caller on one cold model (run under -race). The striping gates are lowered and GOMAXPROCS raised so
-// the striped paths engage even on small CI machines; results are checked
-// against a serially evaluated twin model.
+// TestParallelKernelsRace drives the striped partition-table construction,
+// the switch from the class-id K pass to the table kernel, and the
+// E_G/S_G kernels from eight goroutines at once, each a serial EvalBatch
+// or Eval caller on one cold model (run under -race). The striping gates
+// are lowered and GOMAXPROCS raised so the striped paths engage even on
+// small CI machines; results are checked against a serially evaluated twin
+// model.
 func TestParallelKernelsRace(t *testing.T) {
 	prevProcs := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prevProcs)
@@ -97,9 +99,12 @@ func TestParallelKernelsRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			if g == 0 {
-				// One goroutine runs an EvalBatch of every K_i, building
-				// the per-agent tables one by one while the others already
-				// evaluate (and stripe the same builds from D_G and C_G).
+				// One goroutine runs an EvalBatch of every K_i, answered
+				// from the installed class ids (or from a table already
+				// built), while the others evaluate E_G and S_G passes that
+				// build the per-agent tables once their ids have answered
+				// knowIDsUses passes, and D_G, C_G and the ν worklist
+				// stripe the same builds across goroutines.
 				ks := make([]logic.Formula, agents)
 				for a := range ks {
 					ks[a] = logic.K(logic.Agent(a), logic.P("p"))
@@ -170,9 +175,11 @@ func TestParallelKernelsRace(t *testing.T) {
 // TestDerivedTablesBuiltOnce pins that every kind of derived table is built
 // once (run under -race): eight goroutines ask a fresh model at the same
 // moment for every agent's view partition, one joint-view table and one
-// reachability table, half of them group tables first so the groups'
-// striped per-agent builds race the direct ones. Every goroutine must get
-// the identical *partition for each table, and it must be the cached one.
+// reachability table, half of them first the group tables and a striped
+// build of the group's per-agent tables (ensureParts, as the ν worklist
+// over E_G runs it), so the striped builds race the direct ones. Every
+// goroutine must get the identical *partition for each table, and it must
+// be the cached one.
 func TestDerivedTablesBuiltOnce(t *testing.T) {
 	prevProcs := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prevProcs)
@@ -198,6 +205,7 @@ func TestDerivedTablesBuiltOnce(t *testing.T) {
 			<-start
 			tb, out := m.tables(), &got[g]
 			groups := func() {
+				m.ensureParts(tb, group)
 				out.joint = m.jointPartition(tb, group, nil)
 				out.reach = m.reachPartition(tb, group, nil)
 			}

@@ -223,6 +223,38 @@ func (ks *kernelScratch) bump() {
 	}
 }
 
+// andKnowIDs is andKnowInto for a partition given by its dense class ids
+// alone (n classes), before any table is built: one pass over ¬phi stamps
+// the failing classes, one pass over dst clears the worlds of stamped
+// classes. Each call costs O(worlds), with no table to build or keep; see
+// knowIDsUses for when the table is built instead.
+func andKnowIDs(dst, phi *bitset.Set, ids []int32, n int, ks *kernelScratch) {
+	ks.ensure(n)
+	ks.bump()
+	epoch, stamp := ks.epoch, ks.stamp
+	failing := false
+	for wi, w := range phi.Words() {
+		base := wi << 6
+		for inv := ^w & phi.WordMask(wi); inv != 0; inv &= inv - 1 {
+			stamp[ids[base+bits.TrailingZeros64(inv)]] = epoch
+			failing = true
+		}
+	}
+	if !failing {
+		return
+	}
+	dw := dst.Words()
+	for wi, d := range dw {
+		base := wi << 6
+		for x := d; x != 0; x &= x - 1 {
+			if b := bits.TrailingZeros64(x); stamp[ids[base+b]] == epoch {
+				d &^= 1 << uint(b)
+			}
+		}
+		dw[wi] = d
+	}
+}
+
 // knowInto writes into dst the worlds whose whole class under p lies
 // inside phi — the set-level K operator for this partition. dst and phi
 // must have capacity len(p.ids) and must not alias.

@@ -279,3 +279,69 @@ func TestRefineAgentAgreesWithEdgeRebuild(t *testing.T) {
 		}
 	}
 }
+
+// TestKnowIDsMatchesTable pins the table-free K kernel to the table
+// kernel: for random partitions (tiny universes, universes with the
+// transposes, classes spanning few words or many) and sets φ and dst of
+// every density, andKnowIDs over the class ids must leave dst exactly as
+// the partition table's andKnowInto does.
+func TestKnowIDsMatchesTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var ks kernelScratch
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(1500)
+		classes := 1 + rng.Intn(n)
+		ids := make([]int32, n)
+		for w := range ids {
+			if w < classes {
+				ids[w] = int32(w)
+			} else if rng.Intn(2) == 0 {
+				ids[w] = int32(rng.Intn(classes)) // far-flung classes
+			} else {
+				ids[w] = ids[w-1-rng.Intn(min(w, 16))] // near neighbours
+			}
+		}
+		random := func(density int) *bitset.Set {
+			s := bitset.New(n)
+			for w := 0; w < n; w++ {
+				if rng.Intn(100) < density || (density == 50 && w>>6&1 == 1) {
+					s.Add(w)
+				}
+			}
+			return s
+		}
+		phi, dst := random([]int{0, 1, 50, 99, 100}[rng.Intn(5)]), random([]int{50, 100}[rng.Intn(2)])
+		want := dst.Clone()
+		newPartition(ids, classes).andKnowInto(want, phi, &ks)
+		andKnowIDs(dst, phi, ids, classes, &ks)
+		if !dst.Equal(want) {
+			t.Fatalf("trial %d (%d worlds, %d classes): andKnowIDs = %s, table kernel %s", trial, n, classes, dst, want)
+		}
+	}
+}
+
+// TestKnowIDsThenTable pins when an agent's table is built: the first
+// knowIDsUses K passes over installed class ids run without one, the next
+// builds it, and every pass returns the table kernel's set.
+func TestKnowIDsThenTable(t *testing.T) {
+	m := buildWideModel(700, 2, 9)
+	tb := m.tables()
+	ref := newPartition(m.rels[1].ids, m.rels[1].n)
+	var ks kernelScratch
+	phi := m.FactSet("p").Clone()
+	for i := 0; i <= knowIDsUses; i++ {
+		phi.Remove(i) // a different φ each pass
+		got, want := bitset.New(700), bitset.New(700)
+		m.knowAgentInto(tb, 1, got, phi, &ks)
+		ref.knowInto(want, phi, &ks)
+		if !got.Equal(want) {
+			t.Fatalf("pass %d: K_1 φ = %s, want %s", i, got, want)
+		}
+		if built := tb.parts[1].p.Load() != nil; built != (i == knowIDsUses) {
+			t.Fatalf("after pass %d of %d on the ids: table built = %v", i+1, knowIDsUses, built)
+		}
+	}
+	if tb.parts[0].p.Load() != nil {
+		t.Fatal("agent 0's table was built without a K_0 pass")
+	}
+}
