@@ -369,6 +369,59 @@ func BenchmarkAblationBatchEval(b *testing.B) {
 	})
 }
 
+// The kernel side of the tower workload's muddy:12 session: a fixed batch
+// of nested K, E^1..E^8, D, D{a,b} and C on the all-muddy cube, evaluated
+// with Model.EvalBatch. The bare model has no view memo, so every batch
+// runs every kernel. Untimed batches first build the partition tables
+// (each agent's K passes run on its class ids until knowIDsUses of them).
+func BenchmarkMuddyTowerBatch(b *testing.B) {
+	const n = 12
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	pz, err := muddy.New(n, all)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := pz.Model()
+	var fs []logic.Formula
+	for _, src := range []string{
+		"K0 muddy0",
+		"K3 ~muddy5",
+		"K8 (muddy6 | muddy7)",
+		"K1 K2 muddy3",
+		"K4 K7 (muddy1 | muddy8)",
+		"K5 K6 K11 ~muddy2",
+		"K9 K10 K0 K2 muddy4",
+		"E^1 muddy0",
+		"E^2 ~muddy1",
+		"E^3 (muddy2 | muddy3)",
+		"E^4 muddy4",
+		"E^5 (muddy5 | muddy11)",
+		"E^6 ~muddy6",
+		"E^7 muddy7",
+		"E^8 (muddy8 | muddy9)",
+		"D muddy10",
+		"D{2,9} (muddy2 | muddy9)",
+		"C (muddy0 | muddy1)",
+	} {
+		fs = append(fs, logic.MustParse(src))
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := m.EvalBatch(fs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.EvalBatch(fs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Ablation: the fault-injected scenario sweep's announcement ladder on a
 // kripke.Chain (seeded quotient re-refinement threaded through each
 // restriction). The system is sampled once — the benchmark measures the

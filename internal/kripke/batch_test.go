@@ -89,7 +89,9 @@ func TestEvalBatchResultsAreOwned(t *testing.T) {
 // Eval, each starting at a different formula, so the class-id K passes,
 // the lazy per-agent table builds (striped, with the gates lowered) and
 // the build-once joint-view and reachability slots all race across their
-// evaluators.
+// evaluators. It runs on a random wide model and on a muddy children cube,
+// whose every table is a coset partition, so the first-use builds also
+// race through coset detection.
 func TestEvalBatchColdRace(t *testing.T) {
 	prevProcs := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prevProcs)
@@ -108,7 +110,6 @@ func TestEvalBatchColdRace(t *testing.T) {
 	parallelPartsMinWorlds = 128
 	parallelPartsMinAgents = 2
 
-	const n, agents = 768, 6
 	formulas := []logic.Formula{
 		logic.E(nil, logic.P("p")),
 		logic.S(nil, logic.Neg(logic.P("p"))),
@@ -122,7 +123,18 @@ func TestEvalBatchColdRace(t *testing.T) {
 		logic.K(0, logic.Disj(logic.P("p"), logic.Neg(logic.P("q")))),
 	}
 
-	ref := buildWideModel(n, agents, 3)
+	for _, build := range []func() *Model{
+		func() *Model { return buildWideModel(768, 6, 3) },
+		func() *Model { return muddyCube(10, 3) },
+	} {
+		coldRace(t, build, formulas)
+	}
+}
+
+// coldRace checks concurrent callers on fresh models from build against
+// the verdicts of one serial model.
+func coldRace(t *testing.T, build func() *Model, formulas []logic.Formula) {
+	ref := build()
 	want := make([]string, len(formulas))
 	for i, f := range formulas {
 		s, err := ref.Eval(f)
@@ -133,7 +145,7 @@ func TestEvalBatchColdRace(t *testing.T) {
 	}
 
 	for rep := 0; rep < 4; rep++ {
-		m := buildWideModel(n, agents, 3) // fresh: every table cold
+		m := build() // fresh: every table cold
 		var wg sync.WaitGroup
 		for g := 0; g < 6; g++ {
 			wg.Add(1)

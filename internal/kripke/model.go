@@ -550,9 +550,11 @@ func (m *Model) ensureParts(t *derived, agents []int) {
 	}
 }
 
-// ClassID returns agent a's dense view-class id of world w.
+// ClassID returns agent a's dense view-class id of world w. It reads the
+// installed ids when there are any, so it builds no table for them.
 func (m *Model) ClassID(a, w int) int {
-	return int(m.part(m.tables(), a).ids[w])
+	ids, _ := m.viewIDs(m.tables(), a)
+	return int(ids[w])
 }
 
 // groupKey appends the canonical cache key of a resolved agent list: "*"

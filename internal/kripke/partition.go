@@ -20,12 +20,21 @@ import (
 // The same representation serves all three knowledge relations: an agent's
 // view partition (K_i), the common refinement of a group's partitions
 // (D_G), and the G-reachability components of Section 6 (C_G).
+//
+// A coset partition (see cosetBasis) also carries the basis of its XOR
+// subgroup, and its kernel folds φ's words along the basis instead of
+// sweeping classes, so its transpose and full-word tables are not built.
 type partition struct {
 	ids  []int32 // world -> dense class id
 	n    int     // number of classes
 	off  []int32 // n+1 offsets into idx/bits
 	idx  []int32 // bitset word index of each mask word
 	bits []uint64
+
+	// coset reports that the classes are the cosets of the XOR subgroup
+	// of world indices spanned by gens (empty for the discrete partition).
+	coset bool
+	gens  []int
 
 	// Transpose: for each bitset word, the classes intersecting it.
 	twOff  []int32 // numWords+1 offsets into twID/twBits
@@ -102,11 +111,23 @@ func newPartition(ids []int32, n int) *partition {
 			p.bits[cur[id]-1] |= 1 << (uint(w) & 63)
 		}
 	}
+	if p.gens, p.coset = cosetBasis(ids, n); p.coset {
+		return p // the coset kernel reads no word-level table
+	}
+	p.buildWordTables(wcur)
+	return p
+}
+
+// buildWordTables builds the transpose and the full-word failure tables
+// the generic kernel reads; wcur is numWords cursors of scratch.
+func (p *partition) buildWordTables(wcur []int32) {
+	n, total := p.n, p.off[p.n]
+	numWords := (len(p.ids) + 63) >> 6
 	if numWords < minTransposeWords {
-		return p // tiny universe: the kernels fall back to per-bit probing
+		return // tiny universe: the kernels fall back to per-bit probing
 	}
 	// Transpose into word-major order. The (word, class, bits) triples are
-	// exactly idx/bits above, so only a counting sort by word is needed.
+	// exactly the CSR's idx/bits, so only a counting sort by word is needed.
 	p.twOff = make([]int32, numWords+1)
 	for _, wi := range p.idx {
 		p.twOff[wi+1]++
@@ -138,7 +159,62 @@ func newPartition(ids []int32, n int) *partition {
 	} else {
 		p.buildTwm(numWords, wcur)
 	}
-	return p
+}
+
+// cosetBasis reports whether the partition given by dense ids (n classes)
+// is the coset partition of an XOR subgroup H of the world indices — the
+// shape of the muddy children cube, where child i's class of w is
+// {w, w⊕2^i} and every joint view and reachability component is again a
+// coset — and returns a basis of H. The test: the universe has 2^k
+// worlds, world 0's class is closed under XOR (it has 2^d members and
+// rank d, so it is the span of the basis elimination finds), there are
+// 2^(k-d) classes, and ids[w⊕h] == ids[w] for every world w and basis
+// vector h. The last check makes every class a union of H-cosets, and the
+// class count then leaves room for exactly one coset each. It costs
+// O(d·worlds), once per table.
+func cosetBasis(ids []int32, n int) ([]int, bool) {
+	size := len(ids)
+	if size == 0 || size&(size-1) != 0 {
+		return nil, false
+	}
+	// Gaussian elimination over GF(2): pivot[b] is the basis vector whose
+	// highest set bit is b.
+	var pivot [32]int
+	rank, members := 0, 0
+	for w, id := range ids {
+		if id != ids[0] {
+			continue
+		}
+		members++
+		for v := w; v != 0; {
+			b := bits.Len(uint(v)) - 1
+			if pivot[b] == 0 {
+				pivot[b] = v
+				rank++
+				break
+			}
+			v ^= pivot[b]
+		}
+	}
+	if members != 1<<rank || n<<rank != size {
+		return nil, false
+	}
+	gens := make([]int, 0, rank)
+	for _, v := range pivot {
+		if v != 0 {
+			gens = append(gens, v)
+		}
+	}
+	if n > 1 {
+		for _, h := range gens {
+			for w, id := range ids {
+				if ids[w^h] != id {
+					return nil, false
+				}
+			}
+		}
+	}
+	return gens, true
 }
 
 // buildSpill fills the spill tables: for each word wi, the union per
@@ -198,10 +274,11 @@ func (p *partition) buildTwm(numWords int, wcur []int32) {
 
 // kernelScratch is the reusable working state of the partition kernels: an
 // epoch-stamped class marker, so deduplicating the failing classes needs
-// no per-call clearing.
+// no per-call clearing, and the words the coset kernel folds.
 type kernelScratch struct {
 	stamp []int32
 	epoch int32
+	fold  []uint64
 }
 
 // ensure sizes the stamp table for partitions of up to n classes.
@@ -272,7 +349,12 @@ func (p *partition) knowInto(dst, phi *bitset.Set, ks *kernelScratch) {
 // few zero bits, by probing those worlds' ids directly. Each failing class
 // is then removed with whole-word AND-NOTs of its mask, deduplicated by
 // epoch stamp. Cost is O(words + work near ¬phi) rather than O(worlds).
+// A coset partition takes andKnowCoset instead.
 func (p *partition) andKnowInto(dst, phi *bitset.Set, ks *kernelScratch) {
+	if p.coset {
+		p.andKnowCoset(dst, phi, ks)
+		return
+	}
 	ks.ensure(p.n)
 	ks.bump()
 	epoch := ks.epoch
@@ -353,4 +435,86 @@ func (p *partition) andKnowInto(dst, phi *bitset.Set, ks *kernelScratch) {
 			}
 		}
 	}
+}
+
+// swapMasks[j] selects the low half of every 2^(j+1)-bit group of a word,
+// so ((x&m)<<2^j | (x>>2^j)&m) swaps bit b with bit b⊕2^j.
+var swapMasks = [6]uint64{
+	0x5555555555555555,
+	0x3333333333333333,
+	0x0f0f0f0f0f0f0f0f,
+	0x00ff00ff00ff00ff,
+	0x0000ffff0000ffff,
+	0x00000000ffffffff,
+}
+
+// andKnowCoset is andKnowInto for a coset partition: K φ(w) is
+// ∧_{h∈H} φ(w⊕h), so folding a copy of φ's words once per basis vector g,
+// x(w) ∧= x(w⊕g), leaves K φ after the last one. A generator's bits ≥ 6
+// pair whole words; its bits < 6 permute bits within a word by swaps. The
+// discrete partition (no generator) is dst ∧= φ, and the one-class
+// partition keeps dst only when φ is everything.
+func (p *partition) andKnowCoset(dst, phi *bitset.Set, ks *kernelScratch) {
+	switch {
+	case len(p.gens) == 0:
+		dst.And(phi)
+		return
+	case p.n == 1:
+		if !phi.IsFull() {
+			dst.Clear()
+		}
+		return
+	}
+	pw, dw := phi.Words(), dst.Words()
+	if hi, lo := p.gens[0]>>6, uint(p.gens[0]&63); len(p.gens) == 1 && lo&(lo-1) == 0 {
+		// One generator g with at most one in-word bit needs no fold:
+		// K φ(w) = φ(w) ∧ φ(w⊕g), with one swap per word (a zero shift
+		// under an all-ones mask is the identity).
+		s, m := uint(0), ^uint64(0)
+		if lo != 0 {
+			j := bits.TrailingZeros(lo)
+			s, m = 1<<j, swapMasks[j]
+		}
+		dw = dw[:len(pw)]
+		for i, w := range pw {
+			v := pw[i^hi]
+			dw[i] &= w & ((v&m)<<s | (v>>s)&m)
+		}
+		return
+	}
+	if cap(ks.fold) < len(pw) {
+		ks.fold = make([]uint64, len(pw))
+	}
+	x := ks.fold[:len(pw)]
+	copy(x, pw)
+	for _, g := range p.gens {
+		hi, lo := g>>6, uint(g&63)
+		if hi == 0 {
+			for i, w := range x {
+				x[i] = w & swapBits(w, lo)
+			}
+			continue
+		}
+		for i := range x {
+			if j := i ^ hi; j > i {
+				a, b := x[i], x[j]
+				x[i] = a & swapBits(b, lo)
+				x[j] = b & swapBits(a, lo)
+			}
+		}
+	}
+	for i, w := range x {
+		dw[i] &= w
+	}
+}
+
+// swapBits returns w with bit b moved to bit b⊕lo, for lo < 64: one swap
+// per set bit of lo.
+func swapBits(w uint64, lo uint) uint64 {
+	for ; lo != 0; lo &= lo - 1 {
+		j := bits.TrailingZeros(lo)
+		s, m := uint(1)<<j, swapMasks[j]
+		w = (w&m)<<s | (w>>s)&m
+	}
+	return w
 }
