@@ -5,8 +5,7 @@
 //
 // The shared flag conventions apply: -seed pins the client's jitter and
 // idempotency-key streams (equal seeds replay the identical request
-// sequence). -parallel is accepted so existing command lines keep
-// working, and ignored: knowd evaluates every eval batch serially.
+// sequence).
 //
 // Usage:
 //
@@ -38,7 +37,6 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("knowctl", flag.ContinueOnError)
 	addr := fs.String("addr", "http://127.0.0.1:7433", "knowd base URL")
 	seed := fs.Int64("seed", 1, "client seed: jitter and idempotency-key streams; also the session seed for open")
-	fs.Int("parallel", 0, "ignored: knowd evaluates eval batches serially (kept for existing command lines)")
 	worlds := fs.Bool("worlds", false, "print full denotation world lists with eval verdicts")
 	if err := fs.Parse(args); err != nil {
 		return err

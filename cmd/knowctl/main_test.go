@@ -1,12 +1,8 @@
 package main
 
 import (
-	"bytes"
-	"io"
-	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/server"
@@ -80,43 +76,5 @@ func TestUsageErrors(t *testing.T) {
 	// Server-side rejection surfaces as an error, not a panic.
 	if err := run([]string{"-addr", ts.URL, "open", "quantum"}, &sb); err == nil {
 		t.Error("unknown system spec accepted")
-	}
-}
-
-// TestParallelFlagIgnored: -parallel still parses, so existing command
-// lines keep working, but it sends no workers field: knowd evaluates
-// every batch serially.
-func TestParallelFlagIgnored(t *testing.T) {
-	inner := server.New(server.Config{}).Handler()
-	var mu sync.Mutex
-	var sent []byte
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/eval") {
-			body, err := io.ReadAll(r.Body)
-			if err != nil {
-				t.Error(err)
-			}
-			mu.Lock()
-			sent = body
-			mu.Unlock()
-			r.Body = io.NopCloser(bytes.NewReader(body))
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer ts.Close()
-
-	sid := strings.Fields(ctl(t, ts.URL, "open", "muddy:3"))[0]
-	const want = `{"formulas":["K0 muddy1"]}`
-	for _, flag := range []string{"0", "-1", "3"} {
-		out := ctl(t, ts.URL, "-parallel", flag, "eval", sid, "K0 muddy1")
-		if !strings.Contains(out, "4        true   K0 muddy1") {
-			t.Fatalf("-parallel %s: eval output:\n%s", flag, out)
-		}
-		mu.Lock()
-		got := string(bytes.TrimSpace(sent))
-		mu.Unlock()
-		if got != want {
-			t.Errorf("-parallel %s sent %s, want %s", flag, got, want)
-		}
 	}
 }

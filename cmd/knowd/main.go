@@ -6,12 +6,7 @@
 //
 // knowd follows the repository's shared flag conventions: -seed pins
 // every seeded draw (scenario fault sampling for sessions opened without
-// an explicit seed). -parallel is accepted so existing command lines keep
-// working, and ignored: knowd evaluates every eval batch serially. Its
-// concurrency comes from concurrent requests, and on a 2-CPU machine a
-// 2-worker fan-out inside one request made small-model batches about 3x
-// slower (r2d2 6.1 -> 21.4 us) while buying at most 1.12x on muddy:12
-// (230 -> 206 us).
+// an explicit seed).
 //
 // SIGTERM or SIGINT drains gracefully: intake stops, in-flight requests
 // finish, and — when -state is set — session chains are persisted to
@@ -49,7 +44,6 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("knowd", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:7433", "listen address")
 	seed := fs.Int64("seed", 1, "seed for scenario sessions opened without an explicit seed")
-	fs.Int("parallel", -1, "ignored: eval batches are evaluated serially (kept for existing command lines)")
 	queue := fs.Int("queue", 64, "concurrent compute slots before load shedding (429)")
 	dedupe := fs.Int("dedupe", 256, "idempotency keys remembered by the dedupe window")
 	sessionTTL := fs.Duration("session-ttl", 15*time.Minute, "idle session eviction age")

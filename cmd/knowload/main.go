@@ -9,9 +9,7 @@
 // across workers.
 //
 // The shared flag conventions apply: -seed pins the schedule and every
-// client's jitter and idempotency-key streams. -parallel is accepted so
-// existing command lines keep working, and ignored: knowd evaluates every
-// eval batch serially.
+// client's jitter and idempotency-key streams.
 //
 // Usage:
 //
@@ -45,7 +43,6 @@ func run(args []string, out io.Writer) error {
 	sessions := fs.Int("sessions", 4, "sessions per worker")
 	mix := fs.String("mix", "", "workload mix weights, e.g. muddy=4,scenario=2,r2d2=1,attack=1 (empty uses the default)")
 	closeProb := fs.Float64("close", 0.2, "probability a session's script ends with a close")
-	fs.Int("parallel", 0, "ignored: knowd evaluates eval batches serially (kept for existing command lines)")
 	report := fs.String("report", "", "write the markdown run report to this path (empty prints it to stdout)")
 	dry := fs.Bool("dry", false, "print the canonical op schedule and exit without contacting a server")
 	maxAttempts := fs.Int("max-attempts", 30, "client retry attempts per op before it counts as failed")

@@ -87,28 +87,13 @@ func TestEvalBatchResultsAreOwned(t *testing.T) {
 // warm-up (meaningful mainly under -race): six goroutines share one cold
 // model, half of them running serial EvalBatch calls and half per-formula
 // Eval, each starting at a different formula, so the class-id K passes,
-// the lazy per-agent table builds (striped, with the gates lowered) and
-// the build-once joint-view and reachability slots all race across their
-// evaluators. It runs on a random wide model and on a muddy children cube,
-// whose every table is a coset partition, so the first-use builds also
-// race through coset detection.
+// the lazy per-agent table builds and the build-once joint-view and
+// reachability slots all race across their evaluators. It runs on a random
+// wide model and on a muddy children cube, whose every table is a coset
+// partition, so the first-use builds also race through coset detection.
 func TestEvalBatchColdRace(t *testing.T) {
 	prevProcs := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prevProcs)
-	restore := []struct {
-		v   *int
-		old int
-	}{
-		{&parallelPartsMinWorlds, parallelPartsMinWorlds},
-		{&parallelPartsMinAgents, parallelPartsMinAgents},
-	}
-	defer func() {
-		for _, r := range restore {
-			*r.v = r.old
-		}
-	}()
-	parallelPartsMinWorlds = 128
-	parallelPartsMinAgents = 2
 
 	formulas := []logic.Formula{
 		logic.E(nil, logic.P("p")),

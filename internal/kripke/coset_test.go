@@ -42,11 +42,11 @@ func muddyCube(n int, seed int64) *Model {
 }
 
 // genericPartition is a copy of p with the coset basis cleared and the
-// generic kernel's word tables built, so the same classes run through the
-// CSR kernel.
+// generic kernel's word-spanning class list built, so the same classes run
+// through the CSR kernel.
 func genericPartition(p *partition) *partition {
 	g := &partition{ids: p.ids, n: p.n, off: p.off, idx: p.idx, bits: p.bits}
-	g.buildWordTables(make([]int32, (len(p.ids)+63)>>6))
+	g.buildTwm(make([]int32, (len(p.ids)+63)>>6))
 	return g
 }
 

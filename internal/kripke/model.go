@@ -31,10 +31,11 @@
 //
 // Model updates reuse rather than rebuild: Restrict compacts valuation
 // columns with the word-level gather kernel of the bitset package and
-// renames class ids through a pooled scratch. The restricted model starts
-// with no derived tables; the one piece of state an announcement chain
-// threads through it is the Minimize block map (RestrictWithQuotient), so
-// each link re-refines its quotient from the old blocks.
+// renames class ids, one plain pass per agent, through a pooled scratch.
+// The restricted model starts with no derived tables; the one piece of
+// state an announcement chain threads through it is the Minimize block map
+// (RestrictWithQuotient), so each link re-refines its quotient from the old
+// blocks.
 //
 // # Evaluation architecture: masks and caches
 //
@@ -43,9 +44,9 @@
 // agent's view classes for K_i, their common refinement for D_G, the
 // G-reachability components for C_G). Each partition is materialized once
 // as per-class bitset masks in CSR layout (see partition.go) and the
-// kernel works on whole 64-bit words: classes that escape φ are found by
-// scanning only ¬φ, and are removed from the full set by word-level
-// AND-NOT of their masks.
+// kernel works on whole 64-bit words: a coset partition folds φ's words
+// along its XOR basis; any other finds the classes that escape φ by
+// scanning only ¬φ and removes them by word-level AND-NOT of their masks.
 //
 // The derived tables are built lazily and cached on the model: each
 // agent's partition once its installed class ids have answered a few K
@@ -57,10 +58,8 @@
 // lives in its own tableSlot, which readers load without a lock and whose
 // lock is held only while that one table is built, so concurrent
 // evaluators build each table once while builds of different tables run
-// in parallel. When the ν worklist needs
-// many agents' tables at once on a large model, the per-agent builds are
-// striped across goroutines (stripeAgents), as is Restrict's per-agent
-// renaming; small models keep the same code inline. E_G and S_G are plain
+// in parallel. Every table is built on the goroutine that first needs it;
+// the package starts no goroutine of its own. E_G and S_G are plain
 // serial loops of per-agent K passes, and so is a batch: the one level of
 // evaluation concurrency is concurrent Eval and EvalBatch callers.
 // Construction calls (Indistinguishable) invalidate the tables.
@@ -72,7 +71,6 @@ package kripke
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -82,46 +80,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/unionfind"
 )
-
-// Parallelism gates for stripeAgents. They are variables (not constants) so
-// tests can lower them to exercise the striped paths on small models;
-// production code treats them as constants.
-var (
-	// parallelPartsMinWorlds is the world count from which per-agent work
-	// (partition table builds, Restrict's renaming) is striped across
-	// goroutines.
-	parallelPartsMinWorlds = 2048
-	// parallelPartsMinAgents is the minimum number of per-agent jobs worth
-	// spawning goroutines for.
-	parallelPartsMinAgents = 3
-)
-
-// stripeAgents runs fn(worker, i) for every per-agent job i in [0, n) over
-// a universe of the given size, striped across one goroutine per CPU (job
-// i goes to worker i mod workers, and worker < n). Under the
-// parallelPartsMin* gates, or on one CPU, it runs inline as worker 0, so
-// the serial path is the same code. fn may own per-worker scratch indexed
-// by worker.
-func stripeAgents(n, worlds int, fn func(worker, i int)) {
-	workers := min(n, runtime.GOMAXPROCS(0))
-	if n < parallelPartsMinAgents || worlds < parallelPartsMinWorlds || workers < 2 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += workers {
-				fn(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
 
 // Model is a finite epistemic model. Create one with NewModel (or batch
 // construct with a Builder), add facts and indistinguishability edges, then
@@ -174,13 +132,6 @@ type Model struct {
 // partition (every world distinguishable — the NewModel default).
 type agentRel struct {
 	dsu *unionfind.DSU
-	ids []int32
-	n   int
-}
-
-// pendingPart is a partition as raw dense class ids: n classes, ids[w] the
-// class of world w.
-type pendingPart struct {
 	ids []int32
 	n   int
 }
@@ -438,7 +389,7 @@ func (m *Model) SameClass(a int, w1, w2 int) bool {
 }
 
 // tables returns the derived-table shell, creating it on first use. The
-// per-agent partitions inside it are built lazily by part/ensureParts, so
+// per-agent partitions inside it are built lazily by part, so
 // touching the shell (every getEvaluator does) costs a few small
 // allocations once per construction, not a full table build.
 func (m *Model) tables() *derived {
@@ -496,12 +447,13 @@ func (m *Model) part(t *derived, a int) *partition {
 
 // knowIDsUses is how many K_a passes run on agent a's installed class ids
 // alone (andKnowIDs) before the agent's partition table is built. On the
-// muddy children view partitions of 4096 and 32768 worlds a table build
-// costs as much as 12 to 26 passes over the ids, and the table's kernel is
-// faster than the ids pass only for some φ. So a model that answers a few
-// K_a queries and is then dropped — an announcement round asks each
-// child's K twice — never builds the table, and a model queried again and
-// again builds it after these few passes.
+// muddy children view partitions of 4096 and 32768 worlds (the cube's
+// coset tables, and the generic tables of the cube less one world) a table
+// build costs as much as 2 to 18 passes over the ids, and the table's
+// kernel is faster than the ids pass only for some φ. So a model that
+// answers a few K_a queries and is then dropped — an announcement round
+// asks each child's K twice — never builds the table, and a model queried
+// again and again builds it after these few passes.
 const knowIDsUses = 8
 
 // knowAgentInto writes K_a(phi) into dst (overwritten). dst and phi must
@@ -534,27 +486,6 @@ func (m *Model) viewIDs(t *derived, a int) ([]int32, int) {
 	}
 	p := m.part(t, a)
 	return p.ids, p.n
-}
-
-// ensureParts makes sure every listed agent's partition table exists,
-// striping the builds across goroutines when the model is large enough for
-// the table construction itself to dominate (each build owns its scratch
-// and its slot, so workers building different agents never wait on each
-// other).
-func (m *Model) ensureParts(t *derived, agents []int) {
-	for _, a := range agents {
-		if t.parts[a].p.Load() == nil {
-			stripeAgents(len(agents), m.numWorlds, func(_, i int) { m.part(t, agents[i]) })
-			return
-		}
-	}
-}
-
-// ClassID returns agent a's dense view-class id of world w. It reads the
-// installed ids when there are any, so it builds no table for them.
-func (m *Model) ClassID(a, w int) int {
-	ids, _ := m.viewIDs(m.tables(), a)
-	return int(ids[w])
 }
 
 // groupKey appends the canonical cache key of a resolved agent list: "*"
@@ -781,50 +712,16 @@ func (m *Model) RefineAgent(a int, phi *bitset.Set) *Model {
 }
 
 // restrictScratch is the reusable working state of Restrict: the kept-world
-// list, the per-agent class-id sources, the submodel being built, and one
-// class-renaming mark table per stripeAgents worker. Kept on a freelist so
+// list and the class-renaming mark table. Kept on a freelist so
 // announcement chains (muddy rounds, attack message chains) recycle one
 // scratch instead of reallocating per update, however often the collector
 // runs.
 type restrictScratch struct {
-	old   []int
-	srcs  []pendingPart
-	sub   *Model
-	marks [][]int32
-
-	// rename is the renameAgent method value, bound once per scratch: a
-	// closure handed to stripeAgents escapes, so binding it per Restrict
-	// would cost an allocation per announcement.
-	rename func(worker, a int)
+	old  []int
+	mark []int32
 }
 
 var restrictFree freelist[restrictScratch]
-
-func newRestrictScratch() *restrictScratch {
-	s := new(restrictScratch)
-	s.rename = s.renameAgent
-	return s
-}
-
-// mark returns worker's mark table with room for n class ids.
-func (s *restrictScratch) mark(worker, n int) []int32 {
-	if cap(s.marks[worker]) < n {
-		s.marks[worker] = make([]int32, n)
-	}
-	return s.marks[worker][:n]
-}
-
-// renameAgent installs agent a's class ids, renamed over the kept worlds,
-// on s.sub, using worker's mark table.
-func (s *restrictScratch) renameAgent(worker, a int) {
-	src := s.srcs[a]
-	if src.ids == nil {
-		return // discrete restricts to discrete
-	}
-	subIDs := make([]int32, len(s.old))
-	next := renumber(subIDs, src.ids, s.old, s.mark(worker, src.n))
-	s.sub.rels[a] = agentRel{ids: subIDs, n: int(next)}
-}
 
 // renumber writes into dst the dense renaming of src's ids gathered over
 // the kept worlds, using mark (len >= n, reset here) as scratch, and
@@ -850,7 +747,7 @@ func renumber(dst []int32, src []int32, old []int, mark []int32) int32 {
 // is the i-th element of keep in increasing order. Ground facts and
 // indistinguishability are inherited: valuation columns are compacted with
 // the word-level gather kernel and per-agent partitions are renamed in one
-// pass per agent (striped across goroutines on large wide models). No
+// pass per agent. No
 // derived table is carried over — D_G and C_G partitions are rebuilt on the
 // submodel's first use — and neither is the Temporal hook, since run/time
 // structure generally does not survive restriction.
@@ -875,7 +772,7 @@ func (m *Model) RestrictWithQuotient(keep *bitset.Set, blocks []int) *Model {
 func (m *Model) restrict(keep *bitset.Set, blocks []int) *Model {
 	scr := restrictFree.get()
 	if scr == nil {
-		scr = newRestrictScratch()
+		scr = new(restrictScratch)
 	}
 	old := scr.old[:0]
 	keep.ForEach(func(w int) bool {
@@ -903,24 +800,19 @@ func (m *Model) restrict(keep *bitset.Set, blocks []int) *Model {
 	}
 
 	// Rename each agent's class ids over the surviving worlds and install
-	// the resulting partitions directly — no pairwise unions needed. The id
-	// sources are resolved serially (relIDs may build a partition table,
-	// which takes the model build lock); the renaming is striped across
-	// agents, one mark table per worker.
-	scr.srcs = scr.srcs[:0]
+	// the resulting partitions directly — no pairwise unions needed.
 	for a := 0; a < m.numAgents; a++ {
 		ids, n := m.relIDs(a)
-		scr.srcs = append(scr.srcs, pendingPart{ids: ids, n: n})
+		if ids == nil {
+			continue // discrete restricts to discrete
+		}
+		if cap(scr.mark) < n {
+			scr.mark = make([]int32, n)
+		}
+		subIDs := make([]int32, k)
+		next := renumber(subIDs, ids, old, scr.mark[:n])
+		sub.rels[a] = agentRel{ids: subIDs, n: int(next)}
 	}
-	// Worker indices stay below the agent count.
-	if len(scr.marks) < m.numAgents {
-		scr.marks = append(scr.marks, make([][]int32, m.numAgents-len(scr.marks))...)
-	}
-	scr.sub = sub
-	stripeAgents(m.numAgents, k, scr.rename)
-	// Drop the references to both models before the scratch is pooled.
-	clear(scr.srcs)
-	scr.sub = nil
 
 	if blocks != nil {
 		m.seedQuotientInto(sub, old, blocks)

@@ -43,10 +43,14 @@ func TestSameClassAndClassID(t *testing.T) {
 	if !m.SameClass(0, 0, 1) || m.SameClass(0, 1, 2) {
 		t.Error("SameClass wrong")
 	}
-	if m.ClassID(0, 0) != m.ClassID(0, 1) {
+	ids, err := m.GReachIDs(logic.NewGroup(logic.Agent(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids[0] != ids[1] {
 		t.Error("class ids of merged worlds differ")
 	}
-	if m.ClassID(0, 0) == m.ClassID(0, 2) {
+	if ids[0] == ids[2] {
 		t.Error("class ids of separate worlds coincide")
 	}
 }
@@ -74,10 +78,10 @@ func TestSetLevelOperators(t *testing.T) {
 	}
 }
 
-// TestRestrictZeroAgents restricts agent-free models below and above the
-// striping gates, where Restrict has no per-agent job to stripe.
+// TestRestrictZeroAgents restricts agent-free models, one within a single
+// bitset word and one of many words, where Restrict has no agent to rename.
 func TestRestrictZeroAgents(t *testing.T) {
-	for _, n := range []int{10, 2 * parallelPartsMinWorlds} {
+	for _, n := range []int{10, 4096} {
 		m := NewModel(n, 0)
 		m.SetTrue(1, "p")
 		keep := bitset.New(n)

@@ -10,9 +10,9 @@ import (
 	"repro/internal/logic"
 )
 
-// buildWideModel constructs a model wide and large enough for the striped
-// per-agent paths: numAgents random partitions installed columnar, plus two
-// valuation columns.
+// buildWideModel constructs a wide model whose tables take the generic
+// kernel with its word-spanning class lists: numAgents random partitions
+// installed columnar, plus two valuation columns.
 func buildWideModel(n, numAgents int, seed int64) *Model {
 	rng := rand.New(rand.NewSource(seed))
 	b := NewBuilder(n, numAgents)
@@ -42,30 +42,15 @@ func buildWideModel(n, numAgents int, seed int64) *Model {
 	return b.Build()
 }
 
-// TestParallelKernelsRace drives the striped partition-table construction,
+// TestParallelKernelsRace drives the lazy partition-table construction,
 // the switch from the class-id K pass to the table kernel, and the
 // E_G/S_G kernels from eight goroutines at once, each a serial EvalBatch
-// or Eval caller on one cold model (run under -race). The striping gates
-// are lowered and GOMAXPROCS raised so the striped paths engage even on
-// small CI machines; results are checked against a serially evaluated twin
-// model.
+// or Eval caller on one cold model (run under -race). GOMAXPROCS is raised
+// so the callers overlap even on small CI machines; results are checked
+// against a serially evaluated twin model.
 func TestParallelKernelsRace(t *testing.T) {
 	prevProcs := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prevProcs)
-	restore := []struct {
-		v   *int
-		old int
-	}{
-		{&parallelPartsMinWorlds, parallelPartsMinWorlds},
-		{&parallelPartsMinAgents, parallelPartsMinAgents},
-	}
-	defer func() {
-		for _, r := range restore {
-			*r.v = r.old
-		}
-	}()
-	parallelPartsMinWorlds = 128
-	parallelPartsMinAgents = 2
 
 	const n, agents = 1024, 8
 	formulas := []logic.Formula{
@@ -90,8 +75,8 @@ func TestParallelKernelsRace(t *testing.T) {
 		want[i] = s.String()
 	}
 
-	// Cold target: lazy table construction, the striped builds and the
-	// kernels all race against one another across 8 goroutines.
+	// Cold target: lazy table construction and the kernels race against
+	// one another across 8 goroutines.
 	m := buildWideModel(n, agents, 1)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -104,7 +89,7 @@ func TestParallelKernelsRace(t *testing.T) {
 				// built), while the others evaluate E_G and S_G passes that
 				// build the per-agent tables once their ids have answered
 				// knowIDsUses passes, and D_G, C_G and the ν worklist
-				// stripe the same builds across goroutines.
+				// build the same tables from their own goroutines.
 				ks := make([]logic.Formula, agents)
 				for a := range ks {
 					ks[a] = logic.K(logic.Agent(a), logic.P("p"))
@@ -175,18 +160,13 @@ func TestParallelKernelsRace(t *testing.T) {
 // TestDerivedTablesBuiltOnce pins that every kind of derived table is built
 // once (run under -race): eight goroutines ask a fresh model at the same
 // moment for every agent's view partition, one joint-view table and one
-// reachability table, half of them first the group tables and a striped
-// build of the group's per-agent tables (ensureParts, as the ν worklist
-// over E_G runs it), so the striped builds race the direct ones. Every
-// goroutine must get the identical *partition for each table, and it must
-// be the cached one.
+// reachability table, half of them first the group tables and the group's
+// per-agent tables (as the ν worklist over E_G builds them), so the group
+// members' builds race the in-order ones. Every goroutine must get the
+// identical *partition for each table, and it must be the cached one.
 func TestDerivedTablesBuiltOnce(t *testing.T) {
 	prevProcs := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prevProcs)
-	prevWorlds, prevAgents := parallelPartsMinWorlds, parallelPartsMinAgents
-	defer func() { parallelPartsMinWorlds, parallelPartsMinAgents = prevWorlds, prevAgents }()
-	parallelPartsMinWorlds = 128
-	parallelPartsMinAgents = 2
 
 	const n, agents, callers = 1024, 8, 8
 	m := buildWideModel(n, agents, 5)
@@ -205,7 +185,9 @@ func TestDerivedTablesBuiltOnce(t *testing.T) {
 			<-start
 			tb, out := m.tables(), &got[g]
 			groups := func() {
-				m.ensureParts(tb, group)
+				for _, a := range group {
+					m.part(tb, a)
+				}
 				out.joint = m.jointPartition(tb, group, nil)
 				out.reach = m.reachPartition(tb, group, nil)
 			}

@@ -13,17 +13,17 @@ import (
 // overall, while letting the kernels AND/OR whole words instead of probing
 // individual bits.
 //
-// A second, transposed index (twOff/twID/twBits, keyed by bitset word)
-// lists the classes intersecting each word, so the kernels can test a
-// whole 64-world block against a class in one AND.
-//
 // The same representation serves all three knowledge relations: an agent's
 // view partition (K_i), the common refinement of a group's partitions
 // (D_G), and the G-reachability components of Section 6 (C_G).
 //
-// A coset partition (see cosetBasis) also carries the basis of its XOR
-// subgroup, and its kernel folds φ's words along the basis instead of
-// sweeping classes, so its transpose and full-word tables are not built.
+// Beside the ids and the class lists, a table holds one kernel aid. A
+// coset partition (see cosetBasis) carries the basis of its XOR subgroup,
+// and its kernel folds φ's words along the basis instead of visiting
+// classes. Any other table on a universe of at least minTwmWords words
+// lists, per bitset word, the classes that intersect it and span more than
+// one word, so a word wholly outside φ is cleared without visiting its
+// worlds.
 type partition struct {
 	ids  []int32 // world -> dense class id
 	n    int     // number of classes
@@ -36,37 +36,18 @@ type partition struct {
 	coset bool
 	gens  []int
 
-	// Transpose: for each bitset word, the classes intersecting it.
-	twOff  []int32 // numWords+1 offsets into twID/twBits
-	twID   []int32
-	twBits []uint64
-
-	// Full-word failure tables; exactly one of the two is built. When
-	// every class spans few words, spill[wi] is the union, per partner
-	// word, of the mask bits that classes intersecting word wi own outside
-	// it — so a fully-failing word is handled by zeroing it and a handful
-	// of AND-NOTs, with no per-class iteration. Otherwise twm lists the
-	// word-spanning classes per word (the only ones a full-word failure
-	// has to remove bits for outside the word itself).
-	spOff  []int32 // numWords+1 offsets into spIdx/spBits
-	spIdx  []int32 // partner word index
-	spBits []uint64
+	// Word-spanning classes per bitset word, nil on a coset partition or a
+	// universe under minTwmWords words.
 	twmOff []int32 // numWords+1 offsets into twmID
 	twmID  []int32
 }
 
-// maxSpillSpan bounds the class span (in words) up to which the spill
-// tables are built; beyond it their size could grow quadratically, and the
-// per-class fallback is cheap for such partitions anyway.
-const maxSpillSpan = 8
-
-// minTransposeWords is the universe size (in bitset words) below which the
-// transpose and full-word tables are not built at all: on models this
-// small the per-bit probe is as fast as the word-level sweeps, and the
-// experiments that rebuild models in a tight loop (point models per run
-// system, announcement chains) should not pay table-construction cost
-// they never amortize.
-const minTransposeWords = 5
+// minTwmWords is the universe size (in bitset words) below which a generic
+// table gets no word-spanning class list: on models this small the per-bit
+// probe is as fast as clearing whole words, and the experiments that
+// rebuild models in a tight loop (point models per run system, announcement
+// chains) should not pay table-construction cost they never amortize.
+const minTwmWords = 5
 
 // newPartition builds the CSR mask tables from dense class ids over
 // [0, len(ids)) with n classes.
@@ -74,7 +55,7 @@ func newPartition(ids []int32, n int) *partition {
 	p := &partition{ids: ids, n: n}
 	numWords := (len(ids) + 63) >> 6
 	// One scratch slab: per-class last-word-seen and write cursors, plus
-	// per-word cursors for the transposes.
+	// per-word cursors for the word-spanning class list.
 	scratch := make([]int32, 2*n+numWords)
 	last, cur, wcur := scratch[:n], scratch[n:2*n], scratch[2*n:]
 	for i := range last {
@@ -114,51 +95,10 @@ func newPartition(ids []int32, n int) *partition {
 	if p.gens, p.coset = cosetBasis(ids, n); p.coset {
 		return p // the coset kernel reads no word-level table
 	}
-	p.buildWordTables(wcur)
+	if numWords >= minTwmWords {
+		p.buildTwm(wcur)
+	}
 	return p
-}
-
-// buildWordTables builds the transpose and the full-word failure tables
-// the generic kernel reads; wcur is numWords cursors of scratch.
-func (p *partition) buildWordTables(wcur []int32) {
-	n, total := p.n, p.off[p.n]
-	numWords := (len(p.ids) + 63) >> 6
-	if numWords < minTransposeWords {
-		return // tiny universe: the kernels fall back to per-bit probing
-	}
-	// Transpose into word-major order. The (word, class, bits) triples are
-	// exactly the CSR's idx/bits, so only a counting sort by word is needed.
-	p.twOff = make([]int32, numWords+1)
-	for _, wi := range p.idx {
-		p.twOff[wi+1]++
-	}
-	for wi := 0; wi < numWords; wi++ {
-		p.twOff[wi+1] += p.twOff[wi]
-	}
-	p.twID = make([]int32, total)
-	p.twBits = make([]uint64, total)
-	copy(wcur, p.twOff[:numWords])
-	for c := int32(0); c < int32(n); c++ {
-		for k := p.off[c]; k < p.off[c+1]; k++ {
-			wi := p.idx[k]
-			p.twID[wcur[wi]] = c
-			p.twBits[wcur[wi]] = p.bits[k]
-			wcur[wi]++
-		}
-	}
-	// Full-word failure tables: spill unions when class spans are small,
-	// the per-class list otherwise.
-	maxSpan := int32(0)
-	for c := 0; c < n; c++ {
-		if span := p.off[c+1] - p.off[c]; span > maxSpan {
-			maxSpan = span
-		}
-	}
-	if maxSpan <= maxSpillSpan {
-		p.buildSpill(numWords)
-	} else {
-		p.buildTwm(numWords, wcur)
-	}
 }
 
 // cosetBasis reports whether the partition given by dense ids (n classes)
@@ -217,37 +157,10 @@ func cosetBasis(ids []int32, n int) ([]int, bool) {
 	return gens, true
 }
 
-// buildSpill fills the spill tables: for each word wi, the union per
-// partner word wj ≠ wi of the mask bits owned there by classes
-// intersecting wi.
-func (p *partition) buildSpill(numWords int) {
-	acc := make([]uint64, numWords)
-	var touched []int32
-	p.spOff = make([]int32, numWords+1)
-	for wi := int32(0); wi < int32(numWords); wi++ {
-		touched = touched[:0]
-		for k := p.twOff[wi]; k < p.twOff[wi+1]; k++ {
-			c := p.twID[k]
-			for j := p.off[c]; j < p.off[c+1]; j++ {
-				if wj := p.idx[j]; wj != wi {
-					if acc[wj] == 0 {
-						touched = append(touched, wj)
-					}
-					acc[wj] |= p.bits[j]
-				}
-			}
-		}
-		for _, wj := range touched {
-			p.spIdx = append(p.spIdx, wj)
-			p.spBits = append(p.spBits, acc[wj])
-			acc[wj] = 0
-		}
-		p.spOff[wi+1] = int32(len(p.spIdx))
-	}
-}
-
-// buildTwm fills the word-spanning class list per word.
-func (p *partition) buildTwm(numWords int, wcur []int32) {
+// buildTwm fills the word-spanning class list per word; wcur is numWords
+// cursors of scratch.
+func (p *partition) buildTwm(wcur []int32) {
+	numWords := len(wcur)
 	p.twmOff = make([]int32, numWords+1)
 	for c := int32(0); c < int32(p.n); c++ {
 		if span := p.off[c+1] - p.off[c]; span > 1 {
@@ -343,13 +256,13 @@ func (p *partition) knowInto(dst, phi *bitset.Set, ks *kernelScratch) {
 // andKnowInto intersects dst in place with the knowInto result: since the
 // classes cover the universe, K(phi) is the complement of the union of the
 // masks of "failing" classes (those with a world outside phi). The kernel
-// scans only the non-full words of phi; for each it finds the failing
-// classes either by testing the word against the transposed class list
-// (one AND per class intersecting the word) or, when the word has only a
-// few zero bits, by probing those worlds' ids directly. Each failing class
-// is then removed with whole-word AND-NOTs of its mask, deduplicated by
-// epoch stamp. Cost is O(words + work near ¬phi) rather than O(worlds).
-// A coset partition takes andKnowCoset instead.
+// scans only the non-full words of phi. A word wholly outside phi fails
+// every class intersecting it, so, when the table lists word-spanning
+// classes, the word is zeroed and only those classes are removed outside
+// it. In any other word the ids of the worlds outside phi are probed.
+// Each failing class is removed with whole-word AND-NOTs of its mask,
+// deduplicated by epoch stamp. Cost is O(words + work near ¬phi) rather
+// than O(worlds). A coset partition takes andKnowCoset instead.
 func (p *partition) andKnowInto(dst, phi *bitset.Set, ks *kernelScratch) {
 	if p.coset {
 		p.andKnowCoset(dst, phi, ks)
@@ -360,43 +273,14 @@ func (p *partition) andKnowInto(dst, phi *bitset.Set, ks *kernelScratch) {
 	epoch := ks.epoch
 	stamp := ks.stamp
 	dw := dst.Words()
-	if p.twOff == nil {
-		// Tiny universe: probe each missing world's class directly.
-		for wi, w := range phi.Words() {
-			inv := ^w & phi.WordMask(wi)
-			base := wi << 6
-			for inv != 0 {
-				id := p.ids[base+bits.TrailingZeros64(inv)]
-				if stamp[id] != epoch {
-					stamp[id] = epoch
-					for j := p.off[id]; j < p.off[id+1]; j++ {
-						dw[p.idx[j]] &^= p.bits[j]
-					}
-				}
-				inv &= inv - 1
-			}
-		}
-		return
-	}
 	for wi, w := range phi.Words() {
 		full := phi.WordMask(wi)
 		inv := ^w & full
 		if inv == 0 {
 			continue
 		}
-		if inv == full {
-			// The whole 64-world block lies outside phi, so every class
-			// intersecting it fails and their union covers the block:
-			// zero it and fix up only the mask bits spilling into other
-			// words. All removals are idempotent, so no stamping is
-			// needed on the spill path.
+		if inv == full && p.twmOff != nil {
 			dw[wi] = 0
-			if p.spOff != nil {
-				for k := p.spOff[wi]; k < p.spOff[wi+1]; k++ {
-					dw[p.spIdx[k]] &^= p.spBits[k]
-				}
-				continue
-			}
 			for k := p.twmOff[wi]; k < p.twmOff[wi+1]; k++ {
 				if id := p.twmID[k]; stamp[id] != epoch {
 					stamp[id] = epoch
@@ -407,30 +291,12 @@ func (p *partition) andKnowInto(dst, phi *bitset.Set, ks *kernelScratch) {
 			}
 			continue
 		}
-		lo, hi := p.twOff[wi], p.twOff[wi+1]
-		if nz := bits.OnesCount64(inv); int32(nz) < (hi-lo)>>1 {
-			// Sparse complement: probe the ids of the few missing worlds.
-			base := wi << 6
-			for inv != 0 {
-				id := p.ids[base+bits.TrailingZeros64(inv)]
-				if stamp[id] != epoch {
-					stamp[id] = epoch
-					for j := p.off[id]; j < p.off[id+1]; j++ {
-						dw[p.idx[j]] &^= p.bits[j]
-					}
-				}
-				inv &= inv - 1
-			}
-			continue
-		}
-		// Dense complement: sweep the classes intersecting this word.
-		for k := lo; k < hi; k++ {
-			if inv&p.twBits[k] != 0 {
-				if id := p.twID[k]; stamp[id] != epoch {
-					stamp[id] = epoch
-					for j := p.off[id]; j < p.off[id+1]; j++ {
-						dw[p.idx[j]] &^= p.bits[j]
-					}
+		base := wi << 6
+		for ; inv != 0; inv &= inv - 1 {
+			if id := p.ids[base+bits.TrailingZeros64(inv)]; stamp[id] != epoch {
+				stamp[id] = epoch
+				for j := p.off[id]; j < p.off[id+1]; j++ {
+					dw[p.idx[j]] &^= p.bits[j]
 				}
 			}
 		}

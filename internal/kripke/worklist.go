@@ -109,7 +109,6 @@ func (ev *evaluator) worklistParts(mod logic.Modal) ([]*partition, bool) {
 	}
 	switch mod.Op {
 	case logic.OpEveryone:
-		ev.m.ensureParts(ev.t, agents)
 		ev.wparts = ev.wparts[:0]
 		for _, a := range agents {
 			ev.wparts = append(ev.wparts, ev.m.part(ev.t, a))

@@ -3,9 +3,9 @@ package repro_test
 // Regression: Model.Restrict against a reference that shares none of its
 // code. The reference rebuilds the submodel with kripke.Builder — fact
 // columns copied bit by bit from FactSet, each agent's partition installed
-// through PartitionFromKeys over the source model's ClassID — so a slip in
-// Restrict's column gather or class renaming cannot hide behind the same
-// slip in its reference.
+// through PartitionFromKeys over the source model's one-agent GReachIDs —
+// so a slip in Restrict's column gather or class renaming cannot hide
+// behind the same slip in its reference.
 
 import (
 	"fmt"
@@ -41,7 +41,8 @@ func randRestrictModel(rng *rand.Rand, n, numAgents int) *kripke.Model {
 }
 
 // builderRestriction is the reference submodel of m over keep.
-func builderRestriction(m *kripke.Model, keep *bitset.Set) *kripke.Model {
+func builderRestriction(t *testing.T, m *kripke.Model, keep *bitset.Set) *kripke.Model {
+	t.Helper()
 	old := keep.Elements()
 	b := kripke.NewBuilder(len(old), m.NumAgents())
 	for i, w := range old {
@@ -57,8 +58,13 @@ func builderRestriction(m *kripke.Model, keep *bitset.Set) *kripke.Model {
 		}
 	}
 	for a := 0; a < m.NumAgents(); a++ {
+		// An agent's reachability components are its view classes.
+		ids, err := m.GReachIDs(logic.NewGroup(logic.Agent(a)))
+		if err != nil {
+			t.Fatal(err)
+		}
 		b.PartitionFromKeys(a, func(i int) string {
-			return strconv.Itoa(m.ClassID(a, old[i]))
+			return strconv.Itoa(ids[old[i]])
 		})
 	}
 	return b.Build()
@@ -124,7 +130,7 @@ func TestRestrictMatchesBuilderReference(t *testing.T) {
 		for link := 1; link <= 2 && m.NumWorlds() > 1; link++ {
 			evalAll(t, m, fs)
 			keep := randSubset(rng, m.NumWorlds())
-			ref := builderRestriction(m, keep)
+			ref := builderRestriction(t, m, keep)
 			want := evalAll(t, ref, fs)
 			_, blocks := m.Minimize()
 			seeded := m.RestrictWithQuotient(keep, blocks)
