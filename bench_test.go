@@ -8,6 +8,7 @@ package repro_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro"
@@ -263,6 +264,52 @@ func BenchmarkAblationMuddyRoundsQuotient(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := muddy.SimulateOpts(n, muddySet, muddy.PublicAnnouncement, 5, opts); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// Ablation: the served muddy write path — a kripke.Chain on muddy:n taking
+// the father's announcement and n−1 "nobody knows" announcements, the
+// formulas of perfbench's ladder script. Every link's view runs the
+// shrinkage gate, and a muddy model is its own quotient, so no link
+// evaluates on a quotient.
+func BenchmarkAblationMuddyChain(b *testing.B) {
+	for _, n := range []int{8, 9, 10} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			p, err := muddy.New(n, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			atoms := make([]string, n)
+			knows := make([]string, n)
+			for i := range atoms {
+				atoms[i] = muddy.MuddyProp(i)
+				knows[i] = fmt.Sprintf("~(K%d muddy%d | K%d ~muddy%d)", i, i, i, i)
+			}
+			father, err := logic.Parse(strings.Join(atoms, " | "))
+			if err != nil {
+				b.Fatal(err)
+			}
+			nobody, err := logic.Parse(strings.Join(knows, " & "))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := kripke.NewChain(p.Model(), -1)
+				if err := c.Announce(father); err != nil {
+					b.Fatal(err)
+				}
+				for r := 1; r < n; r++ {
+					if err := c.Announce(nobody); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if c.NumWorlds() != 1 {
+					b.Fatalf("ladder ended on %d worlds, want 1", c.NumWorlds())
 				}
 			}
 		})

@@ -1,6 +1,7 @@
 package kripke
 
 import (
+	"math"
 	"slices"
 	"strconv"
 
@@ -19,13 +20,22 @@ import (
 // refinement on dense class ids: blocks start as valuation classes (one
 // split per fact column) and split until every block has, for every agent,
 // the same set of blocks reachable through that agent's view class. All
-// bookkeeping is int32 renumbering through reusable mark tables, with
-// uint64-keyed pair maps only where a block actually splits — the same
-// columnar machinery the Builder and Restrict use — not string signatures.
+// bookkeeping is int32 renumbering through reusable mark tables and two
+// uint64-keyed maps — one interning each class's sorted block list, one
+// numbering the (block, signature) pairs of blocks that actually split —
+// the same columnar machinery the Builder and Restrict use, not string
+// signatures. That scratch lives in a refiner taken from a package
+// freelist, so repeated calls (one per announcement in a chain) reuse its
+// slices and map buckets instead of regrowing them.
+//
+// Minimize is two steps: refineStable runs the refinement, and
+// materialize builds the quotient model and block map from it.
+// QuotientForEval stops after the first whenever the refined block count
+// already decides its shrinkage gate.
 //
 // On a model produced by RestrictWithQuotient, Minimize re-refines
 // incrementally from the renamed pre-announcement blocks instead of the
-// trivial partition (see minimizeSeeded); the result — including the block
+// trivial partition (see refineStable); the result — including the block
 // numbering — is identical to the from-scratch computation, so callers
 // never need to distinguish the two paths.
 //
@@ -45,108 +55,121 @@ import (
 // hook is not carried over; minimize only models whose formulas are free
 // of the run-based operators.
 func (m *Model) Minimize() (*Model, []int) {
-	if s := m.quotSeed; s != nil {
-		return m.minimizeSeeded(s.ids, s.n, s.dirty)
-	}
-	return m.minimizeScratch()
-}
-
-// minimizeScratch is Minimize starting from the trivial partition: one
-// block, split by every fact column, then refined to stability.
-func (m *Model) minimizeScratch() (*Model, []int) {
 	if m.numWorlds == 0 {
 		return NewModel(0, m.numAgents), []int{}
 	}
-	r := m.newRefiner(nil, 0)
-	r.splitByFacts()
-	r.refine()
-	return r.quotient()
+	return m.refineStable(m.quotSeed).materialize()
 }
 
-// minimizeSeeded is Minimize re-refining from a seed partition — in the
-// announcement-chain use, the pre-announcement block map renamed over the
-// kept worlds by RestrictWithQuotient. The seed is first split by the fact
-// columns (a no-op for true renamed block maps, which are fact-uniform,
-// but it keeps arbitrary seeds sound) and then refined to stability, which
-// yields the coarsest *stable refinement of the seed* — a bisimulation,
-// but possibly finer than the true coarsest one: a restriction usually
-// only splits blocks, yet it can also merge worlds that were previously
-// distinguished only through removed worlds. To stay exact, the
-// intermediate quotient — already small — is minimized once more, and the
-// two block maps are composed. That second "compose" pass is bounded by
-// the quotient size, never the world count, which is what makes the
-// seeded path pay on redundant models; the touched-block flags (dirty, one
-// per seed block, set by RestrictWithQuotient) narrow the pass further to
-// the disturbed region — or skip it outright when no block was disturbed
-// (see composeQuotient). When something did merge, the composed partition
-// is rebuilt into a quotient of m directly, so names, representatives and
-// numbering follow the Minimize contract either way.
+// minimizeSeeded is Minimize re-refining from the given seed partition
+// instead of the model's own quotient seed (see refineStable).
 func (m *Model) minimizeSeeded(seed []int32, nSeed int, dirty []bool) (*Model, []int) {
-	if m.numWorlds == 0 {
-		return NewModel(0, m.numAgents), []int{}
-	}
-	r := m.newRefiner(seed, int32(nSeed))
-	r.splitByFacts()
-	r.refine()
-	q1, b1 := r.quotient()
-	q2, b2, exact := q1.composeQuotient(seed, b1, dirty)
-	if exact {
-		return q1, b1
-	}
-	if q2.numWorlds == q1.numWorlds {
-		return q1, b1
-	}
-	comp := make([]int32, m.numWorlds)
-	for w := range comp {
-		comp[w] = int32(b2[b1[w]])
-	}
-	// comp is the coarsest bisimulation of m (stable by construction), and
-	// composing two first-occurrence-dense maps is first-occurrence dense,
-	// so the quotient tail applies directly with no further refinement.
-	r2 := m.newRefiner(comp, int32(q2.numWorlds))
-	return r2.quotient()
+	return m.refineStable(&quotientSeed{ids: seed, n: nSeed, dirty: dirty}).materialize()
 }
 
-// composeQuotient runs minimizeSeeded's merge-finding pass on the
-// intermediate quotient q1 (the stable refinement of the seed), using the
-// touched-block flags to exploit two facts:
+// refineStable is the refinement step of Minimize on a model with at least
+// one world. A nil seed starts from the trivial partition: one block, split
+// by every fact column, then refined to stability; the block count is then
+// the quotient's world count (r.final).
 //
-//   - No dirty block at all means no kept world's view class lost a world
-//     anywhere, so every world's modal environment — and hence its
-//     bisimilarity class — is untouched: the restriction cannot have
-//     merged anything and q1 is already exact (reported via exact=true).
-//   - Otherwise, merges are confined to the disturbed region: a block
-//     whose connected component (under the union of all agents' classes)
-//     contains no dirty block sits in a sub-model identical to its
-//     pre-announcement counterpart, so two such blocks that the exact seed
-//     distinguished stay distinguished. Any merged pair therefore has a
-//     member in a disturbed component — and its partners share that
-//     member's fact signature. Grouping exactly the blocks that are in a
-//     disturbed component or share a fact signature with one (coarser than
-//     the true quotient, by the above) and refining to stability yields
-//     the coarsest bisimulation while leaving every clean block a
-//     singleton the refinement never has to walk.
+// A non-nil seed — in the announcement-chain use, the pre-announcement
+// block map renamed over the kept worlds by RestrictWithQuotient — is first
+// split by the fact columns (a no-op for true renamed block maps, which are
+// fact-uniform, but it keeps arbitrary seeds sound) and then refined to
+// stability, which yields the coarsest *stable refinement of the seed* — a
+// bisimulation, but possibly finer than the true coarsest one: a
+// restriction usually only splits blocks, yet it can also merge worlds that
+// were previously distinguished only through removed worlds. When no
+// surviving seed block is dirty (set by RestrictWithQuotient: some view
+// class of a kept member lost a world), no world's modal environment
+// changed, nothing can have merged, and the refinement is final; otherwise
+// materialize runs the compose pass (see composeQuotient).
+//
+// The returned refiner belongs to the caller, who hands it to materialize
+// or, to drop the result, to release.
+func (m *Model) refineStable(s *quotientSeed) *refiner {
+	var r *refiner
+	if s == nil {
+		r = m.newRefiner(nil, 0)
+		r.final = true
+	} else {
+		r = m.newRefiner(s.ids, int32(s.n))
+		r.seed = s
+		r.final = !slices.Contains(s.dirty, true)
+	}
+	r.splitByFacts()
+	r.refine()
+	return r
+}
+
+// materialize is the materialization step of Minimize: it builds the
+// quotient model and block map of a refiner returned by refineStable and
+// releases the refiner. A seeded refinement that is not final gets the
+// compose pass (see composeQuotient): the intermediate quotient — already
+// small — is minimized once more, bounded by the quotient size, never the
+// world count, which is what makes the seeded path pay on redundant models.
+// When that pass merges blocks, the composed partition is rebuilt into a
+// quotient of the model directly, so names, representatives and numbering
+// follow the Minimize contract either way.
+func (r *refiner) materialize() (*Model, []int) {
+	q1, b1 := r.quotient()
+	if r.final {
+		r.release()
+		return q1, b1
+	}
+	c := q1.composeQuotient(r.seed.ids, b1, r.seed.dirty)
+	if c.n == r.n {
+		c.release()
+		r.release()
+		return q1, b1
+	}
+	// The composed map is the coarsest bisimulation of the model (stable by
+	// construction), and composing two first-occurrence-dense maps is
+	// first-occurrence dense, so the quotient step applies directly with no
+	// further refinement.
+	for w, b := range r.block {
+		r.block[w] = c.block[b]
+	}
+	r.n = c.n
+	c.release()
+	q, block := r.quotient()
+	r.release()
+	return q, block
+}
+
+// composeQuotient runs materialize's merge-finding pass on the
+// intermediate quotient q1 (the stable refinement of the seed) and returns
+// the refiner holding q1's coarsest bisimulation; the caller releases it.
+// It runs only when the restriction disturbed some block (refineStable
+// marks the refinement final otherwise: no kept world's view class lost a
+// world anywhere, so every world's modal environment — and hence its
+// bisimilarity class — is untouched). The touched-block flags then confine
+// the pass to the disturbed region: a block whose connected component
+// (under the union of all agents' classes) contains no dirty block sits in
+// a sub-model identical to its pre-announcement counterpart, so two such
+// blocks that the exact seed distinguished stay distinguished. Any merged
+// pair therefore has a member in a disturbed component — and its partners
+// share that member's fact signature. Grouping exactly the blocks that are
+// in a disturbed component or share a fact signature with one (coarser
+// than the true quotient, by the above) and refining to stability yields
+// the coarsest bisimulation while leaving every clean block a singleton
+// the refinement never has to walk.
 //
 // The dirty flags are sound only for seeds that were the parent model's
 // own coarsest quotient, as RestrictWithQuotient requires of its block map.
 // Any other seed must mark every block dirty: then every block is in the
 // disturbed region and the pass is a full minimization of q1.
-func (q1 *Model) composeQuotient(seed []int32, b1 []int, dirty []bool) (*Model, []int, bool) {
+func (q1 *Model) composeQuotient(seed []int32, b1 []int, dirty []bool) *refiner {
 	// Map each q1 block to its seed block's dirty flag via the block's
 	// representative (the smallest member, by the block-map contract).
 	nB := q1.numWorlds
 	blockDirty := make([]bool, nB)
 	repSeen := make([]bool, nB)
-	anyDirty := false
 	for w, b := range b1 {
 		if !repSeen[b] {
 			repSeen[b] = true
 			blockDirty[b] = dirty[seed[w]]
-			anyDirty = anyDirty || blockDirty[b]
 		}
-	}
-	if !anyDirty {
-		return nil, nil, true // nothing disturbed: no merge is possible
 	}
 	// Connected components of q1 under the union of all agents' classes.
 	d := unionfind.New(nB)
@@ -236,38 +259,61 @@ func (q1 *Model) composeQuotient(seed []int32, b1 []int, dirty []bool) (*Model, 
 	r := q1.newRefiner(hIDs, next)
 	r.splitByFacts()
 	r.refine()
-	q2, b2 := r.quotient()
-	return q2, b2, false
+	return r
 }
 
 // refiner is one partition-refinement run over a model: the current block
 // ids, the resolved agent relations, and every piece of reusable scratch
-// the split and signature passes need. Minimize (from scratch or seeded)
-// builds one, refines to stability, and materializes the quotient.
+// the split and signature passes need. Refiners come from refineFree:
+// Minimize (from scratch or seeded) takes one, refines to stability,
+// materializes the quotient and puts it back, so the next run starts with
+// grown slices and map buckets.
 type refiner struct {
 	m     *Model
 	W     int
 	block []int32 // block[w] is w's current block id, dense, first-occurrence order
 	n     int32   // number of blocks
 
-	rels []minRel
+	// seed is the quotient seed the run started from (nil from scratch),
+	// and final reports that n is already the quotient's world count:
+	// materialize then needs no compose pass (see refineStable).
+	seed  *quotientSeed
+	final bool
+
+	rels  []minRel
+	facts []string // the model's fact names, sorted
 
 	mark    []int32
 	members []int32
 	cursor  []int32
 	off     []int32
-	seen    []int32
-	epoch   int32
-	gather  []int32
-	sig     []int32
-	setIDs  map[uint64]int32
-	pair    map[uint64]int32
+	// seen stamps blocks with epoch in classSigs. The epoch only grows,
+	// across runs too, so stale stamps never match; seen is cleared only
+	// when it is reallocated or the epoch would overflow.
+	seen   []int32
+	epoch  int32
+	gather []int32
+	sig    []int32
+	setIDs map[uint64]int32
+	pair   map[uint64]int32
 
 	// refine's per-block split state: the first signature seen in each
 	// old block and the new id that (block, first signature) received.
 	firstSig []int32
 	firstID  []int32
+
+	rep []int32 // quotient's block representatives
 }
+
+// refineFree holds idle refiners (see refiner).
+var refineFree freelist[refiner]
+
+// refinerReuseWorlds bounds reuse: newRefiner drops an idle refiner whose
+// scratch was sized for more than four times the model's worlds plus
+// refinerReuseWorlds. Clearing a map costs time in proportion to its
+// capacity, so without the bound every signature pass on a small model
+// would pay for the largest model the refiner had refined.
+const refinerReuseWorlds = 4096
 
 // minRel is one agent's class ids resolved once per refinement run. A nil
 // ids slice is the discrete relation, which never splits anything: the
@@ -278,24 +324,36 @@ type minRel struct {
 	n   int
 }
 
+// resize returns s with length n, reallocating only when its capacity is
+// short. The contents are not reset.
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
 // newRefiner prepares a refinement run starting from the given seed
 // partition (renumbered to dense first-occurrence ids; seed ids must lie
 // in [0, nSeed)). A nil seed starts from the trivial one-block partition.
+// The refiner comes from refineFree; release returns it.
 func (m *Model) newRefiner(seed []int32, nSeed int32) *refiner {
 	W := m.numWorlds
-	r := &refiner{
-		m:       m,
-		W:       W,
-		block:   make([]int32, W),
-		members: make([]int32, W),
-		cursor:  make([]int32, W),
-		setIDs:  make(map[uint64]int32),
-		pair:    make(map[uint64]int32),
+	r := refineFree.get()
+	if r == nil || cap(r.block) > 4*W+refinerReuseWorlds {
+		r = &refiner{setIDs: make(map[uint64]int32), pair: make(map[uint64]int32)}
 	}
+	r.m, r.W = m, W
+	r.seed, r.final = nil, false
+	r.block = resize(r.block, W)
+	r.members = resize(r.members, W)
+	r.cursor = resize(r.cursor, W)
 	if seed == nil {
+		clear(r.block)
 		r.n = 1
 	} else {
-		mk := make([]int32, nSeed)
+		r.mark = resize(r.mark, int(nSeed))
+		mk := r.mark
 		for i := range mk {
 			mk[i] = -1
 		}
@@ -309,12 +367,27 @@ func (m *Model) newRefiner(seed []int32, nSeed int32) *refiner {
 		}
 		r.n = next
 	}
-	r.rels = make([]minRel, m.numAgents)
-	for a := range r.rels {
+	r.rels = r.rels[:0]
+	for a := 0; a < m.numAgents; a++ {
 		ids, cn := m.relIDs(a)
-		r.rels[a] = minRel{ids, cn}
+		r.rels = append(r.rels, minRel{ids, cn})
 	}
+	r.facts = r.facts[:0]
+	for prop := range m.valuation {
+		r.facts = append(r.facts, prop)
+	}
+	slices.Sort(r.facts)
 	return r
+}
+
+// release returns r to refineFree once its results are copied out. It
+// drops every reference into the model, so an idle refiner pins nothing
+// but its own scratch.
+func (r *refiner) release() {
+	r.m, r.seed = nil, nil
+	clear(r.rels)
+	clear(r.facts)
+	refineFree.put(r)
 }
 
 // splitByBit refines the blocks by membership in col: (block, bit) pairs
@@ -346,7 +419,7 @@ func (r *refiner) splitByBit(col *bitset.Set) {
 // splitByFacts refines by fact signature, one column at a time (sorted
 // fact order keeps the numbering deterministic).
 func (r *refiner) splitByFacts() {
-	for _, prop := range r.m.Facts() {
+	for _, prop := range r.facts {
 		r.splitByBit(r.m.valuation[prop])
 	}
 }
@@ -381,6 +454,9 @@ func (r *refiner) classSigs(rel minRel) []int32 {
 	}
 	if cap(r.seen) < int(r.n) {
 		r.seen = make([]int32, r.n)
+		r.epoch = 0
+	} else if r.epoch > math.MaxInt32-int32(cn) {
+		clear(r.seen[:cap(r.seen)])
 		r.epoch = 0
 	}
 	st := r.seen[:r.n]
@@ -483,7 +559,8 @@ func (r *refiner) refine() {
 func (r *refiner) quotient() (*Model, []int) {
 	m, W := r.m, r.W
 	nB := int(r.n)
-	rep := make([]int32, nB)
+	r.rep = resize(r.rep, nB)
+	rep := r.rep
 	for i := range rep {
 		rep[i] = -1
 	}
@@ -556,7 +633,8 @@ func (r *refiner) quotient() (*Model, []int) {
 		} else {
 			buf = strconv.AppendInt(append(buf, 'w'), int64(w), 10)
 		}
-		q.SetName(b, string(append(buf, '>')))
+		buf = append(buf, '>')
+		q.SetName(b, string(buf))
 	}
 	outBlock := make([]int, W)
 	for w := 0; w < W; w++ {

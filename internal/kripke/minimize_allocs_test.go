@@ -31,3 +31,53 @@ func TestRefinerSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state classSigs + refine round = %.1f allocs, want 0", allocs)
 	}
 }
+
+// TestQuotientForEvalGateAllocs pins that the shrinkage gate reads the
+// refined block count: a warm QuotientForEval on a muddy model, which is
+// its own quotient, materializes nothing — no per-world names, no fact
+// columns, no block map — so it allocates the same small constant (the
+// view) at 256 and at 1024 worlds.
+func TestQuotientForEvalGateAllocs(t *testing.T) {
+	var allocs []float64
+	for _, n := range []int{8, 10} {
+		m := columnar(muddyModel(n))
+		if m.QuotientForEval(1).Quotiented() {
+			t.Fatalf("muddy:%d is its own quotient; the gate should keep the model", n)
+		}
+		allocs = append(allocs, testing.AllocsPerRun(20, func() { m.QuotientForEval(1) }))
+	}
+	if allocs[0] != allocs[1] || allocs[1] > 1 {
+		t.Fatalf("warm gated QuotientForEval = %v allocs at 256 and 1024 worlds, want the same constant <= 1", allocs)
+	}
+}
+
+// TestMinimizeReusesScratch pins that Minimize's refiner scratch outlives
+// the call: after a Minimize of another model of the same size, the
+// refinement step allocates nothing, and a whole Minimize allocates only
+// its outputs.
+func TestMinimizeReusesScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ms := []*Model{columnar(randomModel(rng, 512, 3)), columnar(randomModel(rng, 512, 3))}
+	blocks := 0
+	for _, m := range ms {
+		q, _ := m.Minimize()
+		blocks += q.NumWorlds()
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(20, func() {
+		i++
+		ms[i%2].refineStable(nil).release()
+	}); allocs != 0 {
+		t.Fatalf("warm refinement step = %.1f allocs, want 0", allocs)
+	}
+	// Outputs: a name per quotient world, class ids per agent (3), a column
+	// per fact (p, q), and the name column, block map and model, plus
+	// slack for map and buffer growth.
+	limit := float64(blocks)/2 + 3 + 2*2 + 12
+	if allocs := testing.AllocsPerRun(20, func() {
+		i++
+		ms[i%2].Minimize()
+	}); allocs > limit {
+		t.Fatalf("warm Minimize = %.1f allocs, want <= %.1f (outputs only)", allocs, limit)
+	}
+}

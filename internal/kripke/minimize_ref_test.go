@@ -215,3 +215,116 @@ func TestMinimizeMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// columnar returns a copy of m with its relations installed as class ids,
+// as every Builder-built or restricted model has them; a model built edge
+// by edge resolves its union-find classes on every refinement instead.
+func columnar(m *Model) *Model {
+	return m.Restrict(bitset.NewFull(m.NumWorlds()))
+}
+
+// unpooled runs f with refineFree emptied, so every refiner f takes is
+// freshly allocated, and then restores the list to what it held.
+func unpooled(f func()) {
+	var held []*refiner
+	for r := refineFree.get(); r != nil; r = refineFree.get() {
+		held = append(held, r)
+	}
+	f()
+	for refineFree.get() != nil {
+	}
+	for _, r := range held {
+		refineFree.put(r)
+	}
+}
+
+// sameQuotient reports whether two Minimize results agree on the block
+// map, the names, the fact columns and every agent's relation.
+func sameQuotient(q1 *Model, b1 []int, q2 *Model, b2 []int) bool {
+	if !slices.Equal(b1, b2) || q1.NumWorlds() != q2.NumWorlds() || !slices.Equal(q1.Facts(), q2.Facts()) {
+		return false
+	}
+	for w := 0; w < q1.NumWorlds(); w++ {
+		if q1.Name(w) != q2.Name(w) {
+			return false
+		}
+	}
+	for _, p := range q1.Facts() {
+		if !q1.FactSet(p).Equal(q2.FactSet(p)) {
+			return false
+		}
+	}
+	for a := 0; a < q1.NumAgents(); a++ {
+		for w := 0; w < q1.NumWorlds(); w++ {
+			for v := 0; v < w; v++ {
+				if q1.SameClass(a, w, v) != q2.SameClass(a, w, v) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// TestMinimizeScratchReuse checks that a pooled refiner carries nothing
+// from one run into the next. Minimize and QuotientForEval run back to back
+// on random, replicated and RestrictWithQuotient-seeded models (disturbed
+// and undisturbed) of alternating size, so each run inherits the scratch of a larger or a
+// smaller model; every result must equal refMinimize and a refinement on
+// fresh scratch.
+func TestMinimizeScratchReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(2900))
+	var ms []*Model
+	for trial := 0; trial < 12; trial++ {
+		numAgents := 1 + rng.Intn(3)
+		big := randomModel(rng, 80+rng.Intn(120), numAgents)
+		_, blocks := big.Minimize()
+		ms = append(ms,
+			big,
+			replicatedModel(rng, 2+rng.Intn(6), 2+rng.Intn(3), numAgents),
+			big.RestrictWithQuotient(randKeep(rng, big.NumWorlds()), blocks),
+			randModel(rng, 1+rng.Intn(10), numAgents),
+			// Keeping every world disturbs no block: the seeded refinement
+			// is final and the gate decides on its count.
+			big.RestrictWithQuotient(bitset.NewFull(big.NumWorlds()), blocks))
+	}
+	for i, m := range ms {
+		want := refMinimize(m)
+		var fq *Model
+		var fb []int
+		unpooled(func() { fq, fb = m.Minimize() })
+		if !slices.Equal(fb, want) {
+			t.Fatalf("model %d: fresh refiner's block map\n  got  %v\n  want %v", i, fb, want)
+		}
+		q, b := m.Minimize()
+		if !sameQuotient(q, b, fq, fb) {
+			t.Fatalf("model %d: pooled Minimize differs from a fresh refiner's\n  got  %v\n  want %v", i, b, fb)
+		}
+		v := m.QuotientForEval(1)
+		nq := slices.Max(want) + 1
+		if v.Quotiented() != worthQuotienting(nq, m.NumWorlds()) {
+			t.Fatalf("model %d: %d-world quotient of %d worlds: Quotiented() = %v", i, nq, m.NumWorlds(), v.Quotiented())
+		}
+		if v.Quotiented() && (v.QuotientWorlds() != nq || !slices.Equal(v.Blocks(), want)) {
+			t.Fatalf("model %d: view blocks\n  got  %v\n  want %v", i, v.Blocks(), want)
+		}
+	}
+}
+
+// TestRefinerReuseBound pins that an idle refiner sized for a much larger
+// model is not reused: its maps would make every clear on the small model
+// cost as much as on the large one.
+func TestRefinerReuseBound(t *testing.T) {
+	for refineFree.get() != nil {
+	}
+	big, small := columnar(muddyModel(14)), columnar(muddyModel(8))
+	big.QuotientForEval(1)
+	small.QuotientForEval(1)
+	r := refineFree.get()
+	if r == nil {
+		t.Fatal("no idle refiner after QuotientForEval")
+	}
+	if limit := 4*small.NumWorlds() + refinerReuseWorlds; cap(r.block) > limit {
+		t.Fatalf("small model reused a refiner sized for %d worlds (limit %d)", cap(r.block), limit)
+	}
+}

@@ -103,7 +103,7 @@ type Model struct {
 
 	// quotSeed, when non-nil, is a Minimize block map of the model this one
 	// was restricted from, renamed over the kept worlds. Minimize uses it
-	// to re-refine incrementally (minimizeSeeded) instead of refining from
+	// to re-refine incrementally (refineStable) instead of refining from
 	// the trivial partition. Read-only after construction.
 	quotSeed *quotientSeed
 
@@ -139,8 +139,8 @@ type agentRel struct {
 // quotientSeed is a Minimize block map renamed over the kept worlds of a
 // restriction. dirty records per seed block whether the restriction
 // disturbed its modal environment — some world of one of its members' view
-// classes was removed: minimizeSeeded narrows its compose pass to the
-// disturbed region, and skips it entirely when nothing was disturbed.
+// classes was removed: Minimize narrows its compose pass to the disturbed
+// region, and skips it entirely when nothing was disturbed.
 type quotientSeed struct {
 	ids   []int32
 	n     int
@@ -826,7 +826,8 @@ func (m *Model) restrict(keep *bitset.Set, blocks []int) *Model {
 // seed blocks the restriction disturbed: a block is dirty iff some view
 // class of one of its kept members lost a world. An undisturbed block's
 // members keep exactly the modal environment they had, which is what lets
-// minimizeSeeded skip them when hunting for announcement-induced merges.
+// Minimize's compose pass skip them when hunting for announcement-induced
+// merges.
 func (m *Model) seedQuotientInto(sub *Model, old []int, blocks []int) {
 	if len(blocks) != m.numWorlds {
 		panic(fmt.Sprintf("kripke: RestrictWithQuotient got a block map of %d entries for %d worlds",

@@ -1,8 +1,10 @@
 package kripke
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -245,5 +247,66 @@ func TestTableSlotRebuildsAfterPanic(t *testing.T) {
 	}
 	if got := s.get(func() *partition { t.Fatal("built a cached table again"); return nil }); got != want {
 		t.Fatalf("cached get = %p, want %p", got, want)
+	}
+}
+
+// TestMinimizeConcurrentScratch drives the shared refiner freelist from
+// eight goroutines at once: each runs Minimize, QuotientForEval and
+// Quotiented.Restrict on its own model, so refiners move between models of
+// different sizes under contention (run under -race). Every result must
+// equal the serial one.
+func TestMinimizeConcurrentScratch(t *testing.T) {
+	prevProcs := runtime.GOMAXPROCS(8)
+	defer runtime.GOMAXPROCS(prevProcs)
+
+	const workers, rounds = 8, 4
+	type result struct {
+		blocks, viewBlocks, nextBlocks []int
+		viewWorlds, nextWorlds         int
+	}
+	models := make([]*Model, workers)
+	keeps := make([]*bitset.Set, workers)
+	rng := rand.New(rand.NewSource(8))
+	for i := range models {
+		if i%2 == 0 {
+			models[i] = replicatedModel(rng, 4+rng.Intn(12), 2+rng.Intn(4), 1+rng.Intn(3))
+		} else {
+			models[i] = randomModel(rng, 40+rng.Intn(200), 1+rng.Intn(3))
+		}
+		keeps[i] = randKeep(rng, models[i].NumWorlds())
+	}
+	run := func(m *Model, keep *bitset.Set) result {
+		_, blocks := m.Minimize()
+		v := m.QuotientForEval(1)
+		next := v.Restrict(keep, 1)
+		return result{blocks, v.Blocks(), next.Blocks(), v.QuotientWorlds(), next.QuotientWorlds()}
+	}
+	want := make([]result, workers)
+	for i, m := range models {
+		want[i] = run(m, keeps[i])
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan string, workers*rounds)
+	for i := range models {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				got := run(models[i], keeps[i])
+				w := want[i]
+				if !slices.Equal(got.blocks, w.blocks) || !slices.Equal(got.viewBlocks, w.viewBlocks) ||
+					!slices.Equal(got.nextBlocks, w.nextBlocks) ||
+					got.viewWorlds != w.viewWorlds || got.nextWorlds != w.nextWorlds {
+					errs <- fmt.Sprintf("model %d round %d: concurrent result differs from the serial one", i, r)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -138,6 +138,11 @@ func newView(orig, quot *Model, block []int) *Quotiented {
 // model (see quotientKeepRatio). Otherwise the view transparently evaluates
 // the original model — callers never need to distinguish the two cases.
 //
+// The shrinkage gate reads the refined block count: when that count is
+// already the quotient's size (every from-scratch refinement, and a seeded
+// one the restriction left undisturbed) and the gate rejects it, the view
+// is built without materializing the quotient model or its block map.
+//
 // The view memoizes denotations for its whole lifetime, so the model must
 // be fully constructed before the view is built and never mutated
 // afterwards — no SetTrue, SetFact or Indistinguishable, and no change to
@@ -149,11 +154,22 @@ func (m *Model) QuotientForEval(minWorlds int) *Quotiented {
 	if m.Temporal != nil || m.numWorlds < minWorlds {
 		return newView(m, m, nil)
 	}
-	q, block := m.Minimize()
-	if float64(q.NumWorlds()) > quotientKeepRatio*float64(m.numWorlds) {
+	r := m.refineStable(m.quotSeed)
+	if r.final && !worthQuotienting(int(r.n), m.numWorlds) {
+		r.release()
+		return newView(m, m, nil)
+	}
+	q, block := r.materialize()
+	if !worthQuotienting(q.numWorlds, m.numWorlds) {
 		return newView(m, m, nil)
 	}
 	return newView(m, q, block)
+}
+
+// worthQuotienting is the shrinkage gate: a quotient of nq worlds is kept
+// for a model of w worlds only at or below quotientKeepRatio of its size.
+func worthQuotienting(nq, w int) bool {
+	return float64(nq) <= quotientKeepRatio*float64(w)
 }
 
 // QuotientForEvalEpistemic is QuotientForEval for models carrying a

@@ -1,6 +1,7 @@
 package kripke
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -89,6 +90,22 @@ func TestQuotientForEvalGates(t *testing.T) {
 	// Shrinkage gate: the chain model is its own quotient.
 	if q := chainModel(16).QuotientForEval(1); q.Quotiented() {
 		t.Error("shrinkage gate kept an unshrunk quotient")
+	}
+
+	// Shrinkage boundary: on 12 worlds the gate keeps a quotient of
+	// 0.75*12 = 9 worlds and drops one of 10.
+	for _, nq := range []int{9, 10} {
+		mb := NewModel(12, 1)
+		for w := 0; w < 12; w++ {
+			mb.SetTrue(w, fmt.Sprintf("p%d", w%nq))
+			mb.Indistinguishable(0, 0, w)
+		}
+		q := mb.QuotientForEval(1)
+		if want := nq == 9; q.Quotiented() != want {
+			t.Errorf("%d-world quotient of 12 worlds: Quotiented() = %v, want %v", nq, q.Quotiented(), want)
+		} else if want && q.QuotientWorlds() != nq {
+			t.Errorf("quotient has %d worlds, want %d", q.QuotientWorlds(), nq)
+		}
 	}
 
 	// Temporal gate.
