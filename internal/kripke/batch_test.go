@@ -85,12 +85,17 @@ func TestEvalBatchResultsAreOwned(t *testing.T) {
 
 // TestEvalBatchColdRace drives concurrent callers on fresh models with no
 // warm-up (meaningful mainly under -race): six goroutines share one cold
-// model, half of them running serial EvalBatch calls and half per-formula
-// Eval, each starting at a different formula, so the class-id K passes,
-// the lazy per-agent table builds and the build-once joint-view and
-// reachability slots all race across their evaluators. It runs on a random
-// wide model and on a muddy children cube, whose every table is a coset
-// partition, so the first-use builds also race through coset detection.
+// model, a third of them running serial EvalBatch calls, a third
+// per-formula Eval, and a third first reading the relations another way
+// (Restrict, Minimize, SameClass or QuotientForEval) and then evaluating,
+// each starting at a different formula, so the first-read resolution of
+// the relations, the class-id K passes, the lazy per-agent table builds
+// and the build-once joint-view and reachability slots all race across
+// their callers. It runs on a random wide model, on a muddy children cube,
+// whose every table is a coset partition, so the first-use builds also
+// race through coset detection, and on a model built edge by edge with one
+// agent left discrete, whose pending edges and unset relation the first
+// reader resolves.
 func TestEvalBatchColdRace(t *testing.T) {
 	prevProcs := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prevProcs)
@@ -111,9 +116,42 @@ func TestEvalBatchColdRace(t *testing.T) {
 	for _, build := range []func() *Model{
 		func() *Model { return buildWideModel(768, 6, 3) },
 		func() *Model { return muddyCube(10, 3) },
+		func() *Model { return edgeModel(500, 6, 4) },
 	} {
 		coldRace(t, build, formulas)
 	}
+}
+
+// edgeModel builds a random model edge by edge with Indistinguishable,
+// leaving its last agent discrete.
+func edgeModel(n, numAgents int, seed int64) *Model {
+	rng := rand.New(rand.NewSource(seed))
+	m := NewModel(n, numAgents)
+	for w := 0; w < n; w++ {
+		if rng.Intn(2) == 0 {
+			m.SetTrue(w, "p")
+		}
+		if rng.Intn(7) != 0 {
+			m.SetTrue(w, "q")
+		}
+	}
+	for a := 0; a < numAgents-1; a++ {
+		for e := 0; e < n; e++ {
+			m.Indistinguishable(a, rng.Intn(n), rng.Intn(n))
+		}
+	}
+	return m
+}
+
+// sameRow reports whether agent a confuses world 0 with the same worlds in
+// x as in y.
+func sameRow(x, y *Model, a int) bool {
+	for w := 0; w < x.NumWorlds(); w++ {
+		if x.SameClass(a, 0, w) != y.SameClass(a, 0, w) {
+			return false
+		}
+	}
+	return true
 }
 
 // coldRace checks concurrent callers on fresh models from build against
@@ -127,6 +165,24 @@ func coldRace(t *testing.T, build func() *Model, formulas []logic.Formula) {
 			t.Fatal(err)
 		}
 		want[i] = s.String()
+	}
+	last := ref.NumAgents() - 1
+	refMin, _ := ref.Minimize()
+	refQuot := ref.QuotientForEval(1).QuotientWorlds()
+	// readFirst reads a fresh model's relations other than by evaluating,
+	// the i-th of four ways, and reports whether it read them right.
+	readFirst := func(m *Model, i int) bool {
+		switch i % 4 {
+		case 0:
+			return sameRow(m.Restrict(bitset.NewFull(m.NumWorlds())), ref, last)
+		case 1:
+			q, _ := m.Minimize()
+			return q.NumWorlds() == refMin.NumWorlds()
+		case 2:
+			return sameRow(m, ref, last)
+		default:
+			return m.QuotientForEval(1).QuotientWorlds() == refQuot
+		}
 	}
 
 	for rep := 0; rep < 4; rep++ {
@@ -145,7 +201,11 @@ func coldRace(t *testing.T, build func() *Model, formulas []logic.Formula) {
 					fs[j] = formulas[order[j]]
 				}
 				var got []*bitset.Set
-				if g%2 == 0 {
+				if g%3 == 2 && !readFirst(m, g/3+rep) {
+					t.Errorf("caller %d: reading the cold relations (way %d) disagrees with the serial model", g, (g/3+rep)%4)
+					return
+				}
+				if g%3 == 0 {
 					var err error
 					if got, err = m.EvalBatch(fs); err != nil {
 						t.Error(err)

@@ -21,7 +21,10 @@ import (
 //   - Agent partitions are installed as dense class-id vectors
 //     (SetPartition), or derived from arbitrary view keys in a single
 //     interning pass (PartitionFromKeys). No union-find is involved, and
-//     the ids feed the evaluator's partition tables as-is.
+//     the ids feed the evaluator's partition tables as-is. A relation with
+//     no natural columnar form is built edge by edge on the finished model
+//     (Model.Indistinguishable). An agent given no partition stays
+//     discrete: every world is its own class.
 //   - World names are stored as a plain column (SetName, Names); the
 //     name→world index is built lazily by the model on first lookup.
 //
@@ -111,12 +114,6 @@ func (b *Builder) PartitionFromKeys(a int, key func(w int) string) {
 		ids[w] = b.views.Intern(key(w))
 	}
 	b.m.setPartition(a, ids, b.views.Len())
-}
-
-// Indistinguishable declares a single indistinguishability edge, the
-// incremental fallback for relations with no natural columnar form.
-func (b *Builder) Indistinguishable(a, w1, w2 int) {
-	b.m.Indistinguishable(a, w1, w2)
 }
 
 // Build finalizes and returns the model. The builder must not be used

@@ -172,3 +172,40 @@ func TestMutationDropsIncrementalSeeds(t *testing.T) {
 		t.Fatalf("mutation left a stale quotient seed behind")
 	}
 }
+
+// TestMutationAfterEvalRereadsRelations pins re-resolution: an edge added to
+// a restricted model after an evaluation must reach every later reader of
+// the relations, which then answer as the same restriction mutated before
+// any read.
+func TestMutationAfterEvalRereadsRelations(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	m := randModel(rng, 40, 3)
+	_, blocks := m.Minimize()
+	keep := randKeep(rng, 40)
+	sub := m.RestrictWithQuotient(keep, blocks)
+	if _, err := sub.Eval(logic.C(nil, logic.P("p"))); err != nil {
+		t.Fatal(err)
+	}
+	last := sub.NumWorlds() - 1
+	sub.Indistinguishable(0, 0, last)
+	if !sub.SameClass(0, 0, last) {
+		t.Fatalf("edge (0, %d) added after an evaluation is not in agent 0's relation", last)
+	}
+	ref := m.Restrict(keep)
+	ref.Indistinguishable(0, 0, last)
+	for _, f := range propertyFormulas(3) {
+		got, err1 := sub.Eval(f)
+		want, err2 := ref.Eval(f)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("eval %s: %v, %v", f, err1, err2)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s after the edge = %s, want %s", f, got, want)
+		}
+	}
+	q1, b1 := sub.Minimize()
+	q2, b2 := ref.Minimize()
+	if !sameQuotient(q1, b1, q2, b2) {
+		t.Fatalf("Minimize after the edge differs from the restriction mutated before any read")
+	}
+}

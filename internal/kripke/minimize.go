@@ -6,7 +6,6 @@ import (
 	"strconv"
 
 	"repro/internal/bitset"
-	"repro/internal/unionfind"
 )
 
 // Minimize returns the bisimulation quotient of the model: the smallest
@@ -172,32 +171,11 @@ func (q1 *Model) composeQuotient(seed []int32, b1 []int, dirty []bool) *refiner 
 		}
 	}
 	// Connected components of q1 under the union of all agents' classes.
-	d := unionfind.New(nB)
-	var first []int32
-	for a := 0; a < q1.numAgents; a++ {
-		ids, n := q1.relIDs(a)
-		if ids == nil {
-			continue
-		}
-		if cap(first) < n {
-			first = make([]int32, n)
-		}
-		f := first[:n]
-		for i := range f {
-			f[i] = -1
-		}
-		for w, id := range ids {
-			if f[id] < 0 {
-				f[id] = int32(w)
-			} else {
-				d.Union(int(f[id]), w)
-			}
-		}
-	}
-	compDirty := make([]bool, nB)
+	comp, nComp := unionIDs(nB, q1.relations())
+	compDirty := make([]bool, nComp)
 	for b := 0; b < nB; b++ {
 		if blockDirty[b] {
-			compDirty[d.Find(b)] = true
+			compDirty[comp[b]] = true
 		}
 	}
 	// Fact signature of each q1 block: successive (sig, bit) renumbering
@@ -230,15 +208,16 @@ func (q1 *Model) composeQuotient(seed []int32, b1 []int, dirty []bool) *refiner 
 	// equal facts, so the signature closure catches it).
 	sigDirty := make([]bool, nSig)
 	for b := 0; b < nB; b++ {
-		if compDirty[d.Find(b)] {
+		if compDirty[comp[b]] {
 			sigDirty[factSig[b]] = true
 		}
 	}
 	// Hypothesis partition: disturbed blocks grouped by fact signature,
 	// clean blocks as singletons, numbered by first occurrence. It is
 	// coarser than the true quotient, so refining it to stability lands
-	// exactly there — walking only the disturbed groups.
-	hIDs := make([]int32, nB)
+	// exactly there — walking only the disturbed groups. It overwrites the
+	// component ids, which are no longer needed.
+	hIDs := comp
 	sigClass := mark[:nSig]
 	for i := range sigClass {
 		sigClass[i] = -1
@@ -263,7 +242,7 @@ func (q1 *Model) composeQuotient(seed []int32, b1 []int, dirty []bool) *refiner 
 }
 
 // refiner is one partition-refinement run over a model: the current block
-// ids, the resolved agent relations, and every piece of reusable scratch
+// ids, the model's agent relations, and every piece of reusable scratch
 // the split and signature passes need. Refiners come from refineFree:
 // Minimize (from scratch or seeded) takes one, refines to stability,
 // materializes the quotient and puts it back, so the next run starts with
@@ -280,7 +259,7 @@ type refiner struct {
 	seed  *quotientSeed
 	final bool
 
-	rels  []minRel
+	rels  []agentRel
 	facts []string // the model's fact names, sorted
 
 	mark    []int32
@@ -314,15 +293,6 @@ var refineFree freelist[refiner]
 // capacity, so without the bound every signature pass on a small model
 // would pay for the largest model the refiner had refined.
 const refinerReuseWorlds = 4096
-
-// minRel is one agent's class ids resolved once per refinement run. A nil
-// ids slice is the discrete relation, which never splits anything: the
-// blockset of a singleton class is the world's own block, already part of
-// the signature.
-type minRel struct {
-	ids []int32
-	n   int
-}
 
 // resize returns s with length n, reallocating only when its capacity is
 // short. The contents are not reset.
@@ -367,11 +337,7 @@ func (m *Model) newRefiner(seed []int32, nSeed int32) *refiner {
 		}
 		r.n = next
 	}
-	r.rels = r.rels[:0]
-	for a := 0; a < m.numAgents; a++ {
-		ids, cn := m.relIDs(a)
-		r.rels = append(r.rels, minRel{ids, cn})
-	}
+	r.rels = m.relations()
 	r.facts = r.facts[:0]
 	for prop := range m.valuation {
 		r.facts = append(r.facts, prop)
@@ -384,8 +350,7 @@ func (m *Model) newRefiner(seed []int32, nSeed int32) *refiner {
 // drops every reference into the model, so an idle refiner pins nothing
 // but its own scratch.
 func (r *refiner) release() {
-	r.m, r.seed = nil, nil
-	clear(r.rels)
+	r.m, r.seed, r.rels = nil, nil, nil
 	clear(r.facts)
 	refineFree.put(r)
 }
@@ -431,7 +396,7 @@ func (r *refiner) splitByFacts() {
 // folds left through a map[uint64]int32, which is injective on sequences,
 // so no strings or hashes that could collide are involved. Sig ids are
 // bounded by the total list length, hence < W.
-func (r *refiner) classSigs(rel minRel) []int32 {
+func (r *refiner) classSigs(rel agentRel) []int32 {
 	cn := rel.n
 	if cap(r.off) < cn+1 {
 		r.off = make([]int32, cn+1)
@@ -510,7 +475,9 @@ func (r *refiner) refine() {
 		before := r.n
 		for a := 0; a < r.m.numAgents; a++ {
 			rel := r.rels[a]
-			if rel.ids == nil {
+			if rel.n == r.W {
+				// All-singleton classes never split: the blockset of a
+				// singleton is the world's own block, already its signature.
 				continue
 			}
 			sg := r.classSigs(rel)
@@ -591,11 +558,7 @@ func (r *refiner) quotient() (*Model, []int) {
 		r.mark = make([]int32, nB)
 	}
 	mk := r.mark[:nB]
-	for a := 0; a < m.numAgents; a++ {
-		rel := r.rels[a]
-		if rel.ids == nil {
-			continue // discrete stays discrete
-		}
+	for a, rel := range r.rels {
 		if cap(r.sig) < rel.n {
 			r.sig = make([]int32, rel.n)
 		}

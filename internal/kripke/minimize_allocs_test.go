@@ -21,9 +21,7 @@ func TestRefinerSteadyStateAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		for _, rel := range r.rels {
-			if rel.ids != nil {
-				r.classSigs(rel)
-			}
+			r.classSigs(rel)
 		}
 		r.refine()
 	})
@@ -36,28 +34,38 @@ func TestRefinerSteadyStateAllocs(t *testing.T) {
 // refined block count: a warm QuotientForEval on a muddy model, which is
 // its own quotient, materializes nothing — no per-world names, no fact
 // columns, no block map — so it allocates the same small constant (the
-// view) at 256 and at 1024 worlds.
+// view) at 256 and at 1024 worlds. The model built edge by edge pays the
+// same constant as its columnar copy: its pending edges were resolved into
+// class ids once, by the first call.
 func TestQuotientForEvalGateAllocs(t *testing.T) {
 	var allocs []float64
 	for _, n := range []int{8, 10} {
-		m := columnar(muddyModel(n))
-		if m.QuotientForEval(1).Quotiented() {
-			t.Fatalf("muddy:%d is its own quotient; the gate should keep the model", n)
+		for _, m := range []*Model{columnar(muddyModel(n)), muddyModel(n)} {
+			if m.QuotientForEval(1).Quotiented() {
+				t.Fatalf("muddy:%d is its own quotient; the gate should keep the model", n)
+			}
+			allocs = append(allocs, testing.AllocsPerRun(20, func() { m.QuotientForEval(1) }))
 		}
-		allocs = append(allocs, testing.AllocsPerRun(20, func() { m.QuotientForEval(1) }))
 	}
-	if allocs[0] != allocs[1] || allocs[1] > 1 {
-		t.Fatalf("warm gated QuotientForEval = %v allocs at 256 and 1024 worlds, want the same constant <= 1", allocs)
+	for _, a := range allocs {
+		if a != allocs[0] || a > 1 {
+			t.Fatalf("warm gated QuotientForEval = %v allocs (columnar and edge-built, 256 and 1024 worlds), want the same constant <= 1", allocs)
+		}
 	}
 }
 
 // TestMinimizeReusesScratch pins that Minimize's refiner scratch outlives
 // the call: after a Minimize of another model of the same size, the
 // refinement step allocates nothing, and a whole Minimize allocates only
-// its outputs.
+// its outputs. Models built edge by edge run beside columnar ones: once
+// their first Minimize has resolved the edges, they read the same class
+// ids.
 func TestMinimizeReusesScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	ms := []*Model{columnar(randomModel(rng, 512, 3)), columnar(randomModel(rng, 512, 3))}
+	ms := []*Model{
+		columnar(randomModel(rng, 512, 3)), columnar(randomModel(rng, 512, 3)),
+		randomModel(rng, 512, 3), randomModel(rng, 512, 3),
+	}
 	blocks := 0
 	for _, m := range ms {
 		q, _ := m.Minimize()
@@ -66,17 +74,17 @@ func TestMinimizeReusesScratch(t *testing.T) {
 	i := 0
 	if allocs := testing.AllocsPerRun(20, func() {
 		i++
-		ms[i%2].refineStable(nil).release()
+		ms[i%len(ms)].refineStable(nil).release()
 	}); allocs != 0 {
 		t.Fatalf("warm refinement step = %.1f allocs, want 0", allocs)
 	}
 	// Outputs: a name per quotient world, class ids per agent (3), a column
 	// per fact (p, q), and the name column, block map and model, plus
 	// slack for map and buffer growth.
-	limit := float64(blocks)/2 + 3 + 2*2 + 12
+	limit := float64(blocks)/float64(len(ms)) + 3 + 2*2 + 12
 	if allocs := testing.AllocsPerRun(20, func() {
 		i++
-		ms[i%2].Minimize()
+		ms[i%len(ms)].Minimize()
 	}); allocs > limit {
 		t.Fatalf("warm Minimize = %.1f allocs, want <= %.1f (outputs only)", allocs, limit)
 	}

@@ -19,15 +19,19 @@
 //
 // # Construction architecture: columns and class ids
 //
-// Construction is columnar. Each agent's indistinguishability relation is
-// stored in one of two interchangeable forms: a disjoint-set union that
-// accumulates pairwise Indistinguishable edges, or a dense class-id vector
-// installed in one shot (the Builder's SetPartition / PartitionFromKeys).
-// Valuations are bitset columns, written word-by-word by bulk constructors.
-// The Builder in builder.go is the front door for batch construction;
-// the incremental Model methods (SetTrue, Indistinguishable, SetName)
-// remain for small or exploratory models and convert between the forms
-// transparently.
+// Construction is columnar. Each agent's indistinguishability relation has
+// one form, the one every reader sees: a dense class-id vector, one id per
+// world. The Builder's SetPartition and PartitionFromKeys install it in one
+// shot, and Restrict, RefineAgent and Minimize's quotient write it directly.
+// Indistinguishable alone accumulates pairwise edges, in a disjoint-set
+// union that is only a pending-edge accumulator: the first read of the
+// relations (any evaluation, Restrict, RefineAgent, Minimize, SameClass)
+// resolves the pending edges, and every agent still unset (discrete, the
+// NewModel default), into class ids, once. Valuations are bitset columns,
+// written word-by-word by bulk constructors. The Builder in builder.go is
+// the front door for batch construction; the incremental Model methods
+// (SetTrue, Indistinguishable, SetName) remain for small or exploratory
+// models.
 //
 // Model updates reuse rather than rebuild: Restrict compacts valuation
 // columns with the word-level gather kernel of the bitset package and
@@ -49,7 +53,7 @@
 // scanning only ¬φ and removes them by word-level AND-NOT of their masks.
 //
 // The derived tables are built lazily and cached on the model: each
-// agent's partition once its installed class ids have answered a few K
+// agent's partition once its class ids have answered a few K
 // passes on their own (so models that answer a few queries and are
 // dropped, as in an announcement chain, never pay for a table), and one
 // partition per distinct agent group for D_G refinements and C_G
@@ -93,9 +97,9 @@ type Model struct {
 	names   []string                       // optional world names; nil if none assigned
 	nameIdx atomic.Pointer[map[string]int] // lazy reverse lookup, built on first WorldByName
 
-	// rels holds each agent's indistinguishability relation in whichever
-	// form construction produced: DSU (edge accumulation) or dense class
-	// ids (bulk installation). The derived partition tables are built
+	// rels holds each agent's indistinguishability relation as dense class
+	// ids, read through relations or tables, which resolve pending
+	// Indistinguishable edges first. The derived partition tables are built
 	// lazily per agent and invalidated by construction calls.
 	rels []agentRel
 
@@ -108,8 +112,9 @@ type Model struct {
 	quotSeed *quotientSeed
 
 	// derived caches the partition tables. buildMu serializes only the
-	// creation of the derived-table shell and of the name index; each table
-	// inside the shell is built under its own tableSlot lock.
+	// resolution of the relations, the creation of the derived-table shell
+	// and that of the name index; each table inside the shell is built under
+	// its own tableSlot lock.
 	derived atomic.Pointer[derived]
 	buildMu sync.Mutex
 
@@ -125,11 +130,13 @@ type Model struct {
 	Temporal TemporalSemantics
 }
 
-// agentRel is one agent's indistinguishability relation during
-// construction. At most one of the two forms is authoritative: dsu when
-// edges are being accumulated, ids (dense class ids, n classes) when a
-// whole partition was installed at once. Both nil means the discrete
-// partition (every world distinguishable — the NewModel default).
+// agentRel is one agent's indistinguishability relation: worlds v and w are
+// indistinguishable iff ids[v] == ids[w], with ids dense in [0, n). Every
+// reader sees that form. dsu is Indistinguishable's pending-edge
+// accumulator, seeded from ids by the first edge after resolution that
+// merges two classes (an edge inside one class changes nothing); while it is
+// set, ids is nil, and so it is for an agent never set (the discrete
+// relation of NewModel). resolve turns both into ids.
 type agentRel struct {
 	dsu *unionfind.DSU
 	ids []int32
@@ -167,7 +174,7 @@ type tableSlot struct {
 	mu sync.Mutex
 
 	// idsUses counts the K passes an agent's slot has answered from the
-	// installed class ids before its table was built (knowAgentInto).
+	// agent's class ids before its table was built (knowAgentInto).
 	idsUses atomic.Int32
 }
 
@@ -344,13 +351,18 @@ func (m *Model) Facts() []string {
 // automatically, as required for view-based (S5) interpretations.
 func (m *Model) Indistinguishable(a int, w1, w2 int) {
 	r := &m.rels[a]
-	if r.dsu == nil {
-		if r.ids != nil {
-			r.dsu = unionfind.NewFromIDs(r.ids, r.n)
-			r.ids, r.n = nil, 0
-		} else {
-			r.dsu = unionfind.New(m.numWorlds)
+	switch {
+	case r.ids != nil:
+		// A redundant edge keeps the resolved ids (readers rely on the
+		// shell's existence meaning every relation is resolved); any other
+		// edge merges two classes below and so drops the shell.
+		if r.ids[w1] == r.ids[w2] {
+			return
 		}
+		r.dsu = unionfind.NewFromIDs(r.ids, r.n)
+		r.ids, r.n = nil, 0
+	case r.dsu == nil:
+		r.dsu = unionfind.New(m.numWorlds)
 	}
 	if r.dsu.Union(w1, w2) {
 		m.invalidateDerived()
@@ -359,7 +371,8 @@ func (m *Model) Indistinguishable(a int, w1, w2 int) {
 
 // invalidateDerived drops every table derived from the relations: the
 // partition-table cache and the quotient seed a restriction installed, both
-// of which describe the pre-mutation relations.
+// of which describe the pre-mutation relations. With the cache gone, the
+// next read of the relations resolves them again.
 func (m *Model) invalidateDerived() {
 	if m.derived.Load() != nil {
 		m.derived.Store(nil)
@@ -377,21 +390,52 @@ func (m *Model) setPartition(a int, ids []int32, numClasses int) {
 
 // SameClass reports whether agent a has the same view at w1 and w2.
 func (m *Model) SameClass(a int, w1, w2 int) bool {
-	r := &m.rels[a]
-	switch {
-	case r.dsu != nil:
-		return r.dsu.Same(w1, w2)
-	case r.ids != nil:
-		return r.ids[w1] == r.ids[w2]
-	default:
-		return w1 == w2
+	ids := m.relations()[a].ids
+	return ids[w1] == ids[w2]
+}
+
+// relations returns every agent's relation as class ids, resolving pending
+// edges first. Once the derived-table shell exists the relations are
+// resolved (tables resolves them before publishing it), so only a model
+// no evaluation has touched takes buildMu here.
+func (m *Model) relations() []agentRel {
+	if m.derived.Load() == nil {
+		m.buildMu.Lock()
+		m.resolve()
+		m.buildMu.Unlock()
+	}
+	return m.rels
+}
+
+// resolve turns each agent's pending Indistinguishable edges, or its unset
+// (discrete) relation, into class ids, and drops the accumulator. It runs
+// under buildMu; a resolved relation is left as it is.
+func (m *Model) resolve() {
+	var mark []int32 // CompIDsInto scratch, shared by the agents
+	for a := range m.rels {
+		r := &m.rels[a]
+		switch {
+		case r.dsu != nil:
+			if mark == nil {
+				mark = make([]int32, m.numWorlds)
+			}
+			r.ids = make([]int32, m.numWorlds)
+			r.n = r.dsu.CompIDsInto(r.ids, mark)
+			r.dsu = nil
+		case r.ids == nil:
+			r.ids = make([]int32, m.numWorlds)
+			for w := range r.ids {
+				r.ids[w] = int32(w)
+			}
+			r.n = m.numWorlds
+		}
 	}
 }
 
-// tables returns the derived-table shell, creating it on first use. The
-// per-agent partitions inside it are built lazily by part, so
-// touching the shell (every getEvaluator does) costs a few small
-// allocations once per construction, not a full table build.
+// tables returns the derived-table shell, creating it on first use after
+// resolving the relations. The per-agent partitions inside it are built
+// lazily by part, so touching the shell (every getEvaluator does) costs a
+// few small allocations once per construction, not a full table build.
 func (m *Model) tables() *derived {
 	if t := m.derived.Load(); t != nil {
 		return t
@@ -401,6 +445,7 @@ func (m *Model) tables() *derived {
 	if t := m.derived.Load(); t != nil {
 		return t
 	}
+	m.resolve()
 	t := &derived{
 		parts:     make([]tableSlot, m.numAgents),
 		allAgents: make([]int, m.numAgents),
@@ -414,38 +459,18 @@ func (m *Model) tables() *derived {
 	return t
 }
 
-// buildPart materializes agent a's partition table from whichever relation
-// form construction left behind.
-func (m *Model) buildPart(a int) *partition {
-	r := &m.rels[a]
-	switch {
-	case r.dsu != nil:
-		ids := make([]int32, m.numWorlds)
-		n := r.dsu.CompIDsInto(ids, nil)
-		return newPartition(ids, n)
-	case r.ids != nil:
-		// The id vector is never mutated in place (conversions replace it),
-		// so the partition may alias it.
-		return newPartition(r.ids, r.n)
-	default:
-		ids := make([]int32, m.numWorlds)
-		for w := range ids {
-			ids[w] = int32(w)
-		}
-		return newPartition(ids, m.numWorlds)
-	}
-}
-
 // part returns agent a's partition table, building it on first use. The
-// loaded-table path does not construct the build closure.
+// loaded-table path does not construct the build closure. The table aliases
+// the agent's class ids, which are never mutated in place (a later
+// Indistinguishable replaces them).
 func (m *Model) part(t *derived, a int) *partition {
 	if p := t.parts[a].p.Load(); p != nil {
 		return p
 	}
-	return t.parts[a].get(func() *partition { return m.buildPart(a) })
+	return t.parts[a].get(func() *partition { return newPartition(m.rels[a].ids, m.rels[a].n) })
 }
 
-// knowIDsUses is how many K_a passes run on agent a's installed class ids
+// knowIDsUses is how many K_a passes run on agent a's class ids
 // alone (andKnowIDs) before the agent's partition table is built. On the
 // muddy children view partitions of 4096 and 32768 worlds (the cube's
 // coset tables, and the generic tables of the cube less one world) a table
@@ -464,28 +489,16 @@ func (m *Model) knowAgentInto(t *derived, a int, dst, phi *bitset.Set, ks *kerne
 }
 
 // andKnowAgent intersects dst in place with K_a(phi), from agent a's table
-// when it exists, else from its installed class ids while they have
-// answered fewer than knowIDsUses passes, else by building the table.
+// when it exists, else from its class ids while they have answered fewer
+// than knowIDsUses passes, else by building the table.
 func (m *Model) andKnowAgent(t *derived, a int, dst, phi *bitset.Set, ks *kernelScratch) {
 	s := &t.parts[a]
-	if s.p.Load() == nil {
-		if r := &m.rels[a]; r.ids != nil && s.idsUses.Add(1) <= knowIDsUses {
-			andKnowIDs(dst, phi, r.ids, r.n, ks)
-			return
-		}
+	if s.p.Load() == nil && s.idsUses.Add(1) <= knowIDsUses {
+		r := &m.rels[a]
+		andKnowIDs(dst, phi, r.ids, r.n, ks)
+		return
 	}
 	m.part(t, a).andKnowInto(dst, phi, ks)
-}
-
-// viewIDs returns agent a's dense class ids and class count: the ids
-// construction installed, else those of the agent's partition table. The
-// group tables read only ids, so they build no per-agent table.
-func (m *Model) viewIDs(t *derived, a int) ([]int32, int) {
-	if r := &m.rels[a]; r.ids != nil {
-		return r.ids, r.n
-	}
-	p := m.part(t, a)
-	return p.ids, p.n
 }
 
 // groupKey appends the canonical cache key of a resolved agent list: "*"
@@ -524,35 +537,37 @@ func (m *Model) reachPartition(t *derived, agents []int, keyBuf []byte) *partiti
 		return m.part(t, agents[0]) // one view partition is its own closure
 	}
 	s := t.groupSlot(t.reach, m.groupKey(keyBuf[:0], agents))
-	return s.get(func() *partition { return m.reachScratch(t, agents) })
+	return s.get(func() *partition {
+		rels := make([]agentRel, len(agents))
+		for i, a := range agents {
+			rels[i] = m.rels[a]
+		}
+		return newPartition(unionIDs(m.numWorlds, rels))
+	})
 }
 
-// reachScratch builds the G-reachability components with one union-find
-// pass over every agent's whole partition.
-func (m *Model) reachScratch(t *derived, agents []int) *partition {
-	d := unionfind.New(m.numWorlds)
-	var first []int32
-	for _, a := range agents {
-		ids, n := m.viewIDs(t, a)
-		if cap(first) < n {
-			first = make([]int32, n)
-		} else {
-			first = first[:n]
+// unionIDs returns dense ids, and their count, of the connected components
+// of W worlds under the union of the classes of rels (for the views of G,
+// the G-reachability components of Section 6): one union-find pass that
+// joins each class's worlds to its first.
+func unionIDs(W int, rels []agentRel) ([]int32, int) {
+	d := unionfind.New(W)
+	first := make([]int32, W) // a class count is at most W
+	for _, r := range rels {
+		f := first[:r.n]
+		for i := range f {
+			f[i] = -1
 		}
-		for i := range first {
-			first[i] = -1
-		}
-		for w, id := range ids {
-			if first[id] < 0 {
-				first[id] = int32(w)
+		for w, id := range r.ids {
+			if f[id] < 0 {
+				f[id] = int32(w)
 			} else {
-				d.Union(int(first[id]), w)
+				d.Union(int(f[id]), w)
 			}
 		}
 	}
-	ids := make([]int32, m.numWorlds)
-	n := d.CompIDsInto(ids, nil)
-	return newPartition(ids, n)
+	ids := make([]int32, W)
+	return ids, d.CompIDsInto(ids, first)
 }
 
 // jointPartition returns the common refinement of the agents' view
@@ -565,12 +580,12 @@ func (m *Model) jointPartition(t *derived, agents []int, keyBuf []byte) *partiti
 	s := t.groupSlot(t.joint, m.groupKey(keyBuf[:0], agents))
 	return s.get(func() *partition {
 		ids := make([]int32, m.numWorlds)
-		ids0, n := m.viewIDs(t, agents[0])
-		copy(ids, ids0)
+		copy(ids, m.rels[agents[0]].ids)
+		n := m.rels[agents[0]].n
 		pair := make(map[uint64]int32)
 		for _, a := range agents[1:] {
 			clear(pair)
-			other, _ := m.viewIDs(t, a)
+			other := m.rels[a].ids
 			next := int32(0)
 			for w := 0; w < m.numWorlds; w++ {
 				k := uint64(ids[w])<<32 | uint64(uint32(other[w]))
@@ -641,30 +656,6 @@ func (m *Model) GReachIDs(g logic.Group) ([]int, error) {
 	return out, nil
 }
 
-// relIDs returns agent a's class ids and class count in whatever form is
-// cheapest: the installed id vector, an already-built partition table, or
-// a fresh component labeling of the DSU — never a full table build, since
-// callers (Restrict, RefineAgent) need only the ids. Discrete relations
-// return (nil, 0) and must be special-cased by the caller.
-func (m *Model) relIDs(a int) ([]int32, int) {
-	r := &m.rels[a]
-	switch {
-	case r.ids != nil:
-		return r.ids, r.n
-	case r.dsu != nil:
-		if t := m.derived.Load(); t != nil {
-			if p := t.parts[a].p.Load(); p != nil {
-				return p.ids, p.n
-			}
-		}
-		ids := make([]int32, m.numWorlds)
-		n := r.dsu.CompIDsInto(ids, nil)
-		return ids, n
-	default:
-		return nil, 0
-	}
-}
-
 // RefineAgent returns a new model, over the same worlds, in which agent a's
 // partition is refined by membership in phi: two worlds remain
 // indistinguishable to a only if they were before and phi agrees on them.
@@ -679,35 +670,29 @@ func (m *Model) RefineAgent(a int, phi *bitset.Set) *Model {
 	for prop, set := range m.valuation {
 		out.setFactSet(prop, set.Clone())
 	}
-	for b := 0; b < m.numAgents; b++ {
-		src, n := m.relIDs(b)
-		if src == nil {
-			continue // discrete stays discrete, refined or not
-		}
-		if b != a {
-			out.rels[b] = agentRel{ids: append([]int32(nil), src...), n: n}
-			continue
-		}
-		// Split agent a's classes by phi: renumber (class, φ-bit) pairs.
-		mark := make([]int32, 2*n)
-		for i := range mark {
-			mark[i] = -1
-		}
-		ids := make([]int32, m.numWorlds)
-		next := int32(0)
-		for w := 0; w < m.numWorlds; w++ {
-			k := 2 * src[w]
-			if phi.Contains(w) {
-				k++
-			}
-			if mark[k] < 0 {
-				mark[k] = next
-				next++
-			}
-			ids[w] = mark[k]
-		}
-		out.rels[a] = agentRel{ids: ids, n: int(next)}
+	// Class ids are never mutated in place, so the other agents' relations
+	// are shared, not copied.
+	copy(out.rels, m.relations())
+	// Split agent a's classes by phi: renumber (class, φ-bit) pairs.
+	src := m.rels[a].ids
+	mark := make([]int32, 2*m.rels[a].n)
+	for i := range mark {
+		mark[i] = -1
 	}
+	ids := make([]int32, m.numWorlds)
+	next := int32(0)
+	for w := 0; w < m.numWorlds; w++ {
+		k := 2 * src[w]
+		if phi.Contains(w) {
+			k++
+		}
+		if mark[k] < 0 {
+			mark[k] = next
+			next++
+		}
+		ids[w] = mark[k]
+	}
+	out.rels[a] = agentRel{ids: ids, n: int(next)}
 	return out
 }
 
@@ -801,16 +786,12 @@ func (m *Model) restrict(keep *bitset.Set, blocks []int) *Model {
 
 	// Rename each agent's class ids over the surviving worlds and install
 	// the resulting partitions directly — no pairwise unions needed.
-	for a := 0; a < m.numAgents; a++ {
-		ids, n := m.relIDs(a)
-		if ids == nil {
-			continue // discrete restricts to discrete
-		}
-		if cap(scr.mark) < n {
-			scr.mark = make([]int32, n)
+	for a, rel := range m.relations() {
+		if cap(scr.mark) < rel.n {
+			scr.mark = make([]int32, rel.n)
 		}
 		subIDs := make([]int32, k)
-		next := renumber(subIDs, ids, old, scr.mark[:n])
+		next := renumber(subIDs, rel.ids, old, scr.mark[:rel.n])
 		sub.rels[a] = agentRel{ids: subIDs, n: int(next)}
 	}
 
@@ -855,26 +836,20 @@ func (m *Model) seedQuotientInto(sub *Model, old []int, blocks []int) {
 		kept[w] = true
 	}
 	var lost []bool
-	for a := 0; a < m.numAgents; a++ {
-		ids, n := m.relIDs(a)
-		if ids == nil {
-			// Discrete relation: a removed world's singleton class
-			// contains no kept world, so nothing is disturbed.
-			continue
-		}
-		if cap(lost) < n {
-			lost = make([]bool, n)
+	for _, rel := range m.relations() {
+		if cap(lost) < rel.n {
+			lost = make([]bool, rel.n)
 		} else {
-			lost = lost[:n]
+			lost = lost[:rel.n]
 			clear(lost)
 		}
-		for w, id := range ids {
+		for w, id := range rel.ids {
 			if !kept[w] {
 				lost[id] = true
 			}
 		}
 		for i, w := range old {
-			if lost[ids[w]] {
+			if lost[rel.ids[w]] {
 				dirty[subIDs[i]] = true
 			}
 		}

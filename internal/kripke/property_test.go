@@ -197,6 +197,105 @@ func TestRestrictThenMutateRebuildsJoint(t *testing.T) {
 	}
 }
 
+// TestRedundantEdgeAfterEval pins that an edge which changes no relation
+// (reflexive, repeated, or inside one class) leaves the model readable:
+// after an evaluation, such an edge followed by any reader of the relations
+// must answer as the same model built without it.
+func TestRedundantEdgeAfterEval(t *testing.T) {
+	const n = 30
+	rng := rand.New(rand.NewSource(11))
+	facts := make([]int, n)
+	for w := range facts {
+		facts[w] = rng.Intn(8)
+	}
+	var edges [][3]int // agents 0 and 1 only: agent 2 stays discrete
+	for a := 0; a < 2; a++ {
+		for e := 0; e < n/2; e++ {
+			edges = append(edges, [3]int{a, rng.Intn(n), rng.Intn(n)})
+		}
+	}
+	build := func() *Model {
+		m := NewModel(n, 3)
+		for w, f := range facts {
+			for i, prop := range []string{"p", "q", "r"} {
+				if f&(1<<i) != 0 {
+					m.SetTrue(w, prop)
+				}
+			}
+		}
+		for _, e := range edges {
+			m.Indistinguishable(e[0], e[1], e[2])
+		}
+		return m
+	}
+	fresh := build()
+	redundant := [][3]int{{2, 0, 0}, {0, 5, 5}, edges[0]}
+	for v := 1; v < n && len(redundant) == 3; v++ {
+		if fresh.SameClass(1, 0, v) {
+			redundant = append(redundant, [3]int{1, v, 0})
+		}
+	}
+	if len(redundant) == 3 {
+		t.Fatalf("agent 1 has no class beyond a singleton at world 0")
+	}
+	keep := bitset.New(n)
+	for w := 0; w < n; w++ {
+		if w%3 != 0 {
+			keep.Add(w)
+		}
+	}
+	sameEvals := func(t *testing.T, got, want *Model) {
+		t.Helper()
+		for _, f := range propertyFormulas(3) {
+			g, err1 := got.Eval(f)
+			w, err2 := want.Eval(f)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("eval %s: %v, %v", f, err1, err2)
+			}
+			if !g.Equal(w) {
+				t.Fatalf("%s = %s, want %s", f, g, w)
+			}
+		}
+	}
+	readers := []struct {
+		name string
+		read func(t *testing.T, m *Model)
+	}{
+		{"Eval", func(t *testing.T, m *Model) { sameEvals(t, m, fresh) }},
+		{"Restrict", func(t *testing.T, m *Model) { sameEvals(t, m.Restrict(keep), fresh.Restrict(keep)) }},
+		{"Minimize", func(t *testing.T, m *Model) {
+			q1, b1 := m.Minimize()
+			q2, b2 := fresh.Minimize()
+			if !sameQuotient(q1, b1, q2, b2) {
+				t.Fatalf("Minimize differs from the model built without the edge")
+			}
+		}},
+		{"SameClass", func(t *testing.T, m *Model) {
+			for a := 0; a < 3; a++ {
+				for w := 0; w < n; w++ {
+					for v := 0; v < n; v++ {
+						if m.SameClass(a, w, v) != fresh.SameClass(a, w, v) {
+							t.Fatalf("SameClass(%d, %d, %d) differs", a, w, v)
+						}
+					}
+				}
+			}
+		}},
+	}
+	for _, e := range redundant {
+		for _, rd := range readers {
+			t.Run(fmt.Sprintf("%s/edge%d_%d_%d", rd.name, e[0], e[1], e[2]), func(t *testing.T) {
+				m := build()
+				if _, err := m.Eval(logic.C(nil, logic.P("p"))); err != nil {
+					t.Fatal(err)
+				}
+				m.Indistinguishable(e[0], e[1], e[2])
+				rd.read(t, m)
+			})
+		}
+	}
+}
+
 // TestMinimizePreservesVerdicts checks that the bisimulation quotient
 // satisfies exactly the same E/C/D (and K) formulas at corresponding
 // worlds.

@@ -194,12 +194,7 @@ func (m *Model) epistemicView() *Model {
 	v.names = m.names
 	v.valuation = m.valuation
 	v.quotSeed = m.quotSeed
-	for a := 0; a < m.numAgents; a++ {
-		ids, n := m.relIDs(a)
-		if ids != nil {
-			v.rels[a] = agentRel{ids: ids, n: n}
-		}
-	}
+	copy(v.rels, m.relations())
 	return v
 }
 
