@@ -4,12 +4,13 @@
 // them through half-open probes, a dead shard's sessions fail over to a
 // successor by replaying their persisted announcement sources (the
 // announce-link CAS keeps the chain exactly-once across the handoff), and
-// read-only requests hedge to a warm standby replica after a seeded
-// latency threshold. Mutations are never hedged. See internal/cluster.
+// a warm standby replica per session turns that failover into an in-place
+// handoff. Reads and mutations alike go to the primary. See
+// internal/cluster.
 //
 // knowrouter follows the repository's shared flag conventions: -seed pins
-// every seeded draw (hedge-delay jitter, per-shard client backoff jitter,
-// the default session seed). The -shards list uses id[*weight]=addr
+// every seeded draw (per-shard client backoff jitter, the default session
+// seed). The -shards list uses id[*weight]=addr
 // syntax, e.g.
 //
 //	knowrouter -addr 127.0.0.1:7500 \
@@ -47,9 +48,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("knowrouter", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:7500", "listen address")
 	shardSpec := fs.String("shards", "", "shard fleet as comma-separated id[*weight]=addr entries (required)")
-	seed := fs.Int64("seed", 1, "seed for hedge jitter, client jitter, and sessions opened without one")
-	hedgeAfter := fs.Duration("hedge-after", 25*time.Millisecond,
-		"base latency before hedging a read to the standby replica (<0 disables)")
+	seed := fs.Int64("seed", 1, "seed for client jitter and sessions opened without one")
 	healthEvery := fs.Duration("health-every", time.Second, "health probe sweep period")
 	failAfter := fs.Int("fail-after", 3, "consecutive failed probes before a shard is ejected")
 	readmitAfter := fs.Duration("readmit-after", 5*time.Second,
@@ -73,9 +72,8 @@ func run(args []string, out io.Writer) error {
 		logf = nil
 	}
 	rt, err := cluster.New(cluster.Config{
-		Shards:     shards,
-		Seed:       *seed,
-		HedgeAfter: *hedgeAfter,
+		Shards: shards,
+		Seed:   *seed,
 		Health: cluster.HealthConfig{
 			Every:        *healthEvery,
 			FailAfter:    *failAfter,

@@ -71,7 +71,8 @@ func (s *System) timelines() [][2]*protocol.Timeline {
 	return s.views
 }
 
-// attackTime is AttackTime over the cached timeline of run ri.
+// attackTime returns the first time the rule fires for general g in run
+// ri, read from the cached timeline, or runs.Lost if it never does.
 func (s *System) attackTime(tl [][2]*protocol.Timeline, ri, g int, rule DecisionRule) runs.Time {
 	r := s.Sys.Runs[ri]
 	for t := runs.Time(0); t <= r.Horizon; t++ {
@@ -151,17 +152,6 @@ func BuildInjected(budget int, horizon runs.Time, plan *faults.Plan, samplesPerC
 // DecisionRule decides, from a general's local view, whether to attack now.
 // The general attacks at the first instant the rule fires.
 type DecisionRule func(v protocol.LocalView) bool
-
-// AttackTime returns the first time the rule fires for general g in run r,
-// or runs.Lost if it never does.
-func AttackTime(r *runs.Run, g int, rule DecisionRule) runs.Time {
-	for t := runs.Time(0); t <= r.Horizon; t++ {
-		if rule(protocol.ViewAt(r, g, t)) {
-			return t
-		}
-	}
-	return runs.Lost
-}
 
 // RuleOutcome is the verdict on a decision-rule pair.
 type RuleOutcome struct {

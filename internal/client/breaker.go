@@ -43,7 +43,7 @@ func (b *Breaker) Record(ok bool, now time.Time) {
 }
 
 // Release ends an admitted attempt that says nothing about the peer, such
-// as a cancelled hedge loser: only the trial slot is freed.
+// as a call its caller cancelled: only the trial slot is freed.
 func (b *Breaker) Release() { b.probing = false }
 
 // State is "closed", "open", or "half-open" (cooldown elapsed or the trial

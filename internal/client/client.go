@@ -205,8 +205,9 @@ func (c *Client) recordOutcome(err error) {
 	c.breaker.Record(err == nil, c.now())
 }
 
-// recordNeutral ends a context-cancelled call (a hedge loser is cancelled
-// on purpose): it says nothing about the daemon's health.
+// recordNeutral ends a context-cancelled call (the caller gave up, as when
+// a router's inbound request goes away): it says nothing about the
+// daemon's health.
 func (c *Client) recordNeutral() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -445,8 +446,8 @@ func (c *Client) Get(session string) (server.SessionState, error) {
 	return c.GetCtx(context.Background(), session)
 }
 
-// GetCtx is Get under a caller context: a hedged read cancels the losing
-// leg through it.
+// GetCtx is Get under a caller context: a router relaying a GET cancels
+// the upstream call through it when its own inbound request goes away.
 func (c *Client) GetCtx(ctx context.Context, session string) (server.SessionState, error) {
 	var out server.SessionState
 	err := c.call(ctx, "GET", "/v1/sessions/"+session, nil, &out, false)
@@ -460,7 +461,8 @@ func (c *Client) Eval(session string, req server.EvalRequest) (server.EvalRespon
 
 // EvalCtx is Eval under a caller context. Cancellation aborts the
 // in-flight attempt and propagates server-side into EvalBatchCtx, so a
-// hedge loser stops burning the shard's compute between formulas.
+// relayed eval whose client went away stops burning the shard's compute
+// between formulas.
 func (c *Client) EvalCtx(ctx context.Context, session string, req server.EvalRequest) (server.EvalResponse, error) {
 	var out server.EvalResponse
 	err := c.call(ctx, "POST", "/v1/sessions/"+session+"/eval", req, &out, true)

@@ -96,8 +96,8 @@ func TestStatsSheds(t *testing.T) {
 	}
 }
 
-// TestCancelledCallIsNeutral: a context-cancelled call (the hedge-loser
-// path) reports the cancellation but moves neither the failure run nor
+// TestCancelledCallIsNeutral: a context-cancelled call (a caller that gave
+// up) reports the cancellation but moves neither the failure run nor
 // the breaker — cancelling a healthy shard's request must not eject it.
 // Admitted as the half-open trial, it frees the trial slot, or the
 // breaker would stay half-open forever.

@@ -17,11 +17,13 @@
 //     sources on a successor; the announce-link CAS makes the replayed
 //     chain advance exactly-once even when the "dead" shard had already
 //     applied the announcement before the router lost its answer;
-//   - read-only requests (eval batches, session GETs) hedge to a warm
-//     standby replica after a seeded latency threshold, first success
-//     wins, the loser is cancelled; mutations are never hedged, because a
-//     lost mutation response is indistinguishable from a slow one and two
-//     in-flight copies of an announce would race the chain;
+//   - every request, read or mutation, goes to the session's primary and
+//     fails over once on a transport error or a lost session; a warm
+//     standby replica, caught up after each announcement, turns that
+//     failover into an in-place handoff rather than a replay;
+//   - reconcile makes a shard hold exactly the replicas the router maps
+//     there: it closes strays left by failovers away from a
+//     partitioned-but-alive shard and repairs replicas the shard lost;
 //   - per-shard 429/503 shed counts decay into a routing-weight penalty,
 //     so a shedding shard drains load instead of melting.
 package cluster

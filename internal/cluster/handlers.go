@@ -13,7 +13,9 @@ import (
 	"repro/internal/server"
 )
 
-// RouterStats is the router's counter snapshot.
+// RouterStats is the router's counter snapshot. Hedges, HedgeWins and
+// HedgedMutations are always 0, since the router sends every read to the
+// primary; they stay on the wire until perfbench stops reading them.
 type RouterStats struct {
 	Sessions        int          `json:"sessions"`
 	Opens           int64        `json:"opens"`
@@ -22,9 +24,9 @@ type RouterStats struct {
 	Handoffs        int64        `json:"handoffs"`
 	Reopens         int64        `json:"reopens"`
 	StandbyRebuilds int64        `json:"standby_rebuilds"`
-	Hedges          int64        `json:"hedges"`
-	HedgeWins       int64        `json:"hedge_wins"`
-	HedgedMutations int64        `json:"hedged_mutations"` // tripwire: must be 0
+	Hedges          int64        `json:"hedges"`           // always 0
+	HedgeWins       int64        `json:"hedge_wins"`       // always 0
+	HedgedMutations int64        `json:"hedged_mutations"` // always 0
 	Restarts        int64        `json:"restarts"`         // incarnation changes caught by boot-id fencing
 	DupOpens        int64        `json:"dup_opens"`        // strays reaped by reconcile
 	DedupeHits      int64        `json:"dedupe_hits"`
@@ -194,7 +196,7 @@ func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
 	// answer changes on the way through.
 	type answer struct {
 		body []byte
-		sid  string // the shard session that answered: primary or hedge
+		sid  string // the primary session that answered
 	}
 	ans, err := readWithFailover(rt, r.Context(), cs,
 		func(ctx context.Context, c *client.Client, sid string) (answer, error) {
@@ -312,21 +314,22 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleReconcile(w http.ResponseWriter, r *http.Request) {
-	closed := 0
-	errs := 0
+	closed, repaired, errs := 0, 0, 0
 	for _, sh := range rt.shards {
 		if !rt.health.usable(sh.ID) {
 			continue
 		}
-		n, err := rt.reconcile(sh.ID)
+		c, n, err := rt.reconcile(sh.ID)
 		if err != nil {
 			errs++
 			rt.logf("reconcile: shard %s: %v", sh.ID, err)
 			continue
 		}
-		closed += n
+		closed += c
+		repaired += n
 	}
-	server.WriteJSON(w, http.StatusOK, map[string]int{"strays_closed": closed, "shard_errors": errs})
+	server.WriteJSON(w, http.StatusOK, map[string]int{
+		"strays_closed": closed, "replicas_repaired": repaired, "shard_errors": errs})
 }
 
 // StatsSnapshot assembles the router's counters and per-shard views.
@@ -351,9 +354,6 @@ func (rt *Router) StatsSnapshot() RouterStats {
 		Handoffs:        rt.handoffs.Load(),
 		Reopens:         rt.reopens.Load(),
 		StandbyRebuilds: rt.standbyRebuilds.Load(),
-		Hedges:          rt.hedges.Load(),
-		HedgeWins:       rt.hedgeWins.Load(),
-		HedgedMutations: rt.hedgedMutations.Load(),
 		Restarts:        rt.restarts.Load(),
 		DupOpens:        rt.dupOpens.Load(),
 		DedupeHits:      rt.dedupe.Hits(),
@@ -401,8 +401,8 @@ func (rt *Router) handleReport(w http.ResponseWriter, r *http.Request) {
 	st := rt.StatsSnapshot()
 	var b strings.Builder
 	fmt.Fprintf(&b, "## knowrouter fleet report\n\n")
-	fmt.Fprintf(&b, "sessions %d · opens %d · failovers %d (handoffs %d, reopens %d) · hedges %d (wins %d) · hedged mutations %d · strays reaped %d\n\n",
-		st.Sessions, st.Opens, st.Failovers, st.Handoffs, st.Reopens, st.Hedges, st.HedgeWins, st.HedgedMutations, st.DupOpens)
+	fmt.Fprintf(&b, "sessions %d · opens %d · failovers %d (handoffs %d, reopens %d) · strays reaped %d\n\n",
+		st.Sessions, st.Opens, st.Failovers, st.Handoffs, st.Reopens, st.DupOpens)
 	fmt.Fprintf(&b, "| shard | state | breaker | w_eff | requests | errors | sheds | primaries | standbys | p50 | p90 | p99 | max |\n")
 	fmt.Fprintf(&b, "|---|---|---|---|---|---|---|---|---|---|---|---|---|\n")
 	micros := func(us int64) string { return (time.Duration(us) * time.Microsecond).String() }

@@ -71,12 +71,11 @@ func wantRelayed(t *testing.T, shardBody []byte, shardSID, routerID string) []by
 }
 
 // TestRouterRelaysEvalVerbatim: the eval body a client receives through
-// the router is the answering shard's body byte for byte, except for the
-// session id — with and without world sets, with the marked world
-// eliminated, and when the standby's hedge answers.
+// the router is the primary's body byte for byte, except for the session
+// id — with and without world sets, and with the marked world eliminated.
 func TestRouterRelaysEvalVerbatim(t *testing.T) {
 	shards, fleet := newFleet(t, "n1", "n2")
-	rt, _, rc := newTestRouter(t, Config{HedgeAfter: 2 * time.Millisecond}, shards)
+	rt, _, rc := newTestRouter(t, Config{}, shards)
 	tap := tapEvals(fleet)
 
 	st, err := rc.Open("muddy:3", 0)
@@ -88,11 +87,8 @@ func TestRouterRelaysEvalVerbatim(t *testing.T) {
 	}
 	cs := rt.lookup(st.Session)
 	cs.mu.Lock()
-	pl := cs.placementLocked()
+	primary, primarySID := cs.primary, cs.primarySID
 	cs.mu.Unlock()
-	if !pl.inSync {
-		t.Fatalf("standby not in sync: %+v", pl)
-	}
 
 	// & < > in formulas are HTML-escaped on the wire, and relayed so.
 	formulas := []string{"muddy0", "K0 muddy0 & ~muddy1", "C (muddy0 -> muddy1 <-> muddy2)"}
@@ -108,13 +104,11 @@ func TestRouterRelaysEvalVerbatim(t *testing.T) {
 		}
 		return body
 	}
-	// fromShard reports whether got is the body a shard answered the last
-	// eval with, relabeled: the primary's, or the standby's when a slow
-	// primary let the hedge win.
+	// fromShard reports whether got is the body the primary answered the
+	// last eval with, relabeled.
 	fromShard := func(got []byte) bool {
-		p, s := tap.take(pl.primary), tap.take(pl.standby)
-		return (p != nil && bytes.Equal(got, wantRelayed(t, p, pl.primarySID, st.Session))) ||
-			(s != nil && bytes.Equal(got, wantRelayed(t, s, pl.standbySID, st.Session)))
+		p := tap.take(primary)
+		return p != nil && bytes.Equal(got, wantRelayed(t, p, primarySID, st.Session))
 	}
 	for _, worlds := range []bool{false, true} {
 		got := relayed(worlds)
@@ -132,8 +126,7 @@ func TestRouterRelaysEvalVerbatim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tap.take(pl.primary)
-	tap.take(pl.standby)
+	tap.take(primary)
 	elim := "muddy0"
 	if *resp.Verdicts[0].Marked {
 		elim = "~muddy0"
@@ -148,17 +141,80 @@ func TestRouterRelaysEvalVerbatim(t *testing.T) {
 	if bytes.Count(got, []byte(`"marked":null`)) != 3 {
 		t.Fatalf("eliminated marked world: body %s", got)
 	}
+}
 
-	// The primary answers evals 400ms late; the in-sync standby's hedge
-	// wins, and its session id is the one replaced.
-	fleet[pl.primary].slowRead.Store(int64(400 * time.Millisecond))
-	got = relayed(true)
-	fleet[pl.primary].slowRead.Store(0)
-	if want := wantRelayed(t, tap.take(pl.standby), pl.standbySID, st.Session); !bytes.Equal(got, want) {
-		t.Fatalf("hedged: relayed\n%s\nwant\n%s", got, want)
+// TestRouterReadsGoToPrimary: a slow primary still answers every read.
+// The router waits for it rather than asking the in-sync standby, which
+// sees no eval, and nothing fails over.
+func TestRouterReadsGoToPrimary(t *testing.T) {
+	shards, fleet := newFleet(t, "n1", "n2")
+	rt, _, rc := newTestRouter(t, Config{}, shards)
+	tap := tapEvals(fleet)
+
+	st, err := rc.Open("muddy:2", 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stats := rt.StatsSnapshot(); stats.HedgeWins == 0 || stats.Failovers != 0 {
-		t.Fatalf("hedged eval: %+v", stats)
+	if _, err := rc.Announce(st.Session, "muddy0 | muddy1"); err != nil {
+		t.Fatal(err)
+	}
+	cs := rt.lookup(st.Session)
+	cs.mu.Lock()
+	primary, standby, inSync := cs.primary, cs.standby, cs.standbyLink == len(cs.sources)
+	cs.mu.Unlock()
+	if standby == "" || !inSync {
+		t.Fatalf("standby %q not in sync", standby)
+	}
+
+	fleet[primary].slowRead.Store(int64(50 * time.Millisecond))
+	if got, err := rc.Get(st.Session); err != nil || got.Link != 1 {
+		t.Fatalf("slow-primary get: %+v, %v", got, err)
+	}
+	resp, err := rc.Eval(st.Session, server.EvalRequest{Formulas: []string{"muddy0"}})
+	if err != nil || resp.Link != 1 || len(resp.Verdicts) != 1 {
+		t.Fatalf("slow-primary eval: %+v, %v", resp, err)
+	}
+	fleet[primary].slowRead.Store(0)
+	if tap.take(primary) == nil {
+		t.Fatal("the primary answered no eval")
+	}
+	if body := tap.take(standby); body != nil {
+		t.Fatalf("the standby answered an eval: %s", body)
+	}
+	if stats := rt.StatsSnapshot(); stats.Failovers != 0 {
+		t.Fatalf("a slow primary failed over: %+v", stats)
+	}
+}
+
+// TestRouterCancelledReadStaysPut: a client that gives up on a slow read
+// cancels the router's call to the primary, and that cancellation moves
+// nothing: the session keeps its primary and no failover runs.
+func TestRouterCancelledReadStaysPut(t *testing.T) {
+	shards, fleet := newFleet(t, "n1", "n2")
+	rt, _, rc := newTestRouter(t, Config{}, shards)
+	st, err := rc.Open("muddy:2", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := rt.lookup(st.Session)
+	cs.mu.Lock()
+	primary := cs.primary
+	cs.mu.Unlock()
+
+	fleet[primary].slowRead.Store(int64(200 * time.Millisecond))
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := rc.GetCtx(ctx, st.Session); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("get past the client's deadline: %v", err)
+	}
+	// The router's handler runs on until the slow shard answers.
+	time.Sleep(300 * time.Millisecond)
+	fleet[primary].slowRead.Store(0)
+	cs.mu.Lock()
+	now := cs.primary
+	cs.mu.Unlock()
+	if stats := rt.StatsSnapshot(); now != primary || stats.Failovers != 0 {
+		t.Fatalf("a cancelled read moved the session %s -> %s: %+v", primary, now, stats)
 	}
 }
 
@@ -313,12 +369,11 @@ func errorMsg(t *testing.T, body []byte) string {
 // to the shard byte for byte (raw &, non-ASCII text, key order, spacing,
 // workers and worlds), and knowd alone validates it: a body knowd refuses
 // comes back through the router as knowd's own 400, from the primary
-// alone (no hedge: the in-sync standby would say the same), the session
-// stays put and no breaker opens. Only a body over the 1 MiB cap is the
+// alone, the session stays put and no breaker opens. Only a body over the 1 MiB cap is the
 // router's own 400, and it reaches no shard.
 func TestRouterRelaysEvalRequestVerbatim(t *testing.T) {
 	shards, fleet := newFleet(t, "n1", "n2")
-	rt, ts, rc := newTestRouter(t, Config{HedgeAfter: time.Second}, shards)
+	rt, ts, rc := newTestRouter(t, Config{}, shards)
 	st, err := rc.Open("muddy:3", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -389,8 +444,8 @@ func TestRouterRelaysEvalRequestVerbatim(t *testing.T) {
 	}
 
 	stats := rt.StatsSnapshot()
-	if stats.Failovers != 0 || stats.Hedges != 0 {
-		t.Fatalf("a refused body failed the session over or was hedged: %+v", stats)
+	if stats.Failovers != 0 {
+		t.Fatalf("a refused body failed the session over: %+v", stats)
 	}
 	for _, sh := range stats.Shards {
 		if sh.Breaker != "closed" || sh.ConsecutiveFails != 0 {

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/faults"
 	"repro/internal/loadgen"
 	"repro/internal/server"
 )
@@ -23,15 +22,9 @@ import (
 type Config struct {
 	// Shards is the upstream fleet (use ParseShards for the CLI syntax).
 	Shards []Shard
-	// Seed drives the hedge-delay jitter and the per-shard client jitter
-	// streams, and is the session seed applied when an OpenRequest carries
-	// none. Default 1.
+	// Seed drives the per-shard client jitter streams, and is the session
+	// seed applied when an OpenRequest carries none. Default 1.
 	Seed int64
-	// HedgeAfter is the base latency threshold before a read-only request
-	// is hedged to the standby replica; the actual per-request delay is a
-	// seeded draw from [HedgeAfter/2, 3*HedgeAfter/2). Zero means 25ms;
-	// negative disables hedging.
-	HedgeAfter time.Duration
 	// Health configures the active health checker.
 	Health HealthConfig
 	// ShardMaxAttempts / ShardBaseDelay / ShardMaxDelay tune the primary
@@ -51,9 +44,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.HedgeAfter == 0 {
-		c.HedgeAfter = 25 * time.Millisecond
 	}
 	c.Health = c.Health.withDefaults()
 	return c
@@ -86,22 +76,6 @@ type csession struct {
 	last server.SessionState // latest state answered by the active replica
 }
 
-// placement is an immutable snapshot of a session's replica layout, taken
-// under cs.mu and then used lock-free by the hedging machinery.
-type placement struct {
-	primary, primarySID string
-	standby, standbySID string
-	inSync              bool
-}
-
-func (cs *csession) placementLocked() placement {
-	return placement{
-		primary: cs.primary, primarySID: cs.primarySID,
-		standby: cs.standby, standbySID: cs.standbySID,
-		inSync: cs.standby != "" && cs.standbyLink == len(cs.sources),
-	}
-}
-
 // shardMetrics aggregates one shard's data-path telemetry at the router.
 type shardMetrics struct {
 	requests int64
@@ -131,9 +105,6 @@ type Router struct {
 	sessions map[string]*csession
 	nextID   int64
 
-	jitterMu sync.Mutex
-	jitter   *faults.Stream
-
 	metricsMu sync.Mutex
 	perShard  map[string]*shardMetrics
 
@@ -142,9 +113,6 @@ type Router struct {
 	handoffs        atomic.Int64 // failovers resolved by promoting the standby
 	reopens         atomic.Int64 // failovers resolved by full source replay
 	standbyRebuilds atomic.Int64
-	hedges          atomic.Int64
-	hedgeWins       atomic.Int64
-	hedgedMutations atomic.Int64 // tripwire; must stay 0
 	restarts        atomic.Int64 // shard incarnations detected via boot-id change
 	dupOpens        atomic.Int64 // stray upstream sessions closed by reconcile
 	panics          atomic.Int64
@@ -170,7 +138,6 @@ func New(cfg Config) (*Router, error) {
 		clients:  make(map[string]*client.Client),
 		quick:    make(map[string]*client.Client),
 		sessions: make(map[string]*csession),
-		jitter:   faults.SubStream(cfg.Seed, 0x4ed6e), // hedge-delay stream
 		perShard: make(map[string]*shardMetrics),
 	}
 	for _, sh := range rt.shards {
@@ -343,100 +310,6 @@ func (rt *Router) sessionList() []*csession {
 	return out
 }
 
-// hedgeDelay draws one seeded hedge threshold in [base/2, 3*base/2).
-func (rt *Router) hedgeDelay() time.Duration {
-	base := rt.cfg.HedgeAfter
-	rt.jitterMu.Lock()
-	defer rt.jitterMu.Unlock()
-	return base/2 + time.Duration(rt.jitter.Intn(int(base)))
-}
-
-// hedged runs call against the primary replica and, when the request is
-// read-only and the standby is in sync, races a second copy against the
-// standby after a seeded latency threshold. First success wins and the
-// loser's context is cancelled — which aborts its in-flight attempt and,
-// server-side, stops the eval between formulas via EvalBatchCtx. Mutations
-// must never take this path: the readOnly flag is a tripwire, not an
-// option — passing false counts a hedged mutation and hedging is refused.
-func hedged[T any](rt *Router, ctx context.Context, pl placement, readOnly bool,
-	call func(context.Context, *client.Client, string) (T, error)) (T, error) {
-	if !readOnly {
-		// Launch guard: no current caller passes false. Any future code
-		// that routes a mutation here trips the asserted-zero counter and
-		// gets an unhedged call.
-		rt.hedgedMutations.Add(1)
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type result struct {
-		out   T
-		err   error
-		hedge bool
-		shard string
-	}
-	ch := make(chan result, 2)
-	launch := func(shard, sid string, isHedge bool) {
-		go func() {
-			t0 := time.Now()
-			out, err := call(ctx, rt.clients[shard], sid)
-			rt.observe(shard, t0, err)
-			ch <- result{out, err, isHedge, shard}
-		}()
-	}
-	launch(pl.primary, pl.primarySID, false)
-	inFlight := 1
-
-	var hedgeC <-chan time.Time
-	canHedge := readOnly && rt.cfg.HedgeAfter > 0 && pl.inSync &&
-		pl.standby != "" && rt.health.usable(pl.standby)
-	if canHedge {
-		timer := time.NewTimer(rt.hedgeDelay())
-		defer timer.Stop()
-		hedgeC = timer.C
-	}
-
-	var firstErr error
-	for {
-		select {
-		case <-hedgeC:
-			hedgeC = nil
-			rt.hedges.Add(1)
-			launch(pl.standby, pl.standbySID, true)
-			inFlight++
-		case res := <-ch:
-			inFlight--
-			if res.err == nil {
-				if res.hedge {
-					rt.hedgeWins.Add(1)
-				}
-				cancel() // the loser stops burning its shard
-				return res.out, nil
-			}
-			if !res.hedge && definitive(res.err) {
-				// The in-sync standby would give the same verdict.
-				var zero T
-				return zero, res.err
-			}
-			if firstErr == nil || !res.hedge {
-				firstErr = res.err // the primary's error is the authoritative one
-			}
-			if inFlight == 0 && hedgeC == nil {
-				var zero T
-				return zero, firstErr
-			}
-			if inFlight == 0 {
-				// Primary failed before the hedge timer; give the standby
-				// its chance immediately rather than waiting out the timer.
-				hedgeC = nil
-				rt.hedges.Add(1)
-				launch(pl.standby, pl.standbySID, true)
-				inFlight++
-			}
-		}
-	}
-}
-
 // definitive reports whether a shard call's error is the shard's verdict
 // on the request itself (a 4xx other than a lost session, or an answer
 // over the size cap), which passes through rather than moving the read to
@@ -447,34 +320,33 @@ func definitive(err error) bool {
 		errors.Is(err, client.ErrResponseTooLarge)
 }
 
-// readWithFailover performs a hedged read, failing the session over once
-// if its primary turns out dead (transport exhaustion or a shard that no
-// longer knows the session) and retrying on the new layout.
+// readWithFailover sends a read to the session's primary, failing the
+// session over once if the primary turns out dead (transport exhaustion or
+// a shard that no longer knows the session) and retrying on the new layout.
+// A read whose caller went away ends there: its cancelled call says
+// nothing about the primary.
 func readWithFailover[T any](rt *Router, ctx context.Context, cs *csession,
 	call func(context.Context, *client.Client, string) (T, error)) (T, error) {
-	var lastErr error
+	var out T
+	var err error
 	for attempt := 0; attempt < 2; attempt++ {
 		cs.mu.Lock()
-		pl := cs.placementLocked()
+		primary, sid := cs.primary, cs.primarySID
 		cs.mu.Unlock()
-		out, err := hedged(rt, ctx, pl, true, call)
-		if err == nil {
-			return out, nil
-		}
-		lastErr = err
-		if definitive(err) {
+		t0 := time.Now()
+		out, err = call(ctx, rt.clients[primary], sid)
+		rt.observe(primary, t0, err)
+		if err == nil || definitive(err) || ctx.Err() != nil {
 			return out, err
 		}
 		cs.mu.Lock()
-		ferr := rt.failoverLocked(cs, pl.primary)
+		ferr := rt.failoverLocked(cs, primary)
 		cs.mu.Unlock()
 		if ferr != nil {
-			var zero T
-			return zero, lastErr
+			break
 		}
 	}
-	var zero T
-	return zero, lastErr
+	return out, err
 }
 
 // Failover.
@@ -555,7 +427,7 @@ func (rt *Router) replayOn(c *client.Client, shard string, cs *csession) (string
 // rebuildStandbyLocked (cs.mu held) drops any stale standby and builds a
 // fresh warm replica on the best shard that is neither the primary nor
 // unhealthy. Best effort throughout — a session without a standby just
-// loses hedging and fast handoff until the next rebuild opportunity.
+// loses fast handoff until the next rebuild opportunity.
 func (rt *Router) rebuildStandbyLocked(cs *csession) {
 	if cs.standby != "" && cs.standbyLink == len(cs.sources) && rt.health.usable(cs.standby) && cs.standby != cs.primary {
 		return // current standby is fine
@@ -606,16 +478,22 @@ func (rt *Router) catchUpStandbyLocked(cs *csession) {
 func (rt *Router) evacuate(id, why string) {
 	for _, cs := range rt.sessionList() {
 		cs.mu.Lock()
-		switch {
-		case cs.primary == id:
-			if err := rt.failoverLocked(cs, id); err != nil {
-				rt.logf("%s: %s stranded: %v", why, cs.id, err)
-			}
-		case cs.standby == id:
-			cs.standby, cs.standbySID, cs.standbyLink = "", "", -1
-			rt.rebuildStandbyLocked(cs)
-		}
+		rt.moveOffLocked(cs, id, why)
 		cs.mu.Unlock()
+	}
+}
+
+// moveOffLocked (cs.mu held) moves cs's replica on shard elsewhere: a
+// primary fails over, a standby is dropped and rebuilt.
+func (rt *Router) moveOffLocked(cs *csession, shard, why string) {
+	switch {
+	case cs.primary == shard:
+		if err := rt.failoverLocked(cs, shard); err != nil {
+			rt.logf("%s: %s stranded: %v", why, cs.id, err)
+		}
+	case cs.standby == shard:
+		cs.standby, cs.standbySID, cs.standbyLink = "", "", -1
+		rt.rebuildStandbyLocked(cs)
 	}
 }
 
@@ -632,37 +510,72 @@ func (rt *Router) onRestart(id string) {
 }
 
 func (rt *Router) onReadmit(id string) {
-	if n, err := rt.reconcile(id); err != nil {
+	if closed, repaired, err := rt.reconcile(id); err != nil {
 		rt.logf("readmit: reconcile of %s failed: %v", id, err)
-	} else if n > 0 {
-		rt.logf("readmit: closed %d stray sessions on %s", n, id)
+	} else if closed+repaired > 0 {
+		rt.logf("readmit: closed %d stray sessions and repaired %d lost replicas on %s", closed, repaired, id)
 	}
 }
 
-// reconcile closes upstream sessions on shard that the router does not
-// map as a primary or standby — the leftovers of failovers away from a
-// partitioned-but-alive shard. The shard's session list is fetched FIRST
-// and the valid set second: any session created concurrently is recorded
-// in its csession (under cs.mu) before the creating call returns, so a
-// listed session either shows up valid by the time we lock its csession
-// or is genuinely stray. Returns how many strays were closed.
-func (rt *Router) reconcile(shard string) (int, error) {
-	states, err := rt.clients[shard].Sessions()
-	if err != nil {
-		return 0, err
+// sidOnLocked (cs.mu held) is the session id of cs's replica on shard, or
+// "" when none is mapped there. A session never has both its replicas on
+// one shard.
+func (cs *csession) sidOnLocked(shard string) string {
+	switch shard {
+	case cs.primary:
+		return cs.primarySID
+	case cs.standby:
+		return cs.standbySID
 	}
-	valid := make(map[string]bool)
+	return ""
+}
+
+// replica is one upstream copy of a session as the router maps it.
+type replica struct {
+	cs  *csession
+	sid string
+}
+
+// replicasOn snapshots the replicas the router maps to shard.
+func (rt *Router) replicasOn(shard string) []replica {
+	var out []replica
 	for _, cs := range rt.sessionList() {
 		cs.mu.Lock()
-		if cs.primary == shard && cs.primarySID != "" {
-			valid[cs.primarySID] = true
-		}
-		if cs.standby == shard && cs.standbySID != "" {
-			valid[cs.standbySID] = true
+		if sid := cs.sidOnLocked(shard); sid != "" {
+			out = append(out, replica{cs, sid})
 		}
 		cs.mu.Unlock()
 	}
-	closed := 0
+	return out
+}
+
+// reconcile makes shard hold exactly the replicas the router maps there.
+// It closes strays, the leftovers of failovers away from a
+// partitioned-but-alive shard, and repairs lost replicas, the mapped
+// copies a shard dropped without the router noticing (a restart the health
+// checker has not seen, or one that kept its boot id). The mapped replicas are snapshotted BEFORE the shard's
+// session list is fetched, so a replica mapped after the fetch cannot read
+// as lost; one still mapped to the same id under cs.mu but absent from the
+// list is lost, and moves off the shard as an evacuation would move it.
+// The valid set for strays is taken AFTER the fetch: any session created
+// concurrently is recorded in its csession (under cs.mu) before the
+// creating call returns, so a listed session either shows up valid by then
+// or is genuinely stray. Returns how many strays were closed and how many
+// lost replicas were repaired.
+func (rt *Router) reconcile(shard string) (closed, repaired int, err error) {
+	mapped := rt.replicasOn(shard)
+	states, err := rt.clients[shard].Sessions()
+	if err != nil {
+		return 0, 0, err
+	}
+	listed := make(map[string]bool, len(states))
+	for _, st := range states {
+		listed[st.Session] = true
+	}
+	valid := make(map[string]bool)
+	for _, r := range rt.replicasOn(shard) {
+		valid[r.sid] = true
+	}
 	for _, st := range states {
 		if valid[st.Session] {
 			continue
@@ -673,5 +586,18 @@ func (rt *Router) reconcile(shard string) (int, error) {
 			closed++
 		}
 	}
-	return closed, nil
+	for _, r := range mapped {
+		if listed[r.sid] {
+			continue
+		}
+		r.cs.mu.Lock()
+		// A closed session keeps its last layout; only a live one is repaired.
+		if r.cs.sidOnLocked(shard) == r.sid && rt.lookup(r.cs.id) == r.cs {
+			rt.logf("reconcile: %s lost its replica %s on %s", r.cs.id, r.sid, shard)
+			rt.moveOffLocked(r.cs, shard, "reconcile")
+			repaired++
+		}
+		r.cs.mu.Unlock()
+	}
+	return closed, repaired, nil
 }

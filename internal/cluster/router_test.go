@@ -21,7 +21,7 @@ import (
 // testShard is one in-process knowd upstream at a stable address. down
 // simulates a SIGKILL (connections die mid-flight with no response);
 // reset() is a crash-restart with total state loss; slowRead delays reads
-// (GETs and eval batches) to provoke hedging without touching mutations.
+// (GETs and eval batches) without touching mutations.
 type testShard struct {
 	id       string
 	ts       *httptest.Server
@@ -72,9 +72,6 @@ func newTestRouter(t *testing.T, cfg Config, shards []Shard) (*Router, *httptest
 	cfg.Shards = shards
 	if cfg.Seed == 0 {
 		cfg.Seed = 7
-	}
-	if cfg.HedgeAfter == 0 {
-		cfg.HedgeAfter = -1 // hedging opt-in per test
 	}
 	if cfg.ShardMaxAttempts == 0 {
 		cfg.ShardMaxAttempts = 2
@@ -351,52 +348,6 @@ func TestRouterFailoverReplay(t *testing.T) {
 	}
 }
 
-func TestRouterHedgedReads(t *testing.T) {
-	shards, fleet := newFleet(t, "n1", "n2")
-	rt, _, rc := newTestRouter(t, Config{HedgeAfter: 2 * time.Millisecond}, shards)
-
-	if _, err := rc.Open("muddy:2", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rc.Announce("r1", "muddy0 | muddy1"); err != nil {
-		t.Fatal(err)
-	}
-	cs := rt.lookup("r1")
-	cs.mu.Lock()
-	primary := cs.primary
-	cs.mu.Unlock()
-
-	// The primary answers reads 400ms late; the hedge fires after ~1-3ms
-	// and the in-sync standby must win, so both calls return promptly with
-	// correct results even though the primary never failed.
-	fleet[primary].slowRead.Store(int64(400 * time.Millisecond))
-	st, err := rc.Get("r1")
-	if err != nil || st.Link != 1 {
-		t.Fatalf("hedged get: %+v, %v", st, err)
-	}
-	resp, err := rc.Eval("r1", server.EvalRequest{Formulas: []string{"muddy0"}})
-	if err != nil || resp.Link != 1 || len(resp.Verdicts) != 1 {
-		t.Fatalf("hedged eval: %+v, %v", resp, err)
-	}
-	stats := rt.StatsSnapshot()
-	if stats.Hedges < 2 || stats.HedgeWins < 2 {
-		t.Fatalf("hedge counters after two slow reads: %+v", stats)
-	}
-	if stats.Failovers != 0 {
-		t.Fatalf("hedging triggered a failover: %+v", stats)
-	}
-
-	// Mutations go straight to the slow primary — never hedged. (The
-	// announce path isn't slowed by the fixture, so this stays fast; the
-	// tripwire counter is the real assertion.)
-	if _, err := rc.Announce("r1", "muddy0"); err != nil {
-		t.Fatal(err)
-	}
-	if got := rt.StatsSnapshot().HedgedMutations; got != 0 {
-		t.Fatalf("hedged mutations tripwire: %d", got)
-	}
-}
-
 func TestRouterOpenNoHealthyShard(t *testing.T) {
 	shards, _ := newFleet(t, "n1", "n2")
 	rt, ts, _ := newTestRouter(t, Config{}, shards)
@@ -453,6 +404,64 @@ func TestRouterReconcile(t *testing.T) {
 	// The mapped session (and its standby replica) did not get reaped.
 	if _, err := rc.Get("r1"); err != nil {
 		t.Fatalf("mapped session reaped by reconcile: %v", err)
+	}
+}
+
+// TestRouterReconcileRepairsLostReplicas: a shard that restarts empty
+// under the same boot id fires no restart event, so the router still maps
+// replicas there that the shard lost. One reconcile pass rebuilds them:
+// lost primaries fail over, lost standbys are rebuilt, and every shard
+// then holds exactly the replicas the router maps to it.
+func TestRouterReconcileRepairsLostReplicas(t *testing.T) {
+	shards, fleet := newFleet(t, "n1", "n2")
+	rt, ts, rc := newTestRouter(t, Config{}, shards)
+	systems := []string{"muddy:2", "muddy:3", "muddy:4", "muddy:5", "muddy:6", "muddy:7"}
+	for _, sys := range systems {
+		if _, err := rc.Open(sys, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := rc.Announce("r2", "muddy0 | muddy1 | muddy2"); err != nil {
+		t.Fatal(err)
+	}
+	cs := rt.lookup("r1")
+	cs.mu.Lock()
+	standby := cs.standby
+	cs.mu.Unlock()
+	var lost int
+	for _, sh := range rt.StatsSnapshot().Shards {
+		if sh.ID == standby {
+			if sh.Primaries == 0 || sh.Standbys == 0 {
+				t.Fatalf("shard %s maps %d primaries and %d standbys; want both roles lost", sh.ID, sh.Primaries, sh.Standbys)
+			}
+			lost = sh.Primaries + sh.Standbys
+		}
+	}
+	fleet[standby].reset()
+
+	resp, err := http.Post(ts.URL+"/v1/reconcile", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out map[string]int
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if out["replicas_repaired"] != lost || out["strays_closed"] != 0 || out["shard_errors"] != 0 {
+		t.Fatalf("reconcile: %v, want %d replicas repaired", out, lost)
+	}
+	for _, sh := range rt.StatsSnapshot().Shards {
+		held, err := client.New(client.Config{BaseURL: fleet[sh.ID].ts.URL}).Sessions()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mapped := sh.Primaries + sh.Standbys; len(held) != mapped {
+			t.Fatalf("shard %s holds %d sessions, router maps %d", sh.ID, len(held), mapped)
+		}
+	}
+	if st, err := rc.Get("r2"); err != nil || st.Link != 1 {
+		t.Fatalf("repaired session: %+v, %v", st, err)
 	}
 }
 

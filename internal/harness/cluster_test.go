@@ -163,7 +163,6 @@ func TestClusterPartitionConvergence(t *testing.T) {
 				Args: []string{
 					"-shards", "n1=" + shards[0].URL() + ",n2=" + shards[1].URL() + ",n3=" + linkTS.URL,
 					"-seed", strconv.FormatInt(seed, 10),
-					"-hedge-after", "10ms",
 					"-health-every", "25ms",
 					"-fail-after", "2",
 					"-readmit-after", "250ms",

@@ -519,9 +519,9 @@ func (s *Server) session(id string) *session {
 }
 
 // handleGet returns one session's current chain state — the read-only
-// counterpart of the session list, cheap enough for a router to hedge to a
-// replica. It deliberately does not touch the session: a health probe or a
-// hedged read must not keep an otherwise idle session alive.
+// counterpart of the session list, cheap enough for a router's read-repair
+// sweep. It deliberately does not touch the session: a health probe or a
+// routed GET must not keep an otherwise idle session alive.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	ss := s.session(r.PathValue("id"))
 	if ss == nil {

@@ -59,7 +59,7 @@ wait_healthy "$S1" shard1; wait_healthy "$S2" shard2; wait_healthy "$S3" shard3
 # re-admission all land inside a short soak window.
 "$BIN/knowrouter" -addr "$ROUTER" \
     -shards "n1=http://$S1,n2=http://$S2,n3=http://$S3" \
-    -seed "$SEED" -hedge-after 15ms -health-every 50ms -fail-after 2 \
+    -seed "$SEED" -health-every 50ms -fail-after 2 \
     -readmit-after 500ms -shard-attempts 30 -shard-base-delay 2ms \
     -shard-max-delay 50ms >>"$BIN/router.log" 2>&1 &
 ROUTER_PID=$!; PIDS+=("$ROUTER_PID")
@@ -88,11 +88,12 @@ if ! wait "$LOAD_PID"; then
 fi
 
 # Post-run anti-entropy must converge: repeat reconcile until a pass finds
-# zero strays and zero shard errors (latched breakers may need a cooldown).
+# zero strays, zero lost replicas and zero shard errors (latched breakers
+# may need a cooldown).
 RECONCILED=""
 for _ in $(seq 1 100); do
     OUT="$(curl -fsS -X POST "http://$ROUTER/v1/reconcile")"
-    if [ "$OUT" = '{"shard_errors":0,"strays_closed":0}' ]; then
+    if [ "$OUT" = '{"replicas_repaired":0,"shard_errors":0,"strays_closed":0}' ]; then
         RECONCILED=yes
         break
     fi
